@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-noasm test-race test-service test-oracle golden-check golden-update vet lint bench bench-json bench-scaling smoke-tiled smoke-distributed smoke-sweep smoke-format eval fuzz serve clean
+.PHONY: all build test test-short test-noasm test-race test-service test-oracle golden-check golden-update vet lint bench bench-check bench-json bench-scaling smoke-tiled smoke-distributed smoke-sweep smoke-format eval fuzz serve clean
 
 all: build lint test
 
@@ -80,6 +80,13 @@ serve:
 # Regenerates every benchmark, including one run per paper table/figure.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Compiles, vets and tests the benchmark module. perfbench/ is its own
+# Go module (replace protoclust => ../), so neither `go build ./...` nor
+# `go test ./...` at the root reaches it; this is the gate that catches
+# an API change in the main module breaking the benchmark.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerates the perf-trajectory artifact for the dissimilarity hot
 # path: per-kernel shard (every compiled SIMD kernel vs scalar and the

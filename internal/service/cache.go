@@ -24,8 +24,16 @@ import (
 // therefore share a key, regardless of message order metadata,
 // duplicate count, or transport framing.
 func CacheKey(tr *protoclust.Trace, o protoclust.Options) string {
+	return cacheKey(tr, o, "")
+}
+
+// cacheKey is the content address of every job kind: SHA-256 over the
+// canonical options, the kind's canonical suffix (empty for analysis),
+// and the length-framed payloads.
+func cacheKey(tr *protoclust.Trace, o protoclust.Options, suffix string) string {
 	h := sha256.New()
 	writeCanonicalOptions(h, o)
+	h.Write([]byte(suffix))
 	var frame [8]byte
 	for _, m := range tr.Messages {
 		binary.LittleEndian.PutUint64(frame[:], uint64(len(m.Data)))
@@ -97,7 +105,7 @@ type cacheEntry[T any] struct {
 // into) memory are kept as JSON blobs under Dir, so a warm directory
 // survives restarts and an in-memory miss can still be served without
 // recomputing the matrix. The Cache alias instantiates it for analysis
-// reports; the sweep cache instantiates it for sweep reports.
+// reports; the kind table instantiates it once per job kind.
 type jsonCache[T any] struct {
 	mu      sync.Mutex
 	max     int
@@ -186,6 +194,17 @@ func (c *jsonCache[T]) put(key string, r *T, spill bool) {
 		}
 	}
 }
+
+// resultCache is a jsonCache seen through the kind table, where each
+// kind stores its own result type.
+type resultCache interface {
+	getAny(key string) (any, bool)
+	putAny(key string, v any)
+}
+
+func (c *jsonCache[T]) getAny(key string) (any, bool) { return c.Get(key) }
+
+func (c *jsonCache[T]) putAny(key string, v any) { c.Put(key, v.(*T)) }
 
 // Len returns the number of in-memory entries.
 func (c *jsonCache[T]) Len() int {

@@ -244,3 +244,31 @@ func TestCanonicalOptionsCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeysPinned pins the hex content addresses of all three job
+// kinds for one fixed trace and fixed options. The values were captured
+// before the job kinds shared one key function; any drift would turn
+// every warm -cache-dir entry (root, sweeps/, formats/) into a miss.
+func TestCacheKeysPinned(t *testing.T) {
+	tr := mustTrace(t, "ntp", 20, 1).Deduplicate()
+	opts := protoclust.DefaultOptions()
+	opts.Segmenter = protoclust.SegmenterTruth
+	sw := SweepRequest{
+		Segmenters: []string{protoclust.SegmenterTruth, protoclust.SegmenterNEMESYS},
+		Clusterers: []string{"dbscan"},
+		Ks:         []int{0, 2},
+		EpsSources: []string{"knee", "quantile:0.5"},
+		Ensemble:   true,
+		Weighted:   true,
+	}
+	fr := FormatRequest{TrainProto: "dns", TrainN: 50, TrainSeed: 7}
+	for _, tc := range []struct{ name, got, want string }{
+		{"analysis", CacheKey(tr, opts), "7357b64a2778f06ead8d54e1a82556f72444c8636c3cf1d87f285b1a25a44b66"},
+		{"sweep", SweepCacheKey(tr, opts, &sw), "1684d88d72612cb5af11d255b9ca329b8840c23b2e29724077391be41a0c287c"},
+		{"format", FormatCacheKey(tr, opts, &fr), "c7b801f22370e729e776bdd1f1f163e22a8820d9e4ef48171c3cc477eae3f873"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s key = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}

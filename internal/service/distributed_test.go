@@ -301,3 +301,96 @@ func TestShardMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestJobstoreRecoversSweepAndFormatJobs replays a queued sweep job and
+// a queued format job from the job store: each must come back under its
+// original ID as the same kind, run to done, and serve a result
+// byte-identical to a fresh submission of the same spec.
+func TestJobstoreRecoversSweepAndFormatJobs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	store1, err := jobstore.Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// A distributed service with no workers keeps its single worker
+	// blocked on the first job, so the next two stay queued.
+	svc1 := New(Config{Workers: 1, JobStore: store1, Distributed: true, Logger: testLogger()})
+	blocker, err := svc1.Submit(distSpec)
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	sweepSpec := JobSpec{Proto: "ntp", N: 30, Seed: 1, Sweep: &SweepRequest{
+		Segmenters: []string{protoclust.SegmenterTruth},
+		Ks:         []int{0, 2},
+	}}
+	formatSpec := JobSpec{Proto: "ntp", N: 40, Seed: 2, Segmenter: protoclust.SegmenterTruth,
+		Format: &FormatRequest{TrainProto: "ntp", TrainN: 40, TrainSeed: 1}}
+	idSweep, err := svc1.Submit(sweepSpec)
+	if err != nil {
+		t.Fatalf("Submit sweep: %v", err)
+	}
+	idFormat, err := svc1.Submit(formatSpec)
+	if err != nil {
+		t.Fatalf("Submit format: %v", err)
+	}
+	pollUntil(t, svc1, blocker, 10*time.Second, func(st JobStatus) bool { return st.State == StateRunning })
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := svc1.Shutdown(expired); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := store1.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+
+	store2, err := jobstore.Open(path)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	t.Cleanup(func() { _ = store2.Close() })
+	svc2 := newTestService(t, Config{Workers: 2, JobStore: store2})
+	if got := svc2.Metrics().Recovered.Load(); got != 3 {
+		t.Errorf("Recovered = %d, want 3", got)
+	}
+	fresh := newTestService(t, Config{Workers: 2})
+	resultJSON := func(s *Service, id string, sweepJob bool) []byte {
+		t.Helper()
+		if st := pollTerminal(t, s, id, 60*time.Second); st.State != StateDone {
+			t.Fatalf("job %s state = %q (err %q), want done", id, st.State, st.Error)
+		}
+		var (
+			v   any
+			err error
+		)
+		if sweepJob {
+			v, err = s.SweepResult(id)
+		} else {
+			v, err = s.FormatResult(id)
+		}
+		if err != nil {
+			t.Fatalf("result of %s: %v", id, err)
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("marshal result of %s: %v", id, err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		id    string
+		spec  JobSpec
+		sweep bool
+	}{
+		{"sweep", idSweep, sweepSpec, true},
+		{"format", idFormat, formatSpec, false},
+	} {
+		freshID, err := fresh.Submit(tc.spec)
+		if err != nil {
+			t.Fatalf("fresh %s submit: %v", tc.name, err)
+		}
+		if got, want := resultJSON(svc2, tc.id, tc.sweep), resultJSON(fresh, freshID, tc.sweep); !bytes.Equal(got, want) {
+			t.Errorf("recovered %s job %s result differs from a fresh submission", tc.name, tc.id)
+		}
+	}
+}

@@ -2,17 +2,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
-	"net/http"
 	"slices"
-	"time"
 
 	"protoclust"
 	"protoclust/internal/format"
@@ -54,155 +46,52 @@ func (r *FormatRequest) validate() error {
 // encoding. The training trace is generated, so its parameters pin its
 // content.
 func FormatCacheKey(tr *protoclust.Trace, o protoclust.Options, req *FormatRequest) string {
-	h := sha256.New()
-	writeCanonicalOptions(h, o)
-	writeCanonicalFormat(h, req)
-	var frame [8]byte
-	for _, m := range tr.Messages {
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(m.Data)))
-		h.Write(frame[:])
-		h.Write(m.Data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return cacheKey(tr, o, req.canonical())
 }
 
-// writeCanonicalFormat appends the training-trace spec to the canonical
-// encoding. The version prefix discards cache entries from older
-// encodings, like writeCanonicalSweep.
-func writeCanonicalFormat(h hash.Hash, req *FormatRequest) {
-	fmt.Fprintf(h, "format1\x00train=%q/%d/%d\x00", req.TrainProto, req.TrainN, req.TrainSeed)
+// canonical encodes the training-trace spec as the format job's
+// cache-key suffix. The version prefix discards cache entries from
+// older encodings, like SweepRequest.canonical.
+func (r *FormatRequest) canonical() string {
+	return fmt.Sprintf("format1\x00train=%q/%d/%d\x00", r.TrainProto, r.TrainN, r.TrainSeed)
 }
 
-// runFormat executes one format job: build both traces, consult the
-// format cache, and on a miss learn templates on the training trace,
-// recognize the job's trace against them, and cache the resulting
-// schema. Both analyses run in-process on the worker's slot — format
-// traces are small relative to sweeps, and the schema cache makes
-// resubmissions instant.
-func (s *Service) runFormat(ctx context.Context, j *job) {
-	start := time.Now()
-	tr, opts, err := s.prepare(j.spec)
-	var (
-		schema *format.Schema
-		hit    bool
-		key    string
-	)
-	if err == nil {
-		keyed := tr
-		if !opts.NoDeduplicate {
-			keyed = tr.Deduplicate()
-		}
-		key = FormatCacheKey(keyed, opts, j.spec.Format)
-		if schema, hit = s.formatCache.Get(key); hit {
-			s.metrics.CacheHits.Add(1)
-		} else {
-			s.metrics.CacheMisses.Add(1)
-			schema, err = s.recognizeFormat(ctx, tr, opts, j.spec.Format)
-			if err == nil {
-				s.formatCache.Put(key, schema)
-				d := time.Since(start)
-				s.metrics.ObserveStage("format", d)
-				j.mu.Lock()
-				j.timings = append(j.timings, protoclust.StageTiming{Stage: "format", Duration: d})
-				j.mu.Unlock()
-			}
-		}
-	}
-	j.mu.Lock()
-	j.formatResult = schema
-	j.mu.Unlock()
-	s.finalize(ctx, j, start, err, hit, key)
-}
-
-// recognizeFormat learns templates on the training trace and recognizes
-// tr against them. With no training spec, the templates come from tr
-// itself (self-recognition): one analysis serves both roles.
-func (s *Service) recognizeFormat(ctx context.Context, tr *protoclust.Trace, opts protoclust.Options, req *FormatRequest) (*format.Schema, error) {
+// recognizeFormat is the format compute: it learns templates on the
+// training trace and recognizes tr against them. With no training spec,
+// the templates come from tr itself (self-recognition): one analysis
+// serves both roles. Both analyses run in-process on the worker's slot —
+// format traces are small relative to sweeps, and the schema cache
+// makes resubmissions instant.
+func (s *Service) recognizeFormat(ctx context.Context, j *job, tr *protoclust.Trace, opts protoclust.Options) (any, []protoclust.StageTiming, error) {
+	req := j.spec.Format
 	recognized, err := protoclust.AnalyzeContext(ctx, tr, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	trained := recognized
 	if req.TrainProto != "" {
 		train, err := protoclust.GenerateTrace(req.TrainProto, req.TrainN, req.TrainSeed)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if trained, err = protoclust.AnalyzeContext(ctx, train, opts); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	ts, err := trained.LearnTemplates()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec, err := recognized.RecognizeWith(ts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rec.Schema, nil
+	return rec.Schema, nil, nil
 }
 
 // FormatResult returns the schema of a done format job; ErrNotFinished
 // while queued or running, the job's failure otherwise, and an
 // explanatory error for non-format jobs.
 func (s *Service) FormatResult(id string) (*format.Schema, error) {
-	j, ok := s.lookup(id)
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.spec.Format == nil:
-		return nil, fmt.Errorf("service: job %s is not a format job; use /v1/jobs/%s/result", j.id, j.id)
-	case !j.state.Terminal():
-		return nil, ErrNotFinished
-	case j.state == StateDone:
-		return j.formatResult, nil
-	default:
-		return nil, fmt.Errorf("service: job %s %s: %s", j.id, j.state, j.errMsg)
-	}
-}
-
-// formatSubmitRequest is the JSON body of POST /v1/formats: the
-// recognized trace and base-option fields of a job submission plus the
-// training-trace spec.
-type formatSubmitRequest struct {
-	submitRequest
-	Format FormatRequest `json:"format"`
-}
-
-func (s *Service) handleSubmitFormat(w http.ResponseWriter, r *http.Request) {
-	var req formatSubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err), false)
-		return
-	}
-	s.submit(w, JobSpec{
-		Proto:         req.Proto,
-		N:             req.N,
-		Seed:          req.Seed,
-		Segmenter:     req.Segmenter,
-		NoDeduplicate: req.NoDeduplicate,
-		Samples:       req.Samples,
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-		MemoryBudget:  req.MemoryBudget,
-		MatrixBackend: req.MatrixBackend,
-		Format:        &req.Format,
-	})
-}
-
-func (s *Service) handleFormatResult(w http.ResponseWriter, r *http.Request) {
-	schema, err := s.FormatResult(r.PathValue("id"))
-	switch {
-	case errors.Is(err, ErrUnknownJob):
-		writeError(w, http.StatusNotFound, err, false)
-	case errors.Is(err, ErrNotFinished):
-		writeError(w, http.StatusConflict, err, true)
-	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err, false)
-	default:
-		writeJSON(w, http.StatusOK, schema)
-	}
+	return typedResult[format.Schema](s.result(id, kindFormat))
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"protoclust/internal/shard"
@@ -15,7 +16,7 @@ import (
 // maxPCAPBytes bounds uploaded captures (64 MiB).
 const maxPCAPBytes = 64 << 20
 
-// submitRequest is the JSON body of POST /v1/jobs.
+// submitRequest holds the job fields of a JSON submission.
 type submitRequest struct {
 	Proto         string `json:"proto,omitempty"`
 	N             int    `json:"n,omitempty"`
@@ -26,6 +27,15 @@ type submitRequest struct {
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
 	MemoryBudget  int64  `json:"memory_budget_bytes,omitempty"`
 	MatrixBackend string `json:"matrix_backend,omitempty"`
+}
+
+// submitBody is the JSON body of POST /v1/{route}: the job fields plus
+// the section of the route's kind. A section for another kind is
+// ignored, so the route alone decides the kind of the submitted job.
+type submitBody struct {
+	submitRequest
+	Sweep  SweepRequest  `json:"sweep"`
+	Format FormatRequest `json:"format"`
 }
 
 // submitResponse acknowledges an accepted job.
@@ -40,7 +50,9 @@ type errorResponse struct {
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API. Every job kind of the kind
+// table (jobs, sweeps, formats) gets the same route set under its own
+// prefix:
 //
 //	POST   /v1/jobs          submit a generated-trace job (JSON body)
 //	POST   /v1/jobs/pcap     submit an uploaded capture (raw pcap body)
@@ -65,17 +77,14 @@ type errorResponse struct {
 //	POST /v1/shards/{job}/{id}/result post a computed shard
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJSON)
+	for k := kindAnalysis; k < numKinds; k++ {
+		prefix := "/v1/" + s.kinds[k].route
+		mux.HandleFunc("POST "+prefix, s.handleSubmit(k))
+		mux.HandleFunc("GET "+prefix+"/{id}", s.handleStatus)
+		mux.HandleFunc("GET "+prefix+"/{id}/result", s.handleResult(k))
+	}
 	mux.HandleFunc("POST /v1/jobs/pcap", s.handleSubmitPCAP)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
-	mux.HandleFunc("POST /v1/formats", s.handleSubmitFormat)
-	mux.HandleFunc("GET /v1/formats/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/formats/{id}/result", s.handleFormatResult)
 	mux.HandleFunc("GET "+shard.LeasePath, s.handleShardLease)
 	mux.HandleFunc("GET /v1/shards/{job}/pool", s.handleShardPool)
 	mux.HandleFunc("POST /v1/shards/{job}/{id}/result", s.handleShardResult)
@@ -89,23 +98,33 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func (s *Service) handleSubmitJSON(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err), false)
-		return
+// handleSubmit serves POST /v1/{route} for kind k.
+func (s *Service) handleSubmit(k kindID) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req submitBody
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err), false)
+			return
+		}
+		spec := JobSpec{
+			Proto:         req.Proto,
+			N:             req.N,
+			Seed:          req.Seed,
+			Segmenter:     req.Segmenter,
+			NoDeduplicate: req.NoDeduplicate,
+			Samples:       req.Samples,
+			Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
+			MemoryBudget:  req.MemoryBudget,
+			MatrixBackend: req.MatrixBackend,
+		}
+		switch k {
+		case kindSweep:
+			spec.Sweep = &req.Sweep
+		case kindFormat:
+			spec.Format = &req.Format
+		}
+		s.submit(w, spec)
 	}
-	s.submit(w, JobSpec{
-		Proto:         req.Proto,
-		N:             req.N,
-		Seed:          req.Seed,
-		Segmenter:     req.Segmenter,
-		NoDeduplicate: req.NoDeduplicate,
-		Samples:       req.Samples,
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-		MemoryBudget:  req.MemoryBudget,
-		MatrixBackend: req.MatrixBackend,
-	})
 }
 
 func (s *Service) handleSubmitPCAP(w http.ResponseWriter, r *http.Request) {
@@ -126,31 +145,27 @@ func (s *Service) handleSubmitPCAP(w http.ResponseWriter, r *http.Request) {
 		NoDeduplicate: q.Get("no_deduplicate") == "true",
 		MatrixBackend: q.Get("matrix_backend"),
 	}
-	if v := q.Get("memory_budget_bytes"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &spec.MemoryBudget); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid memory_budget_bytes %q", v), false)
-			return
+	// Integers parse as whole strings: "1e9" or "80x" is an error, not a
+	// prefix. bitSize 0 bounds port and samples to int.
+	var bad error
+	parse := func(name string, bitSize int) int64 {
+		v := q.Get(name)
+		if v == "" || bad != nil {
+			return 0
 		}
+		n, err := strconv.ParseInt(v, 10, bitSize)
+		if err != nil {
+			bad = fmt.Errorf("invalid %s %q", name, v)
+		}
+		return n
 	}
-	if v := q.Get("port"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &spec.Port); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid port %q", v), false)
-			return
-		}
-	}
-	if v := q.Get("timeout_ms"); v != "" {
-		var ms int64
-		if _, err := fmt.Sscanf(v, "%d", &ms); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid timeout_ms %q", v), false)
-			return
-		}
-		spec.Timeout = time.Duration(ms) * time.Millisecond
-	}
-	if v := q.Get("samples"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &spec.Samples); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid samples %q", v), false)
-			return
-		}
+	spec.MemoryBudget = parse("memory_budget_bytes", 64)
+	spec.Port = int(parse("port", 0))
+	spec.Timeout = time.Duration(parse("timeout_ms", 64)) * time.Millisecond
+	spec.Samples = int(parse("samples", 0))
+	if bad != nil {
+		writeError(w, http.StatusBadRequest, bad, false)
+		return
 	}
 	s.submit(w, spec)
 }
@@ -179,17 +194,20 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	report, err := s.Result(r.PathValue("id"))
-	switch {
-	case errors.Is(err, ErrUnknownJob):
-		writeError(w, http.StatusNotFound, err, false)
-	case errors.Is(err, ErrNotFinished):
-		writeError(w, http.StatusConflict, err, true)
-	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err, false)
-	default:
-		writeJSON(w, http.StatusOK, report)
+// handleResult serves GET /v1/{route}/{id}/result for kind k.
+func (s *Service) handleResult(k kindID) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		result, err := s.result(r.PathValue("id"), k)
+		switch {
+		case errors.Is(err, ErrUnknownJob):
+			writeError(w, http.StatusNotFound, err, false)
+		case errors.Is(err, ErrNotFinished):
+			writeError(w, http.StatusConflict, err, true)
+		case err != nil:
+			writeError(w, http.StatusUnprocessableEntity, err, false)
+		default:
+			writeJSON(w, http.StatusOK, result)
+		}
 	}
 }
 

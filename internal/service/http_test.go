@@ -353,7 +353,8 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Bad query parameters on the pcap endpoint: 400.
-	for _, q := range []string{"port=abc", "timeout_ms=xyz", "samples=p"} {
+	for _, q := range []string{"port=abc", "timeout_ms=xyz", "samples=p",
+		"memory_budget_bytes=1e9", "port=80x", "timeout_ms=5s", "port=70000", "port=-1"} {
 		resp, err = http.Post(srv.URL+"/v1/jobs/pcap?"+q, "application/octet-stream",
 			strings.NewReader("irrelevant"))
 		if err != nil {

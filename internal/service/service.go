@@ -28,9 +28,7 @@ import (
 
 	"protoclust"
 	"protoclust/internal/dissim"
-	"protoclust/internal/format"
 	"protoclust/internal/jobstore"
-	"protoclust/internal/sweep"
 )
 
 // JobState is the lifecycle state of a job.
@@ -79,7 +77,7 @@ type JobSpec struct {
 	// grid's configurations fan out over the trace with shared prefixes
 	// (segmentation, dissimilarity matrix) computed once per segmenter.
 	// The result is retrieved via SweepResult / GET /v1/sweeps/{id}/result
-	// instead of Result.
+	// instead of Result. Sweep and Format alone decide a job's kind.
 	Sweep *SweepRequest `json:"sweep,omitempty"`
 	// Format, when non-nil, turns the job into a field-type recognition:
 	// templates learned on the training trace classify this job's trace,
@@ -102,6 +100,8 @@ func (sp *JobSpec) Validate() error {
 		return errors.New("service: generated trace needs n > 0")
 	case sp.MemoryBudget < 0:
 		return errors.New("service: memory_budget_bytes must be >= 0")
+	case sp.Port < 0 || sp.Port > 65535:
+		return fmt.Errorf("service: port %d outside 0..65535", sp.Port)
 	}
 	switch sp.MatrixBackend {
 	case "", dissim.BackendAuto, dissim.BackendDense, dissim.BackendCondensed, dissim.BackendTiled:
@@ -215,30 +215,25 @@ type job struct {
 	errMsg    string
 	retryable bool
 	cacheHit  bool
-	result    *protoclust.Report
-	// sweepResult holds the report of a sweep job (spec.Sweep != nil);
-	// result stays nil for those. formatResult likewise holds the schema
-	// of a format job (spec.Format != nil).
-	sweepResult  *sweep.Report
-	formatResult *format.Schema
-	timings     []protoclust.StageTiming
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
+	// result is the job's outcome, typed by its kind: *protoclust.Report,
+	// *sweep.Report or *format.Schema.
+	result    any
+	timings   []protoclust.StageTiming
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
 	// cancel aborts the running analysis; non-nil only while running.
 	cancel context.CancelCauseFunc
 }
 
 // Service runs analysis jobs on a bounded worker pool.
 type Service struct {
-	cfg        Config
-	log        *slog.Logger
-	cache       *Cache
-	sweepCache  *jsonCache[sweep.Report]
-	formatCache *jsonCache[format.Schema]
-	metrics    Metrics
-	store      *jobstore.Store
-	dist       *coordinator
+	cfg     Config
+	log     *slog.Logger
+	kinds   [numKinds]jobKind
+	metrics Metrics
+	store   *jobstore.Store
+	dist    *coordinator
 
 	// sweepMu guards sweeps, the per-running-sweep progress records
 	// scraped by the metrics exposition.
@@ -276,22 +271,15 @@ func New(cfg Config) *Service {
 	if cfg.SpillDir == "" && cfg.CacheDir != "" {
 		cfg.SpillDir = filepath.Join(cfg.CacheDir, "tiles")
 	}
-	sweepDir, formatDir := "", ""
-	if cfg.CacheDir != "" {
-		sweepDir = filepath.Join(cfg.CacheDir, "sweeps")
-		formatDir = filepath.Join(cfg.CacheDir, "formats")
-	}
 	s := &Service{
-		cfg:         cfg,
-		log:         cfg.Logger,
-		cache:       NewCache(cfg.CacheEntries, cfg.CacheDir),
-		sweepCache:  newJSONCache[sweep.Report](cfg.CacheEntries, sweepDir),
-		formatCache: newJSONCache[format.Schema](cfg.CacheEntries, formatDir),
-		store:       cfg.JobStore,
-		queue:       make(chan *job, cfg.QueueSize),
-		jobs:        make(map[string]*job),
-		sweeps:      make(map[string]*sweepProgress),
+		cfg:    cfg,
+		log:    cfg.Logger,
+		store:  cfg.JobStore,
+		queue:  make(chan *job, cfg.QueueSize),
+		jobs:   make(map[string]*job),
+		sweeps: make(map[string]*sweepProgress),
 	}
+	s.kinds = s.newKinds()
 	s.metrics.SetSweepSource(s.sweepProgressSnapshot)
 	// The service root context is deliberately fresh: it outlives any
 	// caller and is canceled exactly once, by Shutdown.
@@ -456,24 +444,7 @@ func (s *Service) Status(id string) (JobStatus, error) {
 // Result returns the report of a done job; ErrNotFinished while the job
 // is queued or running, and the job's failure otherwise.
 func (s *Service) Result(id string) (*protoclust.Report, error) {
-	j, ok := s.lookup(id)
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.spec.Sweep != nil:
-		return nil, fmt.Errorf("service: job %s is a sweep; use /v1/sweeps/%s/result", j.id, j.id)
-	case j.spec.Format != nil:
-		return nil, fmt.Errorf("service: job %s is a format job; use /v1/formats/%s/result", j.id, j.id)
-	case !j.state.Terminal():
-		return nil, ErrNotFinished
-	case j.state == StateDone:
-		return j.result, nil
-	default:
-		return nil, fmt.Errorf("service: job %s %s: %s", j.id, j.state, j.errMsg)
-	}
+	return typedResult[protoclust.Report](s.result(id, kindAnalysis))
 }
 
 // Cancel aborts a job: a queued job is marked canceled and skipped when
@@ -610,67 +581,10 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one job: build the trace, consult the cache, analyze on
-// a miss, and record the terminal state. Sweep jobs branch to runSweep,
-// which fans the grid out internally and shares the terminal-state
-// bookkeeping via finalize.
-func (s *Service) run(ctx context.Context, j *job) {
-	if j.spec.Sweep != nil {
-		s.runSweep(ctx, j)
-		return
-	}
-	if j.spec.Format != nil {
-		s.runFormat(ctx, j)
-		return
-	}
-	start := time.Now()
-	tr, opts, err := s.prepare(j.spec)
-	var (
-		report *protoclust.Report
-		hit    bool
-		key    string
-	)
-	if err == nil {
-		// Content address: options + deduplicated payload bytes, so a
-		// resubmitted trace (or one with extra duplicates) hits.
-		keyed := tr
-		if !opts.NoDeduplicate {
-			keyed = tr.Deduplicate()
-		}
-		key = CacheKey(keyed, opts)
-		if report, hit = s.cache.Get(key); hit {
-			s.metrics.CacheHits.Add(1)
-		} else {
-			s.metrics.CacheMisses.Add(1)
-			var analysis *protoclust.Analysis
-			analysis, err = protoclust.AnalyzeWithMatrixBuilder(ctx, tr, opts, s.matrixBuilder(j, opts))
-			if err == nil {
-				samples := j.spec.Samples
-				if samples <= 0 {
-					samples = 4
-				}
-				report = analysis.Report(samples)
-				s.cache.Put(key, report)
-				for _, t := range analysis.Timings() {
-					s.metrics.ObserveStage(t.Stage, t.Duration)
-					j.mu.Lock()
-					j.timings = append(j.timings, t)
-					j.mu.Unlock()
-				}
-			}
-		}
-	}
-
-	j.mu.Lock()
-	j.result = report
-	j.mu.Unlock()
-	s.finalize(ctx, j, start, err, hit, key)
-}
-
 // finalize records a run's terminal state: done, canceled (by the user),
-// or failed (retryable when killed by shutdown). The job's result or
-// sweepResult must already be stored; finalize only transitions state,
-// counters, persistence, and logs.
+// or failed (retryable when killed by shutdown). The job's result must
+// already be stored; finalize only transitions state, counters,
+// persistence, and logs.
 func (s *Service) finalize(ctx context.Context, j *job, start time.Time, err error, hit bool, key string) {
 	j.mu.Lock()
 	j.finished = time.Now()

@@ -2,18 +2,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash"
-	"io"
-	"net/http"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"protoclust"
 	"protoclust/internal/sweep"
@@ -81,26 +72,17 @@ func (r *SweepRequest) grid() (sweep.Grid, error) {
 // configuration indexes, and with them ensemble member lists, depend on
 // it.
 func SweepCacheKey(tr *protoclust.Trace, o protoclust.Options, req *SweepRequest) string {
-	h := sha256.New()
-	writeCanonicalOptions(h, o)
-	writeCanonicalSweep(h, req)
-	var frame [8]byte
-	for _, m := range tr.Messages {
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(m.Data)))
-		h.Write(frame[:])
-		h.Write(m.Data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return cacheKey(tr, o, req.canonical())
 }
 
-// writeCanonicalSweep appends the grid axes to the canonical encoding.
-// %q renders string slices with quoting, keeping the encoding injective
+// canonical encodes the grid axes as the sweep's cache-key suffix. %q
+// renders string slices with quoting, keeping the encoding injective
 // for any segmenter or ε-source spelling. The version prefix ("sweep2"
 // since the weighted-vote field joined) discards older cache entries
 // whose encoding lacked a field.
-func writeCanonicalSweep(h hash.Hash, req *SweepRequest) {
-	fmt.Fprintf(h, "sweep2\x00segs=%q\x00cls=%q\x00ks=%v\x00eps=%q\x00ens=%t\x00wens=%t\x00",
-		req.Segmenters, req.Clusterers, req.Ks, req.EpsSources, req.Ensemble, req.Weighted)
+func (r *SweepRequest) canonical() string {
+	return fmt.Sprintf("sweep2\x00segs=%q\x00cls=%q\x00ks=%v\x00eps=%q\x00ens=%t\x00wens=%t\x00",
+		r.Segmenters, r.Clusterers, r.Ks, r.EpsSources, r.Ensemble, r.Weighted)
 }
 
 // sweepProgress is one running sweep's completion state, updated by the
@@ -128,130 +110,46 @@ func (s *Service) sweepProgressSnapshot() []SweepProgress {
 	return out
 }
 
-// runSweep executes one sweep job: build the trace, consult the sweep
-// cache, fan the grid out on a miss, and record the terminal state. The
-// sweep's internal parallelism is bounded by the worker-pool size, so a
-// sweep job saturates the pool the same way that many individual jobs
-// would, without starving the queue of its slot accounting.
-func (s *Service) runSweep(ctx context.Context, j *job) {
-	start := time.Now()
-	tr, opts, err := s.prepare(j.spec)
-	var (
-		rep *sweep.Report
-		hit bool
-		key string
-	)
-	if err == nil {
-		var grid sweep.Grid
-		grid, err = j.spec.Sweep.grid()
-		if err == nil {
-			keyed := tr
-			if !opts.NoDeduplicate {
-				keyed = tr.Deduplicate()
-			}
-			key = SweepCacheKey(keyed, opts, j.spec.Sweep)
-			if rep, hit = s.sweepCache.Get(key); hit {
-				s.metrics.CacheHits.Add(1)
-			} else {
-				s.metrics.CacheMisses.Add(1)
-				progress := &sweepProgress{}
-				progress.total.Store(int64(len(grid.Configs())))
-				s.sweepMu.Lock()
-				s.sweeps[j.id] = progress
-				s.sweepMu.Unlock()
-				rep, err = sweep.Run(ctx, tr, sweep.Options{
-					Grid:             grid,
-					Base:             opts,
-					Ensemble:         j.spec.Sweep.Ensemble,
-					EnsembleWeighted: j.spec.Sweep.Weighted,
-					Parallelism:      s.cfg.Workers,
-					SampleValues:     j.spec.Samples,
-					Progress: func(done, total int) {
-						progress.done.Store(int64(done))
-						progress.total.Store(int64(total))
-						s.metrics.SweepConfigs.Add(1)
-					},
-					MatrixBuilt: func(string) { s.metrics.SweepMatrixBuilds.Add(1) },
-				})
-				s.sweepMu.Lock()
-				delete(s.sweeps, j.id)
-				s.sweepMu.Unlock()
-				if err == nil {
-					s.sweepCache.Put(key, rep)
-					d := time.Since(start)
-					s.metrics.ObserveStage("sweep", d)
-					j.mu.Lock()
-					j.timings = append(j.timings, protoclust.StageTiming{Stage: "sweep", Duration: d})
-					j.mu.Unlock()
-				}
-			}
-		}
+// runSweep is the sweep compute: it fans the grid out over the trace.
+// The sweep's internal parallelism is bounded by the worker-pool size,
+// so a sweep job saturates the pool the same way that many individual
+// jobs would, without starving the queue of its slot accounting.
+func (s *Service) runSweep(ctx context.Context, j *job, tr *protoclust.Trace, opts protoclust.Options) (any, []protoclust.StageTiming, error) {
+	grid, err := j.spec.Sweep.grid()
+	if err != nil {
+		return nil, nil, err
 	}
-	j.mu.Lock()
-	j.sweepResult = rep
-	j.mu.Unlock()
-	s.finalize(ctx, j, start, err, hit, key)
+	progress := &sweepProgress{}
+	progress.total.Store(int64(len(grid.Configs())))
+	s.sweepMu.Lock()
+	s.sweeps[j.id] = progress
+	s.sweepMu.Unlock()
+	rep, err := sweep.Run(ctx, tr, sweep.Options{
+		Grid:             grid,
+		Base:             opts,
+		Ensemble:         j.spec.Sweep.Ensemble,
+		EnsembleWeighted: j.spec.Sweep.Weighted,
+		Parallelism:      s.cfg.Workers,
+		SampleValues:     j.spec.Samples,
+		Progress: func(done, total int) {
+			progress.done.Store(int64(done))
+			progress.total.Store(int64(total))
+			s.metrics.SweepConfigs.Add(1)
+		},
+		MatrixBuilt: func(string) { s.metrics.SweepMatrixBuilds.Add(1) },
+	})
+	s.sweepMu.Lock()
+	delete(s.sweeps, j.id)
+	s.sweepMu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, nil, nil
 }
 
 // SweepResult returns the sweep report of a done sweep job;
 // ErrNotFinished while queued or running, the job's failure otherwise,
 // and an explanatory error for non-sweep jobs.
 func (s *Service) SweepResult(id string) (*sweep.Report, error) {
-	j, ok := s.lookup(id)
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.spec.Sweep == nil:
-		return nil, fmt.Errorf("service: job %s is not a sweep; use /v1/jobs/%s/result", j.id, j.id)
-	case !j.state.Terminal():
-		return nil, ErrNotFinished
-	case j.state == StateDone:
-		return j.sweepResult, nil
-	default:
-		return nil, fmt.Errorf("service: job %s %s: %s", j.id, j.state, j.errMsg)
-	}
-}
-
-// sweepSubmitRequest is the JSON body of POST /v1/sweeps: the generated
-// trace and base-option fields of a job submission plus the grid.
-type sweepSubmitRequest struct {
-	submitRequest
-	Sweep SweepRequest `json:"sweep"`
-}
-
-func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepSubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err), false)
-		return
-	}
-	s.submit(w, JobSpec{
-		Proto:         req.Proto,
-		N:             req.N,
-		Seed:          req.Seed,
-		Segmenter:     req.Segmenter,
-		NoDeduplicate: req.NoDeduplicate,
-		Samples:       req.Samples,
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-		MemoryBudget:  req.MemoryBudget,
-		MatrixBackend: req.MatrixBackend,
-		Sweep:         &req.Sweep,
-	})
-}
-
-func (s *Service) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.SweepResult(r.PathValue("id"))
-	switch {
-	case errors.Is(err, ErrUnknownJob):
-		writeError(w, http.StatusNotFound, err, false)
-	case errors.Is(err, ErrNotFinished):
-		writeError(w, http.StatusConflict, err, true)
-	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err, false)
-	default:
-		writeJSON(w, http.StatusOK, rep)
-	}
+	return typedResult[sweep.Report](s.result(id, kindSweep))
 }
