@@ -55,7 +55,7 @@ test-service:
 # obviously-correct reference implementations in internal/oracle, under
 # the race detector. See docs/testing.md.
 test-oracle:
-	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/ecdf/ ./internal/kneedle/ ./internal/vecmath/ ./internal/core/
+	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/ecdf/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/
 
 # Golden-trace regression check: re-run the pipeline on the seeded
 # trace set and compare ε, k, cluster counts, and quality metrics
@@ -139,7 +139,8 @@ smoke-format:
 eval:
 	$(GO) run ./cmd/evaltables -all
 
-# Short fuzzing pass over the hardened parsers and segmenters.
+# Short fuzzing pass over the hardened parsers and segmenters, and the
+# differential targets of the numeric kernels.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
 	$(GO) test -run XXX -fuzz FuzzExtractPayload -fuzztime 10s ./internal/pcap/
@@ -150,6 +151,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzKernelDifferential -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzKernelCross -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzFind -fuzztime 10s ./internal/kneedle/
+	$(GO) test -run XXX -fuzz FuzzSmoothMatchesOracle -fuzztime 10s ./internal/spline/
 
 clean:
 	$(GO) clean ./...

@@ -74,20 +74,24 @@ const kneeProminenceShare = 0.33
 // Configure runs the ε auto-configuration of Algorithm 1 on the full
 // dissimilarity population.
 func Configure(m *dissim.Matrix, p Params) (*AutoConfig, error) {
-	return configure(context.Background(), m, p, math.Inf(1))
+	return ConfigureContext(context.Background(), m, p)
 }
 
 // ConfigureContext is Configure with a cancellation checkpoint per
 // candidate k — each iteration sorts, smooths, and knee-detects one
 // ECDF, so a cancelled context aborts within one curve's work.
 func ConfigureContext(ctx context.Context, m *dissim.Matrix, p Params) (*AutoConfig, error) {
-	return configure(ctx, m, p, math.Inf(1))
+	table, err := knnTable(m, p)
+	if err != nil {
+		return nil, err
+	}
+	return configure(ctx, m, table, p, math.Inf(1))
 }
 
-// configure implements Algorithm 1, considering only k-NN distances
-// strictly below cut (math.Inf(1) for the full population; the
-// 60 %-guard re-runs with cut = d_κ, realising Ê'_k of Section III-E).
-func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*AutoConfig, error) {
+// knnTable checks p against m for Algorithm 1 and returns the k-NN
+// table every configure pass over m reads: table[k-1][i] is segment i's
+// distance to its k-th nearest neighbor, for k up to kMax(n).
+func knnTable(m *dissim.Matrix, p Params) ([][]float64, error) {
 	n := m.Len()
 	if n < 3 {
 		return nil, fmt.Errorf("%w (have %d)", ErrTooFewSegments, n)
@@ -95,11 +99,25 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 	if p.EpsQuantile < 0 || p.EpsQuantile >= 1 {
 		return nil, fmt.Errorf("%w (got %g)", ErrBadQuantile, p.EpsQuantile)
 	}
-	kLo, kHi := 2, kMax(n)
+	kHi := kMax(n)
+	if p.FixedK != 0 && (p.FixedK < 2 || p.FixedK > kHi) {
+		return nil, fmt.Errorf("%w: k=%d, candidates are [2, %d] for n=%d", ErrKOutOfRange, p.FixedK, kHi, n)
+	}
+	table, err := m.KNNTable(kHi)
+	if err != nil {
+		return nil, fmt.Errorf("core: k-NN distances: %w", err)
+	}
+	return table, nil
+}
+
+// configure implements Algorithm 1 on the k-NN table of m (see
+// knnTable), considering only k-NN distances strictly below cut
+// (math.Inf(1) for the full population; the 60 %-guard re-runs with
+// cut = d_κ, realising Ê'_k of Section III-E).
+func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Params, cut float64) (*AutoConfig, error) {
+	n := m.Len()
+	kLo, kHi := 2, len(table)
 	if p.FixedK != 0 {
-		if p.FixedK < 2 || p.FixedK > kHi {
-			return nil, fmt.Errorf("%w: k=%d, candidates are [2, %d] for n=%d", ErrKOutOfRange, p.FixedK, kHi, n)
-		}
 		kLo, kHi = p.FixedK, p.FixedK
 	}
 
@@ -118,10 +136,6 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 		gap      float64        // fallback sharpness: largest step gap
 	}
 	var curves []kCurve
-	table, err := m.KNNTable(kHi)
-	if err != nil {
-		return nil, fmt.Errorf("core: k-NN distances: %w", err)
-	}
 	for k := kLo; k <= kHi; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: auto-configuration: %w", err)

@@ -173,7 +173,11 @@ func TestConfigureTrimmedYieldsSmallerEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2, err := configure(context.Background(), m, p, cfg.Epsilon)
+	table, err := knnTable(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2, err := configure(context.Background(), m, table, p, cfg.Epsilon)
 	if err != nil {
 		t.Fatalf("trimmed configure: %v", err)
 	}
@@ -185,7 +189,11 @@ func TestConfigureTrimmedYieldsSmallerEpsilon(t *testing.T) {
 func TestConfigureTrimBelowEverythingFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	_, m := poolFromValues(t, bimodalValues(rng, 20))
-	if _, err := configure(context.Background(), m, DefaultParams(), 1e-12); !errors.Is(err, ErrTooFewSegments) {
+	table, err := knnTable(m, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := configure(context.Background(), m, table, DefaultParams(), 1e-12); !errors.Is(err, ErrTooFewSegments) {
 		t.Errorf("err = %v, want ErrTooFewSegments after total trim", err)
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
@@ -126,14 +128,17 @@ func ClusterPool(pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error)
 // between and inside the pipeline stages.
 func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
 	var (
-		cfg *AutoConfig
-		err error
+		cfg   *AutoConfig
+		table [][]float64 // k-NN table shared by both auto-configuration passes
+		err   error
 	)
 	if p.FixedEpsilon > 0 {
 		cfg = &AutoConfig{Epsilon: p.FixedEpsilon, MinSamples: minSamples(pool.Size())}
 	} else {
-		cfg, err = ConfigureContext(ctx, m, p)
-		if err != nil {
+		if table, err = knnTable(m, p); err != nil {
+			return nil, err
+		}
+		if cfg, err = configure(ctx, m, table, p, math.Inf(1)); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +164,14 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	reconfigured := false
 	if p.FixedEpsilon <= 0 {
 		if share, _ := res.LargestClusterShare(); share > p.LargeClusterShare {
-			if cfg2, err2 := configure(ctx, m, p, cfg.Epsilon); err2 == nil && cfg2.Epsilon < cfg.Epsilon {
+			cfg2, err2 := configure(ctx, m, table, p, cfg.Epsilon)
+			// A re-run that finds no smaller ε keeps the first one, but a
+			// cancelled one must not pass the first-pass labels off as
+			// the result.
+			if errors.Is(err2, context.Canceled) || errors.Is(err2, context.DeadlineExceeded) {
+				return nil, err2
+			}
+			if err2 == nil && cfg2.Epsilon < cfg.Epsilon {
 				if res2, err3 := runClusterer(m, cfg2.Epsilon, cfg2.MinSamples, p); err3 == nil {
 					cfg = cfg2
 					res = res2

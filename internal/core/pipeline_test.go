@@ -9,6 +9,7 @@ import (
 
 	"protoclust/internal/dissim"
 	"protoclust/internal/netmsg"
+	"protoclust/internal/vecmath"
 )
 
 // synthSegments builds segments of three clearly distinct pseudo data
@@ -407,5 +408,69 @@ func TestClusterSegmentsContextUncancelledMatches(t *testing.T) {
 	if len(want.Clusters) != len(got.Clusters) || want.Config.Epsilon != got.Config.Epsilon {
 		t.Fatalf("context path diverged: %d/%f vs %d/%f clusters/eps",
 			len(got.Clusters), got.Config.Epsilon, len(want.Clusters), want.Config.Epsilon)
+	}
+}
+
+// countdownCtx is a context that reports cancellation from its
+// (left+1)-th Err call on, so a test can cancel at each checkpoint of a
+// run in turn. fired records whether it ever did.
+type countdownCtx struct {
+	context.Context
+	left  int
+	fired bool
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	c.fired = true
+	return context.Canceled
+}
+
+// Cancelling at any checkpoint, including those of the 60 %-guard's
+// re-run of the auto-configuration, must fail the run: with refinement
+// off and the guard triggered, nothing after the re-run looks at ctx
+// again, so a swallowed cancellation would return the first-pass labels.
+func TestClusterPoolCancelledAtEveryCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var values [][]byte
+	for i := 0; i < 50; i++ {
+		values = append(values, []byte{0x08, byte(rng.Intn(4)), 0x08, byte(rng.Intn(4))})
+		values = append(values, []byte{0x70, byte(0x70 + rng.Intn(4)), 0x77, byte(rng.Intn(4))})
+		values = append(values, []byte{0xe8, byte(0xe8 + rng.Intn(4)), 0xef, byte(0xe8 + rng.Intn(4))})
+	}
+	pool, m := poolFromValues(t, values)
+	p := DefaultParams()
+	p.LargeClusterShare = 0 // every clustering triggers the guard
+	p.DisableRefinement = true
+	want, err := ClusterPool(pool, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Reconfigured {
+		t.Fatal("the guard did not reconfigure; the test no longer reaches its re-run")
+	}
+	for left := 0; ; left++ {
+		if left > 1000 {
+			t.Fatal("the run never got past its checkpoints")
+		}
+		ctx := &countdownCtx{Context: context.Background(), left: left}
+		got, err := ClusterPoolContext(ctx, pool, m, p)
+		if ctx.fired {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled from Err call %d on: err = %v, want context.Canceled", left+1, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("uncancelled run: %v", err)
+		}
+		if !vecmath.EqualExact(got.Config.Epsilon, want.Config.Epsilon) || got.Reconfigured != want.Reconfigured {
+			t.Fatalf("uncancelled run: ε %v reconfigured %v, want ε %v reconfigured %v",
+				got.Config.Epsilon, got.Reconfigured, want.Config.Epsilon, want.Reconfigured)
+		}
+		break
 	}
 }

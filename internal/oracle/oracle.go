@@ -2,12 +2,13 @@
 // implementations of the numeric algorithms at the heart of the
 // clustering pipeline: textbook DBSCAN, naive ECDF evaluation,
 // percentile and percent-rank statistics, Kneedle's discrete difference
-// curve, and O(n²) cluster-refinement statistics.
+// curve, O(n²) cluster-refinement statistics, and the least-squares
+// cubic B-spline fitted over every basis function at every point.
 //
 // Nothing in this package is optimized; every function favors the most
 // direct transcription of its definition. The production packages
 // (internal/dbscan, internal/ecdf, internal/vecmath, internal/kneedle,
-// internal/core) are checked against these references by differential
+// internal/spline, internal/core) are checked against these references by differential
 // and metamorphic tests under randomized inputs, so the fast paths can
 // keep evolving without silently drifting from the paper's semantics.
 //

@@ -4,14 +4,22 @@
 // Algorithm 1 of the paper smooths the ECDF of k-NN dissimilarities with
 // a B-spline before knee detection, to remove local statistical
 // fluctuations. This package fits a clamped uniform cubic B-spline to
-// scattered (x, y) samples by linear least squares and evaluates it with
-// the Cox–de Boor recursion.
+// scattered (x, y) samples by linear least squares. A cubic B-spline has
+// at most four basis functions that are non-zero at any x: the ones
+// whose support covers the knot span holding x. Fitting and evaluation
+// locate that span by binary search over the knots and run the
+// Cox–de Boor recursion for those four functions only, so a fit over m
+// points costs O(m) basis evaluations whatever the control-point count.
+// Skipping the other functions only skips exact ±0 terms, which leaves
+// every result bit-identical to summing over all of them.
 package spline
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"protoclust/internal/vecmath"
 )
@@ -67,11 +75,11 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 		return nil, fmt.Errorf("spline: degenerate domain [%v,%v]: %w", lo, hi, ErrTooFewPoints)
 	}
 
-	knots := clampedKnots(lo, hi, nCtrl)
+	sp := &Spline{knots: clampedKnots(lo, hi, nCtrl), lo: lo, hi: hi}
 
 	// Assemble the normal equations AᵀA c = Aᵀy where A[i][j] is the
-	// j-th basis function evaluated at xs[i]. nCtrl is small (tens), so
-	// dense Gaussian elimination is fine.
+	// j-th basis function evaluated at xs[i]. Row i of A is zero outside
+	// the window span returns, so only that window is accumulated.
 	ata := make([][]float64, nCtrl)
 	for i := range ata {
 		ata[i] = make([]float64, nCtrl)
@@ -86,15 +94,16 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 				continue
 			}
 		}
-		for j := 0; j < nCtrl; j++ {
-			basis[j] = bsplineBasis(j, degree, knots, x, lo, hi)
+		first, last := sp.span(x)
+		for j := first; j <= last; j++ {
+			basis[j] = bsplineBasis(j, degree, sp.knots, x, lo, hi)
 		}
-		for r := 0; r < nCtrl; r++ {
+		for r := first; r <= last; r++ {
 			if vecmath.IsZero(basis[r]) {
 				continue
 			}
 			aty[r] += w * basis[r] * ys[i]
-			for c := 0; c < nCtrl; c++ {
+			for c := first; c <= last; c++ {
 				ata[r][c] += w * basis[r] * basis[c]
 			}
 		}
@@ -108,7 +117,33 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spline{knots: knots, ctrl: ctrl, lo: lo, hi: hi}, nil
+	sp.ctrl = ctrl
+	return sp, nil
+}
+
+// span returns the indexes first..last of the basis functions that can
+// be non-zero at x: the four functions [k−degree, k] over the knot span
+// k holding x, since the degree-0 function that is 1 at x is N_k and
+// N_{j,3} is built from N_j … N_{j+3} only. k is the last knot at or
+// below x; at x == hi, where the right end is closed, it is the last
+// non-empty span instead, which differs when rounding puts interior
+// knots on hi. Outside the domain every function is zero, so any window
+// sums the same. A NaN x gets every function: those with a non-empty
+// support evaluate to NaN.
+func (s *Spline) span(x float64) (first, last int) {
+	nCtrl := len(s.knots) - degree - 1
+	if math.IsNaN(x) {
+		return 0, nCtrl - 1
+	}
+	var k int
+	if vecmath.EqualExact(x, s.hi) {
+		firstHi, _ := slices.BinarySearch(s.knots, s.hi)
+		k = firstHi - 1
+	} else {
+		k = sort.Search(len(s.knots), func(i int) bool { return s.knots[i] > x }) - 1
+	}
+	k = min(max(k, degree), nCtrl-1)
+	return k - degree, k
 }
 
 // Eval evaluates the spline at x. Arguments outside the fitted domain
@@ -121,7 +156,8 @@ func (s *Spline) Eval(x float64) float64 {
 		x = s.hi
 	}
 	var y float64
-	for j := range s.ctrl {
+	first, last := s.span(x)
+	for j := first; j <= last; j++ {
 		if b := bsplineBasis(j, degree, s.knots, x, s.lo, s.hi); !vecmath.IsZero(b) {
 			y += s.ctrl[j] * b
 		}

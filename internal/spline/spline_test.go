@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -180,5 +181,36 @@ func TestSmoothStaysNearRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkSmoothWeighted smooths one tie-collapsed k-NN ECDF at the
+// shape Algorithm 1 meets on a pool of about 2.7k unique segments:
+// 2.6k distinct distances carrying 2.7k samples (every 26th distance a
+// tied pair), so SmoothWeighted fits ⌈0.1·2700⌉ = 270 control points.
+func BenchmarkSmoothWeighted(b *testing.B) {
+	const distinct, samples = 2600, 2700
+	rng := rand.New(rand.NewSource(101))
+	xs := make([]float64, distinct)
+	for i := range xs {
+		u := rng.Float64()
+		xs[i] = u * u * u
+	}
+	slices.Sort(xs)
+	ys := make([]float64, distinct)
+	ws := make([]float64, distinct)
+	seen := 0
+	for i := range ws {
+		ws[i] = 1
+		if i%26 == 0 {
+			ws[i] = 2
+		}
+		ys[i] = (float64(seen+1) + float64(seen) + ws[i]) / 2 / samples
+		seen += int(ws[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SmoothWeighted(xs, ys, ws, 0.1)
 	}
 }
