@@ -152,6 +152,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzKernelCross -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzFind -fuzztime 10s ./internal/kneedle/
 	$(GO) test -run XXX -fuzz FuzzSmoothMatchesOracle -fuzztime 10s ./internal/spline/
+	$(GO) test -run XXX -fuzz FuzzClusterMatchesOracle -fuzztime 10s ./internal/dbscan/
 
 clean:
 	$(GO) clean ./...

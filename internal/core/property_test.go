@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"protoclust/internal/canberra"
+	"protoclust/internal/dissim"
+	"protoclust/internal/netmsg"
 	"protoclust/internal/oracle"
 )
 
@@ -50,7 +53,11 @@ func TestComputeStatsMatchesOracle(t *testing.T) {
 		rng.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
 		c = c[:2+rng.Intn(len(c)-1)]
 
-		st := computeStats(c, m)
+		sts, err := computeStats(context.Background(), [][]int{c}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sts[0]
 		dist := func(i, j int) float64 { return m.Dist(i, j) }
 		if want := oracle.PairwiseMean(c, dist); math.Abs(st.meanD-want) > 1e-12 {
 			t.Fatalf("trial %d: meanD = %v, oracle %v", trial, st.meanD, want)
@@ -60,6 +67,72 @@ func TestComputeStatsMatchesOracle(t *testing.T) {
 		}
 		if want := oracle.NearestNeighborMedian(c, dist); math.Abs(st.minmed-want) > 1e-12 {
 			t.Fatalf("trial %d: minmed = %v, oracle %v", trial, st.minmed, want)
+		}
+	}
+}
+
+// TestComputeStatsBitExactAcrossBackends checks the storage-order
+// statistics walk against the gather-order transcription in the
+// oracle, bit for bit, on random clusterings over every matrix backend
+// (tiled under a budget of four tiles, with spill). Members are listed
+// in ascending order, as DBSCAN's clusters are, so both sum each
+// cluster's pairs in the same order.
+func TestComputeStatsBitExactAcrossBackends(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var segs []netmsg.Segment
+	seen := make(map[string]bool)
+	for len(seen) < 200 {
+		b := make([]byte, 2+rng.Intn(6))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		if seen[string(b)] {
+			continue
+		}
+		seen[string(b)] = true
+		segs = append(segs, netmsg.Segment{Msg: &netmsg.Message{Data: b}, Length: len(b)})
+	}
+	pool := dissim.NewPool(segs)
+	for _, cfg := range []dissim.Config{
+		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendDense},
+		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendCondensed},
+		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendTiled, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
+	} {
+		m, err := dissim.ComputeMatrix(pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(47))
+		for trial := 0; trial < 20; trial++ {
+			// k clusters plus noise; some clusters end up with fewer
+			// than two members.
+			k := 1 + rng.Intn(8)
+			clusters := make([][]int, k)
+			for p := 0; p < pool.Size(); p++ {
+				if c := rng.Intn(k + 1); c < k && rng.Intn(4) > 0 {
+					clusters[c] = append(clusters[c], p)
+				}
+			}
+			sts, err := computeStats(context.Background(), clusters, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range clusters {
+				meanD, dmax, minmed := oracle.GatherStats(c, m.Dist)
+				got, want := sts[ci], clusterStats{meanD: meanD, dmax: dmax, minmed: minmed}
+				if math.Float64bits(got.meanD) != math.Float64bits(want.meanD) ||
+					math.Float64bits(got.dmax) != math.Float64bits(want.dmax) ||
+					math.Float64bits(got.minmed) != math.Float64bits(want.minmed) {
+					t.Fatalf("%s trial %d cluster %d (%d members): stats %+v, gather oracle %+v",
+						cfg.Backend, trial, ci, len(c), got, want)
+				}
+			}
+		}
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -211,9 +284,9 @@ func TestRefinementDegenerateInputsNoPanic(t *testing.T) {
 	if out := splitClusters([][]int{{}}, func(int) int { return 1 }, p); len(out) != 1 {
 		t.Errorf("splitClusters(empty cluster) = %v", out)
 	}
-	st := computeStats([]int{0}, m)
-	if st.dmax != 0 {
-		t.Errorf("singleton stats dmax = %v", st.dmax)
+	sts, err := computeStats(context.Background(), [][]int{{0}}, m)
+	if err != nil || sts[0].dmax != 0 {
+		t.Errorf("singleton stats = %+v, %v", sts, err)
 	}
 }
 

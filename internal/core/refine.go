@@ -6,21 +6,17 @@ import (
 	"math"
 	"sort"
 
+	"protoclust/internal/dbscan"
 	"protoclust/internal/vecmath"
 )
 
 // distances is the subset of the dissimilarity matrix the refinement
-// needs; satisfied by *dissim.Matrix and by test fakes.
+// needs; satisfied by *dissim.Matrix and by test fakes. A matrix that
+// also streams its row suffixes (dbscan.SuffixStreamer, as
+// *dissim.Matrix does) serves the cluster statistics in storage order;
+// any other is read through Dist.
 type distances interface {
 	Dist(i, j int) float64
-}
-
-// pairwiser is the optional bulk path: *dissim.Matrix serves all
-// intra-cluster pairs in one exactly-sized slice straight off its dense
-// storage (built from the precomputed kernel views), which the pipeline
-// prefers over n² single-pair Dist calls.
-type pairwiser interface {
-	PairwiseWithin(idx []int) []float64
 }
 
 // clusterStats caches the per-cluster quantities used by the merge
@@ -35,50 +31,116 @@ type clusterStats struct {
 	minmed float64
 }
 
-func computeStats(c []int, m distances) clusterStats {
-	if len(c) < 2 {
-		// No pairwise distances exist; zero stats (a point cluster has
-		// no extent) beat the -Inf/NaN the aggregates below would give.
-		return clusterStats{}
+// statsAcc accumulates the intra-cluster pairs of every cluster at
+// once: the running sum and maximum per cluster, and each point's
+// 1-NN distance within its cluster.
+type statsAcc struct {
+	sum, dmax, mins []float64
+}
+
+func (a *statsAcc) add(c, i, j int, d float64) {
+	a.sum[c] += d
+	if d > a.dmax[c] {
+		a.dmax[c] = d
 	}
-	var pair []float64
-	if pw, ok := m.(pairwiser); ok {
-		pair = pw.PairwiseWithin(c)
-	} else {
-		pair = make([]float64, 0, len(c)*(len(c)-1)/2)
-		for a := 0; a < len(c); a++ {
-			for b := a + 1; b < len(c); b++ {
-				pair = append(pair, m.Dist(c[a], c[b]))
+	if d < a.mins[i] {
+		a.mins[i] = d
+	}
+	if d < a.mins[j] {
+		a.mins[j] = d
+	}
+}
+
+// computeStats returns the statistics of every cluster from one walk
+// over the row suffixes, in O(n) memory: lab maps each point to its
+// cluster, and each pair (i < j) of one cluster feeds that cluster's
+// sum and maximum and the 1-NN distances of both members. Rows are
+// walked by ascending i and columns by ascending j, so a cluster listed
+// in ascending member order (every pipeline cluster) receives its pairs
+// in the order of the double loop over its members, and its mean is
+// that loop's sequential sum bit for bit. Clusters must be disjoint;
+// clusters with fewer than two members have no pairs and get zero
+// stats (a point cluster has no extent). The context is checked once
+// per row. Rows past the largest clustered index are not walked, and
+// spans past it are skipped unread; the tiled store still acquires
+// their tiles, because StreamSuffix has no early stop.
+func computeStats(ctx context.Context, clusters [][]int, m distances) ([]clusterStats, error) {
+	top := -1
+	for _, c := range clusters {
+		if len(c) >= 2 {
+			for _, p := range c {
+				top = max(top, p)
 			}
 		}
 	}
-	st := clusterStats{
-		meanD: vecmath.Mean(pair),
-		dmax:  vecmath.Max(pair),
+	lab := make([]int, top+1)
+	for i := range lab {
+		lab[i] = -1
 	}
-	// Each member's 1-NN distance within the cluster falls out of the
-	// same pair slice (pair p covers members a and b), so the matrix is
-	// read once per pair instead of twice — on the tiled backend that
-	// halves the acquisitions of this O(|c|²) pass.
-	mins := make([]float64, len(c))
-	for i := range mins {
-		mins[i] = math.Inf(1)
+	acc := statsAcc{
+		sum:  make([]float64, len(clusters)),
+		dmax: make([]float64, len(clusters)),
+		mins: make([]float64, len(lab)),
 	}
-	p := 0
-	for a := 0; a < len(c); a++ {
-		for b := a + 1; b < len(c); b++ {
-			d := pair[p]
-			p++
-			if d < mins[a] {
-				mins[a] = d
+	for ci, c := range clusters {
+		acc.dmax[ci] = math.Inf(-1)
+		if len(c) < 2 {
+			continue
+		}
+		for _, p := range c {
+			if lab[p] >= 0 {
+				return nil, fmt.Errorf("core: refinement: segment %d is in two clusters", p)
 			}
-			if d < mins[b] {
-				mins[b] = d
-			}
+			lab[p] = ci
+			acc.mins[p] = math.Inf(1)
 		}
 	}
-	st.minmed = vecmath.Median(mins)
-	return st
+
+	s, streams := m.(dbscan.SuffixStreamer)
+	for i, c := range lab {
+		if c < 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: refinement: %w", err)
+		}
+		if !streams {
+			for j := i + 1; j < len(lab); j++ {
+				if lab[j] == c {
+					acc.add(c, i, j, m.Dist(i, j))
+				}
+			}
+			continue
+		}
+		s.StreamSuffix(i, func(lo int, vals []float32) {
+			if lo >= len(lab) {
+				return
+			}
+			labs := lab[lo:min(lo+len(vals), len(lab))]
+			for o, l := range labs {
+				if l == c {
+					acc.add(c, i, lo+o, float64(vals[o]))
+				}
+			}
+		})
+	}
+
+	stats := make([]clusterStats, len(clusters))
+	for ci, c := range clusters {
+		if len(c) < 2 {
+			continue
+		}
+		mins := make([]float64, len(c))
+		for k, p := range c {
+			mins[k] = acc.mins[p]
+		}
+		stats[ci] = clusterStats{
+			meanD:  acc.sum[ci] / float64(vecmath.CheckedTriNum(len(c))),
+			dmax:   acc.dmax[ci],
+			minmed: vecmath.Median(mins),
+		}
+	}
+	return stats, nil
 }
 
 // linkSegments finds the closest pair (a ∈ ci, b ∈ cj) and their
@@ -117,8 +179,9 @@ func rhoEps(link int, cluster []int, eps float64, m distances) (float64, int) {
 
 // mergeClusters applies the two merge conditions of Section III-F
 // transitively (via union-find) and returns the merged clustering.
-// Clusters with fewer than two members cannot supply the required
-// statistics and are never merged. The context is checked once per
+// Clusters must be disjoint. Clusters with fewer than two members
+// cannot supply the required statistics and are never merged. The
+// context is checked once per row of the statistics walk and once per
 // outer cluster — linkSegments makes each pair O(|ci|·|cj|) — so a
 // cancelled context aborts within one cluster's comparisons.
 func mergeClusters(ctx context.Context, clusters [][]int, m distances, p Params) ([][]int, error) {
@@ -126,11 +189,9 @@ func mergeClusters(ctx context.Context, clusters [][]int, m distances, p Params)
 	if n < 2 {
 		return clusters, nil
 	}
-	stats := make([]clusterStats, n)
-	for i, c := range clusters {
-		if len(c) >= 2 {
-			stats[i] = computeStats(c, m)
-		}
+	stats, err := computeStats(ctx, clusters, m)
+	if err != nil {
+		return nil, err
 	}
 
 	parent := make([]int, n)

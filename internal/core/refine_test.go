@@ -14,7 +14,11 @@ func (f fakeDist) Dist(i, j int) float64 { return math.Abs(f[i] - f[j]) }
 func TestComputeStats(t *testing.T) {
 	// Points 0, 0.1, 0.2 → pairwise {0.1, 0.2, 0.1}.
 	m := fakeDist{0, 0.1, 0.2}
-	st := computeStats([]int{0, 1, 2}, m)
+	sts, err := computeStats(context.Background(), [][]int{{0, 1, 2}}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sts[0]
 	if math.Abs(st.meanD-(0.1+0.2+0.1)/3) > 1e-12 {
 		t.Errorf("meanD = %v", st.meanD)
 	}
@@ -27,37 +31,12 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-// fakePairDist adds the bulk PairwiseWithin path on top of fakeDist,
-// mimicking *dissim.Matrix.
-type fakePairDist struct {
-	fakeDist
-	calls int
-}
-
-func (f *fakePairDist) PairwiseWithin(idx []int) []float64 {
-	f.calls++
-	out := make([]float64, 0, len(idx)*(len(idx)-1)/2)
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			out = append(out, f.Dist(idx[a], idx[b]))
-		}
-	}
-	return out
-}
-
-// TestComputeStatsUsesPairwiseWithin pins the wiring: when the distance
-// source offers the bulk path (as the pipeline's matrix does), the
-// refinement statistics must use it and agree with the per-pair loop.
-func TestComputeStatsUsesPairwiseWithin(t *testing.T) {
-	points := fakeDist{0, 0.1, 0.2}
-	fp := &fakePairDist{fakeDist: points}
-	got := computeStats([]int{0, 1, 2}, fp)
-	want := computeStats([]int{0, 1, 2}, points)
-	if fp.calls != 1 {
-		t.Fatalf("PairwiseWithin called %d times, want 1", fp.calls)
-	}
-	if got != want {
-		t.Errorf("stats via PairwiseWithin = %+v, per-pair = %+v", got, want)
+// TestComputeStatsRejectsOverlap pins that overlapping clusters are an
+// error: the statistics walk maps each point to one cluster.
+func TestComputeStatsRejectsOverlap(t *testing.T) {
+	m := fakeDist{0, 0.1, 0.2, 0.3}
+	if _, err := computeStats(context.Background(), [][]int{{0, 1, 2}, {2, 3}}, m); err == nil {
+		t.Fatal("overlapping clusters accepted")
 	}
 }
 

@@ -6,6 +6,24 @@
 // dissimilarities serve as affinities; DBSCAN is chosen because it needs
 // no target cluster count, makes no shape assumptions, and treats
 // outliers as noise (Section III-E).
+//
+// Cluster does not expand clusters breadth-first. It finds them as the
+// connected components of the core points, in three passes over the
+// row suffixes in storage order (SuffixStreamer) and O(n) memory:
+//
+//  1. ε-degrees, self included, mark the core points.
+//  2. Union-find over the core–core ε-pairs joins them into components,
+//     numbered by their smallest core index.
+//  3. Each non-core point takes the smallest id among the components of
+//     its ε-adjacent core points, or stays Noise.
+//
+// The labels equal those of the textbook expansion seeded in index
+// order. That expansion starts each cluster at the smallest-index core
+// point not yet labelled, so clusters are numbered by their smallest
+// core index, and it fully expands one cluster — exactly one core
+// component plus the non-core points within ε of it — before seeding
+// the next. A border point keeps the first cluster that reaches it,
+// which is the one with the smallest id.
 package dbscan
 
 import (
@@ -42,88 +60,158 @@ var (
 
 // Cluster runs DBSCAN with radius eps and density threshold minPts
 // (minimum neighborhood size, including the point itself, for a point to
-// be a core point). The clustering is deterministic: points are seeded
-// in index order.
+// be a core point). The clustering is deterministic and label-identical
+// to the expansion seeded in index order (see the package doc).
 func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	n := m.Len()
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	if eps <= 0 {
+	// Written so that a NaN eps, for which every comparison is false,
+	// is rejected instead of labelling every point Noise.
+	if !(eps > 0) {
 		return nil, fmt.Errorf("%w (got %v)", ErrBadEps, eps)
 	}
 	if minPts < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadMinPts, minPts)
 	}
 
-	const unvisited = -2
+	// Pass 1: ε-degrees. Every point is its own neighbor (Dist(i, i) =
+	// 0 ≤ eps), so minPts = 1 makes every point core without a pass.
+	core := make([]bool, n)
+	cand := make([]bool, n) // non-core with an ε-neighbor: a border candidate
+	borders := false
+	if minPts == 1 {
+		for i := range core {
+			core[i] = true
+		}
+	} else {
+		for i, d := range epsDegrees(m, eps) {
+			core[i] = d+1 >= minPts
+			cand[i] = !core[i] && d > 0
+			borders = borders || cand[i]
+		}
+	}
+
+	// Pass 2: union-find over core–core ε-pairs. Every root is the
+	// smallest index of its component, so numbering roots in index
+	// order numbers clusters by their smallest core point. The walk
+	// keeps row i's root in ri, so each pair costs one find.
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	ri, row := 0, -1
+	eachEpsPair(m, eps, core, core, func(i, j int) {
+		if i != row {
+			ri, row = find(i), i
+		}
+		switch rj := find(j); {
+		case rj < ri:
+			parent[ri], ri = rj, rj
+		case ri < rj:
+			parent[rj] = ri
+		}
+	})
 	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = unvisited
-	}
-
-	// neighbors returns all points within eps of p (including p). When
-	// the matrix streams rows (every production backend), the region
-	// query walks float32 spans instead of paying a virtual Dist call
-	// per point; spans arrive in ascending column order carrying the
-	// same quantized values, so the result is identical either way.
-	rs, _ := m.(RowStreamer)
-	neighbors := func(p int, buf []int) []int {
-		buf = buf[:0]
-		if rs != nil {
-			rs.StreamRow(p, func(lo int, vals []float32) {
-				for o, d := range vals {
-					if float64(d) <= eps {
-						buf = append(buf, lo+o)
-					}
-				}
-			})
-			return buf
-		}
-		for q := 0; q < n; q++ {
-			if m.Dist(p, q) <= eps {
-				buf = append(buf, q)
-			}
-		}
-		return buf
-	}
-
-	var (
-		cluster = 0
-		nbuf    = make([]int, 0, n)
-		queue   = make([]int, 0, n)
-	)
-	for p := 0; p < n; p++ {
-		if labels[p] != unvisited {
-			continue
-		}
-		nbuf = neighbors(p, nbuf)
-		if len(nbuf) < minPts {
+	clusters := 0
+	for p := range labels {
+		switch {
+		case !core[p]:
 			labels[p] = Noise
-			continue
+		case find(p) == p:
+			labels[p] = clusters
+			clusters++
+		default:
+			labels[p] = labels[find(p)] // the root precedes p
 		}
-		// Start a new cluster and expand it breadth-first.
-		labels[p] = cluster
-		queue = append(queue[:0], nbuf...)
-		for head := 0; head < len(queue); head++ {
-			q := queue[head]
-			if labels[q] == Noise {
-				labels[q] = cluster // border point reached from a core
-				continue
-			}
-			if labels[q] != unvisited {
-				continue
-			}
-			labels[q] = cluster
-			qn := neighbors(q, make([]int, 0, minPts))
-			if len(qn) >= minPts {
-				queue = append(queue, qn...)
-			}
-		}
-		cluster++
 	}
 
-	return &Result{Labels: labels, NumClusters: cluster}, nil
+	// Pass 3: each border candidate joins the smallest cluster among its
+	// ε-adjacent core points, whether they precede it (core rows) or
+	// follow it (its own row).
+	if borders && clusters > 0 {
+		join := func(b, c int) {
+			if id := labels[c]; labels[b] == Noise || id < labels[b] {
+				labels[b] = id
+			}
+		}
+		eachEpsPair(m, eps, core, cand, func(i, j int) { join(j, i) })
+		eachEpsPair(m, eps, cand, core, func(i, j int) { join(i, j) })
+	}
+
+	return &Result{Labels: labels, NumClusters: clusters}, nil
+}
+
+// epsDegrees returns every point's number of ε-neighbors, itself
+// excluded. Pass 1 is the one pass without a row or column filter, so
+// on a streaming matrix its count runs inline in the span loop instead
+// of through a call per ε-pair.
+func epsDegrees(m Matrix, eps float64) []int {
+	n := m.Len()
+	deg := make([]int, n)
+	s, streams := m.(SuffixStreamer)
+	if !streams {
+		eachEpsPair(m, eps, nil, nil, func(i, j int) {
+			deg[i]++
+			deg[j]++
+		})
+		return deg
+	}
+	for i := 0; i < n-1; i++ {
+		cnt := 0
+		s.StreamSuffix(i, func(lo int, vals []float32) {
+			ds := deg[lo : lo+len(vals)]
+			for o, d := range vals {
+				if float64(d) <= eps {
+					ds[o]++
+					cnt++
+				}
+			}
+		})
+		deg[i] += cnt
+	}
+	return deg
+}
+
+// eachEpsPair calls fn(i, j) for every pair i < j with d(i, j) ≤ eps,
+// in storage order, restricted to rows i with rows[i] and columns j
+// with cols[j] where those filters are non-nil. A streaming matrix is
+// read through StreamSuffix; any other Matrix (test fakes) through
+// Dist, whose float64 values it compares unquantized, as the streamed
+// values compare float64(d). A branch per value is cheaper here than a
+// branch-free gather of the ε-columns: a pool is sorted by value, so a
+// row's ε-neighbors sit in runs the branch predictor follows.
+func eachEpsPair(m Matrix, eps float64, rows, cols []bool, fn func(i, j int)) {
+	n := m.Len()
+	s, streams := m.(SuffixStreamer)
+	for i := 0; i < n-1; i++ {
+		if rows != nil && !rows[i] {
+			continue
+		}
+		if !streams {
+			for j := i + 1; j < n; j++ {
+				if (cols == nil || cols[j]) && m.Dist(i, j) <= eps {
+					fn(i, j)
+				}
+			}
+			continue
+		}
+		s.StreamSuffix(i, func(lo int, vals []float32) {
+			for o, d := range vals {
+				if float64(d) <= eps && (cols == nil || cols[lo+o]) {
+					fn(i, lo+o)
+				}
+			}
+		})
+	}
 }
 
 // Clusters groups point indices by cluster label. The returned slice has

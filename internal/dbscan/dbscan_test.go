@@ -27,6 +27,16 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsNaNEps pins that a NaN radius is an error: every
+// comparison with NaN is false, so accepting it would label every point
+// Noise without complaint.
+func TestClusterRejectsNaNEps(t *testing.T) {
+	res, err := Cluster(pointMatrix{1, 2, 3}, math.NaN(), 1)
+	if !errors.Is(err, ErrBadEps) {
+		t.Fatalf("eps=NaN: err = %v, result %+v; want ErrBadEps", err, res)
+	}
+}
+
 func TestTwoWellSeparatedClusters(t *testing.T) {
 	pts := pointMatrix{0, 0.1, 0.2, 10, 10.1, 10.2}
 	res, err := Cluster(pts, 0.5, 2)
@@ -171,6 +181,26 @@ func TestDenseMatrix(t *testing.T) {
 	}
 	if m.Len() != 3 {
 		t.Errorf("Len = %d, want 3", m.Len())
+	}
+}
+
+// TestCondensedPairOutOfRangePanics pins the condensed range check: a
+// pair outside 0 ≤ i < j < n panics instead of reading a neighbouring
+// row's entry through the per-row offset table.
+func TestCondensedPairOutOfRangePanics(t *testing.T) {
+	m, err := NewCondensedMatrix(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]int{{0, 4}, {-1, 2}, {2, -1}, {3, 5}, {-2, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Dist(%d, %d) did not panic", p[0], p[1])
+				}
+			}()
+			m.Dist(p[0], p[1])
+		}()
 	}
 }
 

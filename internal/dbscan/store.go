@@ -11,8 +11,10 @@ import (
 // This file holds the storage side of the Matrix interface: the float32
 // quantization contract shared by every backend, sizing helpers with
 // overflow guards, the condensed upper-triangle backend, and the
-// RowStreamer fast path the row consumers (k-NN selection, DBSCAN
-// region queries) iterate instead of assuming an aliased full row.
+// streaming reads the matrix consumers iterate instead of assuming an
+// aliased full row: RowStreamer for whole rows, SuffixStreamer for the
+// storage-order passes (DBSCAN, refinement statistics, k-NN, the
+// smallest positive distance).
 
 // Quantize is the single float32 quantization point of the Matrix
 // boundary: every backend stores dissimilarities as float32 (values
@@ -63,16 +65,31 @@ func CondensedBytes(n int) (int64, error) {
 }
 
 // RowStreamer is the streaming row access every matrix backend
-// provides: fn is invoked with consecutive spans of row i in ascending
-// column order, where vals[o] is Dist(i, lo+o) quantized to float32.
-// The spans jointly cover columns [0, n) exactly once, including the
-// zero diagonal entry, so consumers see the same values in the same
-// order as a j = 0…n−1 Dist loop — which keeps heap-based k-NN
-// selection and DBSCAN region queries bit-identical across backends.
+// provides. StreamRow invokes fn with consecutive spans of row i in
+// ascending column order, where vals[o] is Dist(i, lo+o) quantized to
+// float32. The spans jointly cover columns [0, n) exactly once,
+// including the zero diagonal entry, so consumers see the same values
+// in the same order as a j = 0…n−1 Dist loop. Per-row consumers that
+// need a whole row (the silhouette) use it; full-matrix passes use the
+// storage-order StreamSuffix instead.
 // Spans alias internal storage or a reused buffer: consumers must not
 // mutate them or retain them past fn's return.
 type RowStreamer interface {
 	StreamRow(i int, fn func(lo int, vals []float32))
+	SuffixStreamer
+}
+
+// SuffixStreamer is the storage-order read every matrix backend
+// provides. StreamSuffix invokes fn with consecutive spans of row i's
+// suffix — columns j > i, in ascending order, as Quantize'd values —
+// jointly covering [i+1, n) exactly once; the last row yields nothing.
+// Walking i = 0…n−1 therefore visits every unordered pair once, in
+// lexicographic (i, j) order, reading the condensed triangle
+// front to back instead of gathering each row's prefix with one cache
+// miss per element. Spans alias storage or a reused buffer, under the
+// same rules as StreamRow.
+type SuffixStreamer interface {
+	StreamSuffix(i int, fn func(lo int, vals []float32))
 }
 
 var (
@@ -85,6 +102,13 @@ func (d *DenseMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	fn(0, d.Row(i))
 }
 
+// StreamSuffix yields the dense row after its diagonal as one span.
+func (d *DenseMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
+	if i+1 < d.n {
+		fn(i+1, d.Row(i)[i+1:])
+	}
+}
+
 // ResidentBytes returns the matrix's resident storage size.
 func (d *DenseMatrix) ResidentBytes() int64 { return int64(d.n) * int64(d.n) * 4 }
 
@@ -95,10 +119,12 @@ var zeroSpan = []float32{0}
 
 // CondensedMatrix is a Matrix storing only the strict upper triangle:
 // n(n−1)/2 float32 entries, half the resident footprint of DenseMatrix.
-// Entry (i, j) with i < j lives at i·(2n−i−1)/2 + (j−i−1).
+// Entry (i, j) with i < j lives at i·(2n−i−1)/2 + (j−i−1), which the
+// per-row base table turns into one addition: base[i] + j.
 type CondensedMatrix struct {
 	n    int
 	data []float32
+	base []int // base[i] = offset of (i, j) minus j, for rows 0…n−2
 }
 
 var _ Matrix = (*CondensedMatrix)(nil)
@@ -114,7 +140,11 @@ func NewCondensedMatrix(n int) (*CondensedMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CondensedMatrix{n: n, data: make([]float32, b/4)}, nil
+	base := make([]int, max(n-1, 0))
+	for i := range base {
+		base[i] = vecmath.CheckedCondensedOff(i, i+1, n) - i - 1
+	}
+	return &CondensedMatrix{n: n, data: make([]float32, b/4), base: base}, nil
 }
 
 // Len returns the number of points.
@@ -123,9 +153,26 @@ func (c *CondensedMatrix) Len() int { return c.n }
 // ResidentBytes returns the matrix's resident storage size.
 func (c *CondensedMatrix) ResidentBytes() int64 { return int64(len(c.data)) * 4 }
 
-// off returns the condensed index of (i, j); requires i < j.
+// off returns the condensed index of (i, j); requires 0 ≤ i < j < n.
+// The base table was built through vecmath.CheckedCondensedOff, so
+// every in-range pair maps inside data without a division per call,
+// and off is small enough to inline into Set and Dist, which the
+// matrix fill and the clusterers call once per pair.
 func (c *CondensedMatrix) off(i, j int) int {
-	return vecmath.CheckedCondensedOff(i, j, c.n)
+	// As unsigned values, negative i or j wrap past n: this is
+	// 0 ≤ i < j < n in two comparisons.
+	if uint(i) >= uint(j) || uint(j) >= uint(c.n) {
+		panic(pairOutOfRange{i, j, c.n})
+	}
+	return c.base[i] + j
+}
+
+// pairOutOfRange is off's panic value: a pair outside the strict upper
+// triangle of an n-point condensed matrix.
+type pairOutOfRange struct{ i, j, n int }
+
+func (e pairOutOfRange) Error() string {
+	return fmt.Sprintf("dbscan: condensed pair (%d,%d) out of range for n=%d", e.i, e.j, e.n)
 }
 
 // Dist returns the stored dissimilarity between i and j.
@@ -175,6 +222,12 @@ func (c *CondensedMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 		}
 	}
 	fn(i, zeroSpan)
+	c.StreamSuffix(i, fn)
+}
+
+// StreamSuffix yields row i's suffix as one span aliasing storage: the
+// condensed layout stores it contiguously.
+func (c *CondensedMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	if i+1 < c.n {
 		start := c.off(i, i+1)
 		fn(i+1, c.data[start:start+c.n-i-1])
@@ -184,7 +237,8 @@ func (c *CondensedMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 // MinPositiveDist returns the smallest strictly positive dissimilarity
 // of a streaming matrix, or +Inf when every pair is identical. It
 // replaces materializing the full upper triangle (n(n−1)/2 float64s —
-// 10 GB at n = 50k) with a single streaming pass.
+// 10 GB at n = 50k) with a single storage-order pass over the row
+// suffixes; the minimum does not depend on the visiting order.
 func MinPositiveDist(m interface {
 	Matrix
 	RowStreamer
@@ -192,7 +246,7 @@ func MinPositiveDist(m interface {
 	pos := math.Inf(1)
 	n := m.Len()
 	for i := 0; i < n; i++ {
-		m.StreamRow(i, func(lo int, vals []float32) {
+		m.StreamSuffix(i, func(lo int, vals []float32) {
 			for _, d32 := range vals {
 				if d := float64(d32); d > 0 && d < pos {
 					pos = d

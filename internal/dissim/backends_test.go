@@ -46,8 +46,8 @@ func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 
 // TestBackendEquivalenceProperty is the cross-backend property test:
 // on randomized pools, every storage backend must produce bit-identical
-// distances, row streams, k-NN tables, and refinement inputs. The
-// backends share dbscan.Quantize and the StreamRow ordering contract,
+// distances, row and row-suffix streams, k-NN tables, and MinPositive.
+// The backends share dbscan.Quantize and the streaming order contracts,
 // so any divergence here is a layout bug, not float noise.
 func TestBackendEquivalenceProperty(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
@@ -112,14 +112,23 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				t.Fatalf("seed %d: %s MinPositive = %v, dense = %v", seed, name, g, w)
 			}
 
-			idx := []int{0, 3, n / 2, n - 1}
-			gotPW, wantPW := m.PairwiseWithin(idx), ref.PairwiseWithin(idx)
-			if len(gotPW) != len(wantPW) {
-				t.Fatalf("seed %d: %s PairwiseWithin len = %d, dense = %d", seed, name, len(gotPW), len(wantPW))
-			}
-			for p := range wantPW {
-				if math.Float64bits(gotPW[p]) != math.Float64bits(wantPW[p]) {
-					t.Fatalf("seed %d: %s PairwiseWithin[%d] = %v, dense = %v", seed, name, p, gotPW[p], wantPW[p])
+			// StreamSuffix must replay the dense row after its diagonal:
+			// same values, ascending columns, covering (i, n) exactly once.
+			for i := 0; i < n; i++ {
+				next := i + 1
+				m.StreamSuffix(i, func(lo int, vals []float32) {
+					if lo != next {
+						t.Fatalf("seed %d: %s StreamSuffix(%d) span at %d, want %d", seed, name, i, lo, next)
+					}
+					for o, d32 := range vals {
+						if w := dbscan.Quantize(ref.Dist(i, lo+o)); math.Float32bits(d32) != math.Float32bits(w) {
+							t.Fatalf("seed %d: %s StreamSuffix(%d) col %d = %v, dense = %v", seed, name, i, lo+o, d32, w)
+						}
+					}
+					next = lo + len(vals)
+				})
+				if next != n {
+					t.Fatalf("seed %d: %s StreamSuffix(%d) covered up to %d, want %d", seed, name, i, next, n)
 				}
 			}
 		}

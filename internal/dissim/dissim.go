@@ -441,6 +441,13 @@ func (m *Matrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamRow(i, fn)
 }
 
+// StreamSuffix streams row i's columns j > i in storage order (see
+// dbscan.SuffixStreamer); the full-matrix passes — DBSCAN, refinement
+// statistics, k-NN, MinPositive — walk these instead of whole rows.
+func (m *Matrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
+	m.store.StreamSuffix(i, fn)
+}
+
 // Backend names the storage backend serving this matrix ("dense",
 // "condensed", or "tiled").
 func (m *Matrix) Backend() string { return m.backend }
@@ -487,30 +494,8 @@ func (m *Matrix) MinPositive() float64 {
 	return dbscan.MinPositiveDist(m.store)
 }
 
-// PairwiseWithin returns all pairwise dissimilarities among the given
-// unique-segment indices (used by cluster refinement for per-cluster
-// statistics). Fewer than two indices yield nil. The tiled backend
-// serves this tile-grouped; resident backends read storage directly.
-func (m *Matrix) PairwiseWithin(idx []int) []float64 {
-	if pw, ok := m.store.(interface{ PairwiseWithin([]int) []float64 }); ok {
-		return pw.PairwiseWithin(idx)
-	}
-	if len(idx) < 2 {
-		return nil
-	}
-	out := make([]float64, vecmath.CheckedTriNum(len(idx)))
-	p := 0
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			out[p] = m.store.Dist(idx[a], idx[b])
-			p++
-		}
-	}
-	return out
-}
-
 // UpperTriangle returns every pairwise dissimilarity once. Fewer than
-// two segments yield nil, matching PairwiseWithin.
+// two segments yield nil.
 func (m *Matrix) UpperTriangle() []float64 {
 	n := m.Len()
 	if n < 2 {

@@ -166,22 +166,6 @@ func TestKNNDistancesRange(t *testing.T) {
 	}
 }
 
-func TestPairwiseWithin(t *testing.T) {
-	segs := segsFromValues([]byte{1, 1}, []byte{2, 2}, []byte{3, 3})
-	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := m.PairwiseWithin([]int{0, 1, 2})
-	if len(all) != 3 {
-		t.Fatalf("PairwiseWithin(3 items) = %d values, want 3", len(all))
-	}
-	if m.PairwiseWithin([]int{0}) != nil {
-		t.Error("PairwiseWithin of one index should be nil")
-	}
-}
-
 func TestUpperTriangle(t *testing.T) {
 	segs := segsFromValues([]byte{1, 1}, []byte{2, 2}, []byte{3, 3}, []byte{4, 4})
 	p := NewPool(segs)

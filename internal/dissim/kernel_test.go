@@ -165,31 +165,9 @@ func TestUpperTriangleTinyMatrixNil(t *testing.T) {
 	if ut := m.UpperTriangle(); ut != nil {
 		t.Errorf("UpperTriangle of 1×1 matrix = %v, want nil", ut)
 	}
-	if pw := m.PairwiseWithin([]int{0}); pw != nil {
-		t.Errorf("PairwiseWithin of one index = %v, want nil", pw)
-	}
-}
-
-func TestPairwiseWithinExactLength(t *testing.T) {
-	pool := randomPool(t, 30, []int{2, 4}, 3)
-	m, err := Compute(pool, canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := []int{0, 3, 7, 12, 29}
-	got := m.PairwiseWithin(idx)
-	if want := len(idx) * (len(idx) - 1) / 2; len(got) != want || cap(got) != want {
-		t.Fatalf("PairwiseWithin len/cap = %d/%d, want exactly %d", len(got), cap(got), want)
-	}
-	p := 0
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			if got[p] != m.Dist(idx[a], idx[b]) {
-				t.Fatalf("PairwiseWithin[%d] = %v, want Dist(%d,%d) = %v", p, got[p], idx[a], idx[b], m.Dist(idx[a], idx[b]))
-			}
-			p++
-		}
-	}
+	m.StreamSuffix(0, func(lo int, vals []float32) {
+		t.Errorf("StreamSuffix of a 1×1 matrix yielded %v at %d, want nothing", vals, lo)
+	})
 }
 
 func TestMatrixViews(t *testing.T) {

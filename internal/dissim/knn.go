@@ -2,17 +2,20 @@ package dissim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"protoclust/internal/vecmath"
 )
 
-// k-NN selection over the dense matrix. Algorithm 1 only ever needs the
-// kmax ≈ ln n smallest distances of each row, so a full O(n log n) sort
-// per row (KNNTableSort, kept as the baseline) wastes almost all of its
-// work. Each row instead streams through a bounded max-heap of size
-// kmax: O(n log kmax) worst case, and in practice most elements fail the
-// d < heap-root test and cost a single comparison.
+// k-NN selection. Algorithm 1 only ever needs the kmax ≈ ln n smallest
+// distances of each row, so a full O(n log n) sort per row
+// (KNNTableSort, kept as the baseline) wastes almost all of its work.
+// Each row instead keeps a bounded max-heap of size kmax, and one
+// storage-order walk over the row suffixes (StreamSuffix) feeds every
+// pair (i, j) into the heaps of both i and j. A row's k smallest
+// off-diagonal values are the same multiset in any visiting order, so
+// the table is bit-identical to a per-row scan, and the walk reads the
+// condensed triangle front to back instead of gathering each row's
+// prefix with one cache miss per element.
 
 // maxHeap is a bounded max-heap laid out in a reusable slice; h[0] is
 // the largest of the k smallest values seen so far.
@@ -48,30 +51,6 @@ func (h maxHeap) siftDown(i int) {
 	}
 }
 
-// rowKNN fills h (capacity k, length 0 on entry) with the k smallest
-// off-diagonal entries of row i and returns the heap at full length.
-// The row arrives as StreamRow spans in ascending column order — the
-// same order a dense row scan used — so tie-breaking, and therefore
-// the resulting table, is bit-identical across backends.
-func rowKNN(m *Matrix, i, k int, h maxHeap) maxHeap {
-	m.store.StreamRow(i, func(lo int, vals []float32) {
-		for o, d32 := range vals {
-			if lo+o == i {
-				continue
-			}
-			d := float64(d32)
-			if len(h) < k {
-				h = append(h, d)
-				h.siftUp(len(h) - 1)
-			} else if d < h[0] {
-				h[0] = d
-				h.siftDown(0)
-			}
-		}
-	})
-	return h
-}
-
 // popMax removes and returns the heap's largest element.
 func (h *maxHeap) popMax() float64 {
 	old := *h
@@ -83,40 +62,73 @@ func (h *maxHeap) popMax() float64 {
 	return top
 }
 
-// forEachRow distributes row indices [0, n) over workers in batches;
-// every call to fn receives the worker's reusable heap buffer of
-// capacity kcap, reset to length zero.
-func forEachRow(n, kcap int, fn func(i int, h maxHeap)) {
-	const batch = 32
-	// Rows are handed out batch at a time, so more workers than batches
-	// would only spawn goroutines that find the counter exhausted on
-	// their first fetch.
-	workers := runtime.GOMAXPROCS(0)
-	if max := (n + batch - 1) / batch; workers > max {
-		workers = max
+// rowHeaps holds one bounded max-heap of capacity k per row, flat:
+// row r's heap is vals[r·k : r·k+lens[r]]. top[r] mirrors the heap's
+// root, so the common case — a value that cannot enter a full heap —
+// is rejected from two sequential arrays without touching vals.
+type rowHeaps struct {
+	k    int
+	vals []float64
+	lens []int
+	top  []float64
+}
+
+// offer adds d to row r's heap when it belongs there: always while the
+// heap is short of k values, otherwise only when strictly smaller than
+// the root — the same rule a per-row scan applied. It inlines into the
+// walk, so a rejected value costs two array reads.
+func (h *rowHeaps) offer(r int, d float64) {
+	if h.lens[r] < h.k || d < h.top[r] {
+		h.push(r, d)
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make(maxHeap, 0, kcap)
-			for {
-				lo := int(next.Add(batch) - batch)
-				if lo >= n {
-					return
-				}
-				hi := min(lo+batch, n)
-				for i := lo; i < hi; i++ {
-					fn(i, buf[:0])
-				}
+}
+
+// push inserts d into row r's heap, evicting the root when it is full.
+func (h *rowHeaps) push(r int, d float64) {
+	l := h.lens[r]
+	base := r * h.k // hoisted: r < n and len(vals) = n·k
+	if l < h.k {
+		h.vals[base+l] = d
+		h.lens[r] = l + 1
+		maxHeap(h.vals[base : base+l+1]).siftUp(l)
+	} else {
+		h.vals[base] = d
+		maxHeap(h.vals[base : base+l]).siftDown(0)
+	}
+	h.top[r] = h.vals[base]
+}
+
+// heap returns row r's heap, aliasing the flat storage.
+func (h *rowHeaps) heap(r int) maxHeap {
+	base := r * h.k // hoisted, bounded as in push
+	return maxHeap(h.vals[base : base+h.lens[r]])
+}
+
+// newRowHeaps allocates n empty heaps of capacity k.
+func newRowHeaps(n, k int) *rowHeaps {
+	return &rowHeaps{
+		k:    k,
+		vals: make([]float64, vecmath.CheckedMulAdd(n, k, 0)),
+		lens: make([]int, n),
+		top:  make([]float64, n),
+	}
+}
+
+// nearest returns, for every row, a heap of its k smallest off-diagonal
+// values, filled by one sequential walk over the row suffixes.
+func (m *Matrix) nearest(k int) *rowHeaps {
+	n := m.Len()
+	h := newRowHeaps(n, k)
+	for i := 0; i < n; i++ {
+		m.store.StreamSuffix(i, func(lo int, vals []float32) {
+			for o, d32 := range vals {
+				d := float64(d32)
+				h.offer(i, d)
+				h.offer(lo+o, d)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	return h
 }
 
 func (m *Matrix) checkK(k int) error {
@@ -129,27 +141,31 @@ func (m *Matrix) checkK(k int) error {
 // KNNDistances returns, for every unique segment, the dissimilarity to
 // its k-th nearest neighbor (k ≥ 1, self excluded). This is the sample
 // population for the ECDF Ê_k of Algorithm 1. Only the k-th column is
-// materialized — the heap root after a row scan — not the whole table.
+// materialized — each row's heap root — not the whole table.
 func (m *Matrix) KNNDistances(k int) ([]float64, error) {
 	if err := m.checkK(k); err != nil {
 		return nil, err
 	}
-	out := make([]float64, m.Len())
-	forEachRow(m.Len(), k, func(i int, h maxHeap) {
-		out[i] = rowKNN(m, i, k, h)[0]
-	})
+	h := m.nearest(k)
+	// A lazily computed backend defers cancellation to here: the rows
+	// it could not compute are zero-filled, so the heaps must not be
+	// used once the sticky error is set.
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return h.top, nil
 }
 
 // KNNTable returns the k-NN dissimilarities for every k in [1, kmax] at
 // once: table[k-1][i] is segment i's distance to its k-th nearest
-// neighbor. One bounded-heap row scan serves all k, which is what
-// Algorithm 1's loop over k needs.
+// neighbor. One walk fills the bounded heaps that serve all k, which is
+// what Algorithm 1's loop over k needs.
 func (m *Matrix) KNNTable(kmax int) ([][]float64, error) {
 	if err := m.checkK(kmax); err != nil {
+		return nil, err
+	}
+	h := m.nearest(kmax)
+	if err := m.Err(); err != nil {
 		return nil, err
 	}
 	n := m.Len()
@@ -157,17 +173,11 @@ func (m *Matrix) KNNTable(kmax int) ([][]float64, error) {
 	for k := range table {
 		table[k] = make([]float64, n)
 	}
-	forEachRow(n, kmax, func(i int, h maxHeap) {
-		h = rowKNN(m, i, kmax, h)
-		for k := len(h) - 1; k >= 0; k-- {
-			table[k][i] = h.popMax()
+	for i := 0; i < n; i++ {
+		hi := h.heap(i)
+		for k := len(hi) - 1; k >= 0; k-- {
+			table[k][i] = hi.popMax()
 		}
-	})
-	// A lazily computed backend defers cancellation to here: the rows
-	// it could not compute are zero-filled, so the table must not be
-	// used once the sticky error is set.
-	if err := m.Err(); err != nil {
-		return nil, err
 	}
 	return table, nil
 }

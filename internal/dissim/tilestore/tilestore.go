@@ -280,46 +280,25 @@ func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
 	}
 }
 
-// PairwiseWithin returns all pairwise dissimilarities among the given
-// point indices in (a, b) upper-triangle order, reusing the most
-// recently touched tile across consecutive pairs — for sorted cluster
-// index lists (the refinement's case) this turns n² map lookups into a
-// handful of tile acquisitions.
-func (s *Store) PairwiseWithin(idx []int) []float64 {
-	if len(idx) < 2 {
-		return nil
+// StreamSuffix yields row i's suffix (columns j > i) in ascending
+// order: the diagonal tile's row from column r+1, then the row slices
+// of the tiles to its right. One call acquires no more tiles than one
+// StreamRow call and never gathers; a pass over all rows acquires each
+// tile once per row of it. See dbscan.SuffixStreamer for the contract.
+func (s *Store) StreamSuffix(i int, fn func(lo int, vals []float32)) {
+	bi := i / s.ts
+	r := i - bi*s.ts
+	if cols := s.dim(bi); r+1 < cols {
+		data := s.acquire(bi, bi)
+		lo := r * cols // hoisted: r < dim(bi), len(data) = dim(bi)*cols
+		fn(i+1, data[lo+r+1:lo+cols])
 	}
-	out := make([]float64, vecmath.CheckedTriNum(len(idx)))
-	p := 0
-	lastKey := -1
-	var (
-		lastData []float32
-		lastCols int
-	)
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			i, j := idx[a], idx[b]
-			if i == j {
-				p++
-				continue
-			}
-			if i > j {
-				i, j = j, i
-			}
-			bi, bj := i/s.ts, j/s.ts
-			if key := s.tileIndex(bi, bj); key != lastKey {
-				lastData = s.acquire(bi, bj)
-				lastCols = s.dim(bj)
-				lastKey = key
-			}
-			// Hoisted tile-local offsets, bounded as in Dist.
-			r, c := i-bi*s.ts, j-bj*s.ts
-			row := r * lastCols
-			out[p] = float64(lastData[row+c])
-			p++
-		}
+	for bj := bi + 1; bj < s.nb; bj++ {
+		data := s.acquire(bi, bj)
+		cols := s.dim(bj)
+		lo := r * cols // hoisted, bounded as above
+		fn(bj*s.ts, data[lo:lo+cols])
 	}
-	return out
 }
 
 // acquire returns the ready data of tile (bi ≤ bj), computing or

@@ -6,8 +6,9 @@ const Noise = -1
 
 // DBSCAN is a brute-force reference implementation of DBSCAN (Ester et
 // al., KDD 1996) formulated structurally rather than by seed-queue
-// expansion, so it shares no code shape with the production BFS in
-// internal/dbscan:
+// expansion. Production internal/dbscan finds the same core-point
+// components, but streaming, in O(n) memory; DBSCANExpand below is the
+// seed-queue reference both are checked against:
 //
 //  1. Every ε-neighborhood is materialized by a full O(n²) scan.
 //  2. Core points (|N_ε(p)| ≥ minPts, self included) are connected into
@@ -91,6 +92,57 @@ func DBSCAN(n int, dist DistFunc, eps float64, minPts int) []int {
 			}
 		}
 		labels[p] = best
+	}
+	return labels
+}
+
+// DBSCANExpand is the textbook DBSCAN expansion: points are visited in
+// index order, each unvisited core point seeds a new cluster that is
+// expanded breadth-first through its ε-neighborhoods, and a non-core
+// point keeps the first cluster that reaches it. Every region query is
+// a full scan of dist. It is the formulation whose labels DBSCAN above
+// and the production component passes must reproduce.
+func DBSCANExpand(n int, dist DistFunc, eps float64, minPts int) []int {
+	const unvisited = -2
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = unvisited
+	}
+	neighbors := func(p int) []int {
+		var out []int
+		for q := 0; q < n; q++ {
+			if dist(p, q) <= eps {
+				out = append(out, q)
+			}
+		}
+		return out
+	}
+	cluster := 0
+	for p := 0; p < n; p++ {
+		if labels[p] != unvisited {
+			continue
+		}
+		seeds := neighbors(p)
+		if len(seeds) < minPts {
+			labels[p] = Noise
+			continue
+		}
+		labels[p] = cluster
+		for head := 0; head < len(seeds); head++ {
+			q := seeds[head]
+			if labels[q] == Noise {
+				labels[q] = cluster
+				continue
+			}
+			if labels[q] != unvisited {
+				continue
+			}
+			labels[q] = cluster
+			if qn := neighbors(q); len(qn) >= minPts {
+				seeds = append(seeds, qn...)
+			}
+		}
+		cluster++
 	}
 	return labels
 }

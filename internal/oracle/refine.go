@@ -104,3 +104,48 @@ func RhoEps(link int, cluster []int, eps float64, dist DistFunc) (float64, int) 
 	}
 	return Median(within), len(within)
 }
+
+// GatherStats returns the Section III-F statistics of cluster c — the
+// mean and maximum pairwise dissimilarity and the median 1-NN distance
+// — computed the gather way: every pair (c[a], c[b]), a < b, in member
+// order into one slice, its sequential sum divided by the pair count,
+// its maximum, and each member's minimum over the same slice. Clusters
+// with fewer than two members yield zeros. For a cluster in ascending
+// member order the production statistics walk must match it bit for
+// bit, because it sums the same pairs in the same order.
+func GatherStats(c []int, dist DistFunc) (meanD, dmax, minmed float64) {
+	if len(c) < 2 {
+		return 0, 0, 0
+	}
+	var pair []float64
+	for a := 0; a < len(c); a++ {
+		for b := a + 1; b < len(c); b++ {
+			pair = append(pair, dist(c[a], c[b]))
+		}
+	}
+	var sum float64
+	dmax = math.Inf(-1)
+	for _, d := range pair {
+		sum += d
+		if d > dmax {
+			dmax = d
+		}
+	}
+	mins := make([]float64, len(c))
+	for i := range mins {
+		mins[i] = math.Inf(1)
+	}
+	p := 0
+	for a := 0; a < len(c); a++ {
+		for b := a + 1; b < len(c); b++ {
+			if d := pair[p]; d < mins[a] {
+				mins[a] = d
+			}
+			if d := pair[p]; d < mins[b] {
+				mins[b] = d
+			}
+			p++
+		}
+	}
+	return sum / float64(len(pair)), dmax, Median(mins)
+}

@@ -30,8 +30,9 @@ const ensembleMinPts = 2
 // cluster. It stores the strict upper triangle as uint16 vote counts —
 // n(n−1)/2 × 2 bytes, half the resident footprint of a condensed
 // float32 matrix — and serves the dbscan.Matrix and dbscan.RowStreamer
-// contracts, routing every value through dbscan.Quantize so the final
-// DBSCAN cut sees the same bits a materialized backend would.
+// (row and row-suffix) contracts, routing every value through
+// dbscan.Quantize so the final DBSCAN cut sees the same bits a
+// materialized backend would.
 type coassocMatrix struct {
 	n     int
 	total uint16
@@ -122,16 +123,30 @@ func (c *coassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	}
 	buf[0] = 0
 	fn(i, buf[:1])
-	// Suffix columns j > i: contiguous in the triangle.
+	c.suffix(i, buf, fn)
+}
+
+// StreamSuffix yields row i's columns j > i — contiguous in the
+// triangle — as quantized float32 chunks (see dbscan.SuffixStreamer).
+func (c *coassocMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	if i+1 < c.n {
-		start := vecmath.CheckedCondensedOff(i, i+1, c.n)
-		for lo := i + 1; lo < c.n; lo += coassocChunk {
-			hi := min(lo+coassocChunk, c.n)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[start+j-i-1])
-			}
-			fn(lo, buf[:hi-lo])
+		c.suffix(i, make([]float32, min(coassocChunk, c.n-i-1)), fn)
+	}
+}
+
+// suffix streams row i's columns j > i through buf, which holds
+// min(coassocChunk, n−i−1) values or more.
+func (c *coassocMatrix) suffix(i int, buf []float32, fn func(lo int, vals []float32)) {
+	if i+1 >= c.n {
+		return
+	}
+	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
+	for lo := i + 1; lo < c.n; lo += coassocChunk {
+		hi := min(lo+coassocChunk, c.n)
+		for j := lo; j < hi; j++ {
+			buf[j-lo] = c.dist(c.votes[start+j-i-1])
 		}
+		fn(lo, buf[:hi-lo])
 	}
 }
 
@@ -212,15 +227,30 @@ func (c *weightedCoassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)
 	}
 	buf[0] = 0
 	fn(i, buf[:1])
+	c.suffix(i, buf, fn)
+}
+
+// StreamSuffix yields row i's suffix, mirroring
+// coassocMatrix.StreamSuffix.
+func (c *weightedCoassocMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	if i+1 < c.n {
-		start := vecmath.CheckedCondensedOff(i, i+1, c.n)
-		for lo := i + 1; lo < c.n; lo += coassocChunk {
-			hi := min(lo+coassocChunk, c.n)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[start+j-i-1])
-			}
-			fn(lo, buf[:hi-lo])
+		c.suffix(i, make([]float32, min(coassocChunk, c.n-i-1)), fn)
+	}
+}
+
+// suffix streams row i's suffix through buf, mirroring
+// coassocMatrix.suffix.
+func (c *weightedCoassocMatrix) suffix(i int, buf []float32, fn func(lo int, vals []float32)) {
+	if i+1 >= c.n {
+		return
+	}
+	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
+	for lo := i + 1; lo < c.n; lo += coassocChunk {
+		hi := min(lo+coassocChunk, c.n)
+		for j := lo; j < hi; j++ {
+			buf[j-lo] = c.dist(c.votes[start+j-i-1])
 		}
+		fn(lo, buf[:hi-lo])
 	}
 }
 
