@@ -37,6 +37,13 @@ type kernelImpl struct {
 	// minWindow returns the minimum normalized window distance of s slid
 	// over t (0 < |s| < |t|), equivalent to minWindowScalar.
 	minWindow func(s, t View) float64
+	// minWindowLanes fills out[j] with the minimum raw window sum
+	// between s and ts[j] for a run of partners of one length other
+	// than len(s), bit-identical to the scalar kernel's minWindowLanes
+	// in kernel.go. Optional (nil → per-pair minWindow calls); only
+	// exact kernels provide it, since the float32 kernels confirm
+	// their windows one pair at a time.
+	minWindowLanes func(s View, ts []View, out []float64)
 	// available reports whether this kernel can run on this machine.
 	// nil means always available.
 	available func() bool
@@ -51,10 +58,11 @@ type kernelImpl struct {
 var kernels = []*kernelImpl{scalarKernel}
 
 var scalarKernel = &kernelImpl{
-	name:      "scalar",
-	dist:      distScalar,
-	minWindow: minWindowScalar,
-	exact:     true,
+	name:           "scalar",
+	dist:           distScalar,
+	minWindow:      minWindowScalar,
+	minWindowLanes: minWindowLanes,
+	exact:          true,
 }
 
 // active is the kernel DissimViews dispatches through. Never nil.

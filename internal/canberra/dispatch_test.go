@@ -110,45 +110,110 @@ func TestKernelDispatchMatrix(t *testing.T) {
 	}
 }
 
-// TestDissimViewsBatch checks the batched entry point against per-pair
-// calls on a mixed-length partner list — equal-length runs take the
-// kernel's batch path, everything else the per-pair path, and both
-// must agree bit for bit with DissimViews.
+// checkBatch compares one kernel's batched entry point with per-pair
+// calls on the same inputs: exact kernels against the scalar kernel bit
+// for bit, float32 kernels (which keep the per-pair path for unequal
+// lengths) against their own per-pair results, also bit for bit.
+func checkBatch(t *testing.T, k *kernelImpl, s View, ts []View, pf float64) {
+	t.Helper()
+	oracle := k
+	if k.exact {
+		oracle = scalarKernel
+	}
+	out := make([]float64, len(ts))
+	dissimViewsBatch(k, s, ts, pf, out)
+	for i, u := range ts {
+		want := dissimViews(oracle, s, u, pf)
+		if math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("kernel %s: batch[%d] = %v, per-pair %s = %v (lens %d vs %d, pf=%v)",
+				k.name, i, out[i], oracle.name, want, len(s), len(u), pf)
+		}
+	}
+}
+
+// TestDissimViewsBatch checks the batched entry point of every kernel
+// against per-pair calls: random mixed-length partner lists (runs of
+// len(s) take the equal-length batch path, short runs of other lengths
+// the partner lanes, the rest the per-pair path), then rows aimed at
+// the lane path's edges.
 func TestDissimViewsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	randView := func(n int) View {
+	randView := func(n, mod int) View {
 		v := make(View, n)
 		for i := range v {
-			v[i] = float64(rng.Intn(256))
+			v[i] = float64(rng.Intn(mod))
 		}
 		return v
 	}
-	for trial := 0; trial < 200; trial++ {
-		ls := 1 + rng.Intn(12)
-		s := randView(ls)
-		ts := make([]View, rng.Intn(40))
+	run := func(n, l, mod int) []View {
+		ts := make([]View, n)
 		for i := range ts {
-			// Mostly equal-length (runs), sprinkled with other lengths
-			// to break the runs at random points.
-			n := ls
-			if rng.Intn(3) == 0 {
-				n = 1 + rng.Intn(20)
-			}
-			ts[i] = randView(n)
+			ts[i] = randView(l, mod)
 		}
-		out := make([]float64, len(ts))
-		DissimViewsBatch(s, ts, DefaultPenalty, out)
-		for i := range ts {
-			want := DissimViews(s, ts[i], DefaultPenalty)
-			if math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("trial %d: batch[%d] = %v, per-pair = %v (lens %d vs %d)",
-					trial, i, out[i], want, ls, len(ts[i]))
+		return ts
+	}
+	// A length-2 view and a run of partners holding it at every offset
+	// plus one that does not: the lanes keep the exactly-zero window
+	// that per-pair scans return early on.
+	zs := View{7, 9}
+	var zeroWindow []View
+	for off := 0; off < 5; off++ {
+		u := randView(6, 256)
+		u[off], u[off+1] = 7, 9
+		zeroWindow = append(zeroWindow, u)
+	}
+	zeroWindow = append(zeroWindow, randView(6, 256))
+	edges := []struct {
+		name string
+		s    View
+		ts   []View
+		pf   float64
+	}{
+		{"zero window", zs, zeroWindow, DefaultPenalty},
+		{"zero window, s longer", View{1, 7, 9, 4, 4, 4},
+			[]View{{7, 9}, {4, 4}, {8, 8}, {9, 4}, {1, 7}, {2, 2}}, DefaultPenalty},
+		{"pf > 1 saturates", randView(2, 256), run(6, 7, 256), 3},
+		{"pf > 1 below saturation", randView(3, 256), run(6, 4, 256), 1.2},
+		{"pf > 1 saturates, s longer", randView(9, 256), run(5, 3, 256), 2},
+		{"pf < 0", randView(3, 256), append(run(5, 8, 256), run(5, 2, 256)...), -0.5},
+		{"at the bound", randView(2, 256), run(7, laneMaxLen, 256), DefaultPenalty},
+		{"at the bound, s longer", randView(laneMaxLen, 256), run(7, laneMaxLen-1, 256), DefaultPenalty},
+		{"one past the bound", randView(3, 256), run(7, laneMaxLen+1, 256), DefaultPenalty},
+		{"one past the bound, s longer", randView(laneMaxLen+1, 256), run(7, 4, 256), DefaultPenalty},
+		{"empty run between runs", randView(4, 256),
+			append(append(run(5, 6, 256), run(3, 0, 256)...), run(5, 2, 256)...), DefaultPenalty},
+	}
+	for _, k := range hostKernels(t) {
+		t.Run(k.name, func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				ls := 1 + rng.Intn(14)
+				mod := 256
+				if trial%4 == 0 {
+					mod = 3
+				}
+				s := randView(ls, mod)
+				var ts []View
+				for len(ts) < 40 {
+					// Runs of one length, as the length-sorted traversal
+					// produces, sprinkled with single odd lengths.
+					l := ls
+					if rng.Intn(3) > 0 {
+						l = 1 + rng.Intn(laneMaxLen+4)
+					}
+					ts = append(ts, run(1+rng.Intn(9), l, mod)...)
+				}
+				checkBatch(t, k, s, ts, DefaultPenalty)
 			}
-		}
+			for _, e := range edges {
+				t.Run(e.name, func(t *testing.T) {
+					checkBatch(t, k, e.s, e.ts, e.pf)
+				})
+			}
+		})
 	}
 	// Empty s zero-fills the output, mirroring DissimViews.
 	out := []float64{7, 7}
-	DissimViewsBatch(nil, []View{randView(3), randView(4)}, DefaultPenalty, out)
+	DissimViewsBatch(nil, []View{randView(3, 256), randView(4, 256)}, DefaultPenalty, out)
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("empty s: out = %v, want zeros", out)
 	}

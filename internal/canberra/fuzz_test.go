@@ -120,3 +120,60 @@ func FuzzKernelCross(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDissimViewsBatchRuns drives the batched entry point with the
+// shape the matrix build feeds it: runs of at least five equal-length
+// partners, one run longer than s, one shorter and one of len(s), so
+// the four-partner lane body, its remainder and both slide directions
+// all fire. Partner bytes are cut cyclically from pool at staggered
+// offsets; a seed whose pool contains s gives exactly-zero windows.
+// Every exact kernel must match per-pair DissimViews on the scalar
+// kernel (the oracle) bit for bit.
+func FuzzDissimViewsBatchRuns(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1, 0, 9, 9, 7}, uint8(3), uint8(1), uint8(2), DefaultPenalty)
+	f.Add([]byte{7, 9}, []byte{7, 9, 7, 9, 1}, uint8(4), uint8(0), uint8(6), 0.0)
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, []byte{0}, uint8(9), uint8(4), uint8(0), 3.0)
+	f.Add([]byte{255, 1, 128, 4, 9, 9, 9, 2, 2, 2, 2, 0}, []byte{4, 9, 9, 200}, uint8(1), uint8(10), uint8(3), -0.5)
+	f.Add([]byte{5, 6, 7, 8}, []byte{1, 2, 5, 6, 7, 8, 9}, uint8(12), uint8(2), uint8(1), 1.5)
+
+	f.Fuzz(func(t *testing.T, a, pool []byte, longer, shorter, extra uint8, pf float64) {
+		if len(a) == 0 || len(pool) == 0 || math.IsNaN(pf) || math.IsInf(pf, 0) {
+			return
+		}
+		s := NewView(a[:min(len(a), laneMaxLen+2)])
+		ls := len(s)
+		// s and the longer run reach past laneMaxLen, so the per-pair
+		// fallback around the bound runs too.
+		lens := []int{ls + 1 + int(longer)%(laneMaxLen+2), ls}
+		if ls > 1 {
+			lens = append(lens, 1+int(shorter)%(ls-1))
+		}
+		n := 5 + int(extra)%8 // a full lane group, mostly with a remainder
+		var ts []View
+		at := 0
+		for r, l := range lens {
+			for p := 0; p < n; p++ {
+				b := make([]byte, l)
+				for i := range b {
+					b[i] = pool[(at+i)%len(pool)]
+				}
+				at += 1 + r
+				ts = append(ts, NewView(b))
+			}
+		}
+		out := make([]float64, len(ts))
+		for _, k := range kernels {
+			if !k.exact || (k.available != nil && !k.available()) {
+				continue
+			}
+			dissimViewsBatch(k, s, ts, pf, out)
+			for j, u := range ts {
+				want := dissimViews(scalarKernel, s, u, pf)
+				if math.Float64bits(out[j]) != math.Float64bits(want) {
+					t.Fatalf("kernel %s: batch[%d] = %v, per-pair = %v (s=%x, len(t)=%d, pf=%v)",
+						k.name, j, out[j], want, a, len(u), pf)
+				}
+			}
+		}
+	})
+}

@@ -25,7 +25,7 @@ import (
 //     noasm build tag is set) once at init, overridable with the
 //     PROTOCLUST_KERNEL environment variable or SetKernel.
 //
-// Five ideas make the kernel fast:
+// Six ideas make the kernel fast:
 //
 //  1. Precomputed float views. Interpreting a segment as a float vector
 //     costs one byte→float64 conversion per element. The reference path
@@ -53,6 +53,23 @@ import (
 //     two interleaved scalar chains here, four AVX2 (or two NEON)
 //     vector lanes in the asm kernels — and a lane past the abandon
 //     bound keeps accumulating harmlessly until every lane is past it.
+//
+//  6. Partner lanes for short mixed-length pairs. Real pools are mostly
+//     2–6 byte segments, and 79–84 % of their pairs differ in length,
+//     so a pair's sliding window is a handful of fused terms, and call,
+//     dispatch and abandon bookkeeping cost more than the arithmetic.
+//     Under the length-sorted traversal a tile row's partners come in
+//     runs of one length; DissimViewsBatch hands a run with both
+//     lengths at most laneMaxLen to minWindowLanes, which advances four
+//     partners together as independent chains (one per AVX2 lane) and
+//     scans every window in full without abandoning. Each window is
+//     still one term chain in element order, and each partner keeps
+//     its minimum raw window sum. That is bit-identical to
+//     minWindowScalar: an abandoned window is never the selected one
+//     (idea 4), and rounded division by fls is monotone, so the
+//     minimum of the rounded quotients is the rounded quotient of the
+//     minimum. The division, the blend and the clamp then run once per
+//     pair.
 
 // View is a segment's byte values precomputed as float64s, converted
 // once per unique segment instead of once per compared pair. Kernels
@@ -256,9 +273,13 @@ func dissimViews(k *kernelImpl, s, t View, pf float64) float64 {
 	if pf*(flt-fls) >= flt {
 		return 1
 	}
+	return blend(fls, flt, k.minWindow(s, t), pf)
+}
 
-	dmin := k.minWindow(s, t)
-
+// blend folds the best window's dmin and the length penalty into the
+// clamped variable-length dissimilarity. Every unequal-length path
+// calls this one function, so they share its rounding exactly.
+func blend(fls, flt, dmin, pf float64) float64 {
 	dis := (fls*dmin + (flt-fls)*pf*(1+dmin)) / flt
 	if dis > 1 {
 		dis = 1
@@ -266,15 +287,30 @@ func dissimViews(k *kernelImpl, s, t View, pf float64) float64 {
 	return dis
 }
 
+// laneMaxLen is the longest segment, on either side, that the partner
+// lanes (idea 6) serve. Lanes scan every window in full; the per-pair
+// minWindow abandons, which pays off on long windows of unlike content.
+// Measured on random content (abandoning's best case) with the bound
+// raised, the AVX2 lanes beat per-pair calls at every shape up to 8v12
+// (1.4× there, 3–4× at 2v4) and lost at 8v16 and 12v16. The scalar
+// lanes also beat the scalar per-pair path at 4v12 and 8v12
+// (BenchmarkDissimViewsBatch).
+const laneMaxLen = 12
+
 // DissimViewsBatch fills out[j] = DissimViews(s, ts[j], pf) for every
 // view in ts. The tile builders call it once per tile row instead of
-// once per pair: runs of equal-length partners (adjacent under the
-// matrix build's length-sorted traversal) flow through the kernel's
-// batched equal-length entry point, which amortizes the per-call
-// overhead that dominates short segments. out must have len(ts)
-// capacity; results are bit-identical to per-pair DissimViews calls.
+// once per pair, and the matrix build's length-sorted traversal makes
+// ts a few runs of one partner length each. A run of len(s) flows
+// through the kernel's batched equal-length entry point; a run of
+// another length, with both lengths at most laneMaxLen, through the
+// kernel's partner lanes. Everything else goes pair by pair. out must
+// have len(ts) capacity; results are bit-identical to per-pair
+// DissimViews calls.
 func DissimViewsBatch(s View, ts []View, pf float64, out []float64) {
-	k := active
+	dissimViewsBatch(active, s, ts, pf, out)
+}
+
+func dissimViewsBatch(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
 	out = out[:len(ts)]
 	if len(s) == 0 {
 		for j := range out {
@@ -283,18 +319,94 @@ func DissimViewsBatch(s View, ts []View, pf float64, out []float64) {
 		return
 	}
 	for j := 0; j < len(ts); {
-		// Extend the run of partners with the same length as s — the
-		// only shape the batched entry point handles.
-		if k.distBatch == nil || len(ts[j]) != len(s) {
-			out[j] = dissimViews(k, s, ts[j], pf)
-			j++
-			continue
-		}
+		lt := len(ts[j])
 		r := j + 1
-		for r < len(ts) && len(ts[r]) == len(s) {
+		for r < len(ts) && len(ts[r]) == lt {
 			r++
 		}
-		k.distBatch(s, ts[j:r], out[j:r])
+		switch {
+		case lt == len(s) && k.distBatch != nil:
+			k.distBatch(s, ts[j:r], out[j:r])
+		case lt != len(s) && lt > 0 && k.minWindowLanes != nil && len(s) <= laneMaxLen && lt <= laneMaxLen:
+			dissimLanes(k, s, ts[j:r], pf, out[j:r])
+		default:
+			for i := j; i < r; i++ {
+				out[i] = dissimViews(k, s, ts[i], pf)
+			}
+		}
 		j = r
+	}
+}
+
+// dissimLanes fills out[j] = DissimViews(s, ts[j], pf) for a run of
+// non-empty partners that share one length other than len(s). Rounded
+// division by fls is monotone, so dividing the minimum raw window sum
+// once gives the dmin minWindowScalar selects window by window.
+func dissimLanes(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
+	if pf < 0 {
+		pf = 0
+	}
+	fls, flt := float64(len(s)), float64(len(ts[0]))
+	if fls > flt {
+		fls, flt = flt, fls
+	}
+	if pf*(flt-fls) >= flt {
+		for j := range out {
+			out[j] = 1
+		}
+		return
+	}
+	k.minWindowLanes(s, ts, out)
+	for j, sum := range out {
+		out[j] = blend(fls, flt, min(sum/fls, 2), pf)
+	}
+}
+
+// minWindowLanes stores in out[j] the minimum raw window sum between s
+// and ts[j], sliding whichever is shorter over the other (idea 6).
+// Every ts[j] has the same length, other than len(s). Four partners
+// advance together as independent chains; each window is still one
+// term chain in element order, so every window sum carries the bits
+// abandonScalar gives it when it runs to the end.
+func minWindowLanes(s View, ts []View, out []float64) {
+	short, long := len(s), len(ts[0])
+	sStep, tStep := 0, 1 // s slides over the partners
+	if short > long {
+		short, long = long, short
+		sStep, tStep = 1, 0 // the partners slide over s
+	}
+	last := long - short
+	j := 0
+	for ; j+3 < len(ts); j += 4 {
+		t0, t1, t2, t3 := ts[j], ts[j+1], ts[j+2], ts[j+3]
+		m0, m1, m2, m3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+		for off := 0; off <= last; off++ {
+			so, to := off*sStep, off*tStep
+			x := s[so : so+short]
+			w0, w1, w2, w3 := t0[to:to+short], t1[to:to+short], t2[to:to+short], t3[to:to+short]
+			var a0, a1, a2, a3 float64
+			for i, v := range x {
+				a0 = term(a0, v, w0[i])
+				a1 = term(a1, v, w1[i])
+				a2 = term(a2, v, w2[i])
+				a3 = term(a3, v, w3[i])
+			}
+			m0, m1, m2, m3 = min(m0, a0), min(m1, a1), min(m2, a2), min(m3, a3)
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = m0, m1, m2, m3
+	}
+	for ; j < len(ts); j++ {
+		t := ts[j]
+		m := math.Inf(1)
+		for off := 0; off <= last; off++ {
+			so, to := off*sStep, off*tStep
+			x, w := s[so:so+short], t[to:to+short]
+			var a float64
+			for i, v := range x {
+				a = term(a, v, w[i])
+			}
+			m = min(m, a)
+		}
+		out[j] = m
 	}
 }

@@ -21,6 +21,9 @@ import "protoclust/internal/vecmath"
 //     carries identical bits; the batch abandons only when all four
 //     lanes have reached the bound, which by the selection-identity
 //     argument on minWindowScalar never changes which window wins.
+//   - canberraMinLanes4AVX2 runs minWindowLanes' four partner chains
+//     one per lane: every window is one chain in element order and
+//     runs to the end, and each lane keeps its minimum window sum.
 //
 // Everything is written against the 512-entry recipSum table via
 // VGATHERDPD; the table is shared read-only state, so concurrent tile
@@ -82,6 +85,41 @@ func canberraDistBatchAVX2(x *float64, n int, ys []View, out *float64, fls float
 //go:noescape
 func canberraAbandon4AVX2(s *float64, n int, t *float64, bound float64, sums *[4]float64)
 
+// canberraMinLanes4AVX2 stores in out[k] the minimum raw window sum
+// between b and ts[k] for the four partners ts[0:4] over windows
+// windows of n elements. Between windows b advances by bStep bytes and
+// every partner by tStep bytes.
+//
+//go:noescape
+func canberraMinLanes4AVX2(b *float64, bStep int, ts *View, tStep int, n, windows int, out *[4]float64)
+
+// minWindowLanesAVX2 is minWindowLanes with the four partners of a
+// step in one ymm register, one pair per lane. A short final group
+// repeats its last partner to fill the lanes and keeps only the real
+// ones.
+func minWindowLanesAVX2(s View, ts []View, out []float64) {
+	short, long := len(s), len(ts[0])
+	bStep, tStep := 0, 8 // s slides over the partners
+	if short > long {
+		short, long = long, short
+		bStep, tStep = 8, 0 // the partners slide over s
+	}
+	windows := long - short + 1
+	j := 0
+	for ; j+3 < len(ts); j += 4 {
+		canberraMinLanes4AVX2(&s[0], bStep, &ts[j], tStep, short, windows, (*[4]float64)(out[j:]))
+	}
+	if j < len(ts) {
+		var group [4]View
+		for k := range group {
+			group[k] = ts[min(j+k, len(ts)-1)]
+		}
+		var sums [4]float64
+		canberraMinLanes4AVX2(&s[0], bStep, &group[0], tStep, short, windows, &sums)
+		copy(out[j:], sums[:])
+	}
+}
+
 func distAVX2(x, y View) float64 {
 	ys := [1]View{y}
 	var out [1]float64
@@ -135,11 +173,12 @@ func minWindowAVX2(s, t View) float64 {
 
 func init() {
 	register(&kernelImpl{
-		name:      "avx2",
-		dist:      distAVX2,
-		distBatch: distBatchAVX2,
-		minWindow: minWindowAVX2,
-		available: haveAVX2,
-		exact:     true,
+		name:           "avx2",
+		dist:           distAVX2,
+		distBatch:      distBatchAVX2,
+		minWindow:      minWindowAVX2,
+		minWindowLanes: minWindowLanesAVX2,
+		available:      haveAVX2,
+		exact:          true,
 	})
 }

@@ -456,3 +456,83 @@ store:
 	VMOVUPS Y0, (AX)
 	VZEROUPPER
 	RET
+
+// func canberraMinLanes4AVX2(b *float64, bStep int, ts *View, tStep int, n, windows int, out *[4]float64)
+//
+// Partner lanes: lane k compares the broadcast view b with partner
+// ts[k] over windows consecutive windows of n elements and keeps the
+// minimum raw window sum. Between windows, b advances by bStep bytes
+// and every partner by tStep bytes — (0, 8) slides b over the
+// partners, (8, 0) slides the partners over b. Each window is one
+// accumulation chain in element order, exactly abandonScalar run to the
+// end, so every lane's minimum is a window sum the scalar kernel
+// computes bit for bit. The four partner elements of a step are
+// gathered from four independent slices (absolute addresses in Y5).
+TEXT ·canberraMinLanes4AVX2(SB), NOSPLIT, $0-56
+	MOVQ b+0(FP), SI
+	MOVQ ts+16(FP), R12
+	MOVQ n+32(FP), R11
+	MOVQ windows+40(FP), R10
+
+	LEAQ ·recipSum(SB), BX
+	XORQ R8, R8 // gather base: Y5 holds absolute addresses
+	VPCMPEQQ Y1, Y1, Y1
+	VPSRLQ $1, Y1, Y1
+	VPCMPEQD X2, X2, X2
+	VPSRLD $23, X2, X2
+
+	// Y3 = the four partner data pointers (slice header word 0).
+	MOVQ 0(R12), AX
+	VMOVQ AX, X3
+	MOVQ 24(R12), AX
+	VPINSRQ $1, AX, X3, X3
+	MOVQ 48(R12), AX
+	VMOVQ AX, X4
+	MOVQ 72(R12), AX
+	VPINSRQ $1, AX, X4, X4
+	VINSERTI128 $1, X4, Y3, Y3
+
+	MOVQ tStep+24(FP), AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13
+	MOVQ $8, AX
+	VMOVQ AX, X14
+	VPBROADCASTQ X14, Y14
+	MOVQ $0x7FF0000000000000, AX // +Inf
+	VMOVQ AX, X12
+	VPBROADCASTQ X12, Y12
+	MOVQ bStep+8(FP), R9
+
+windowloop:
+	MOVQ SI, DI
+	VMOVDQU Y3, Y5
+	VXORPD Y0, Y0, Y0
+	MOVQ R11, CX
+
+elemloop:
+	VBROADCASTSD (DI), Y4
+	VPCMPEQD Y9, Y9, Y9
+	VGATHERQPD Y9, (R8)(Y5*1), Y6
+	VSUBPD Y6, Y4, Y7
+	VANDPD Y1, Y7, Y7
+	VADDPD Y6, Y4, Y8
+	VCVTTPD2DQY Y8, X8
+	VPAND X2, X8, X8
+	VPCMPEQD Y9, Y9, Y9
+	VGATHERDPD Y9, (BX)(X8*8), Y10
+	VFMADD231PD Y10, Y7, Y0
+	ADDQ $8, DI
+	VPADDQ Y14, Y5, Y5
+	DECQ CX
+	JNE elemloop
+
+	VMINPD Y0, Y12, Y12
+	ADDQ R9, SI
+	VPADDQ Y13, Y3, Y3
+	DECQ R10
+	JNE windowloop
+
+	MOVQ out+48(FP), AX
+	VMOVUPD Y12, (AX)
+	VZEROUPPER
+	RET

@@ -94,10 +94,11 @@ func minWindowNEON(s, t View) float64 {
 
 func init() {
 	register(&kernelImpl{
-		name:      "neon",
-		dist:      distNEON,
-		distBatch: distBatchNEON,
-		minWindow: minWindowNEON,
-		exact:     true,
+		name:           "neon",
+		dist:           distNEON,
+		distBatch:      distBatchNEON,
+		minWindow:      minWindowNEON,
+		minWindowLanes: minWindowLanes,
+		exact:          true,
 	})
 }

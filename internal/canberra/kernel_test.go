@@ -1,6 +1,7 @@
 package canberra
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,6 +165,46 @@ func BenchmarkDissimilarityReference(b *testing.B) {
 			}
 			benchSink = sink
 		})
+	}
+}
+
+// BenchmarkDissimViewsBatch measures one row of 64 equal-length
+// partners on random content, the case where abandoning saves the most,
+// through the active kernel: "batch" is DissimViewsBatch (the partner
+// lanes for every shape here), "perPair" the per-pair abandoning path.
+func BenchmarkDissimViewsBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	randView := func(n int) View {
+		v := make(View, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(256))
+		}
+		return v
+	}
+	for _, sh := range [][2]int{{2, 4}, {3, 5}, {4, 6}, {2, 8}, {6, 3}, {4, 12}, {8, 12}, {laneMaxLen, 2}} {
+		s := randView(sh[0])
+		ts := make([]View, 64)
+		for i := range ts {
+			ts[i] = randView(sh[1])
+		}
+		out := make([]float64, len(ts))
+		perPair := func() {
+			for j, u := range ts {
+				out[j] = DissimViews(s, u, DefaultPenalty)
+			}
+		}
+		batch := func() { DissimViewsBatch(s, ts, DefaultPenalty, out) }
+		for _, m := range []struct {
+			name string
+			fn   func()
+		}{{"batch", batch}, {"perPair", perPair}} {
+			b.Run(fmt.Sprintf("%dv%d/%s", sh[0], sh[1], m.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/pair")
+			})
+		}
 	}
 }
 

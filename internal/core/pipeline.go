@@ -42,8 +42,13 @@ type Result struct {
 	// Config records the (final) automatic DBSCAN configuration.
 	Config AutoConfig
 	// Reconfigured reports whether the >60 %-cluster guard re-ran the ε
-	// selection (Section III-E).
+	// selection (Section III-E) and adopted the re-run.
 	Reconfigured bool
+	// GuardNote says why a guard that fired kept the first-pass ε:
+	// "no smaller ε", or "re-run failed: " and the re-run's error. It
+	// is empty when the guard did not fire or Reconfigured is set.
+	// Diagnostics only: no report or service body carries it.
+	GuardNote string
 	// MergedFrom and SplitInto record how many raw DBSCAN clusters went
 	// into refinement and how many came out, for diagnostics.
 	MergedFrom int
@@ -161,23 +166,19 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	// multiple knees; repeat the whole auto-configuration once on the
 	// population trimmed below the detected knee (Ê'_k) and recluster
 	// with the new, smaller ε.
-	reconfigured := false
+	reconfigured, guardNote := false, ""
 	if p.FixedEpsilon <= 0 {
 		if share, _ := res.LargestClusterShare(); share > p.LargeClusterShare {
-			cfg2, err2 := configure(ctx, m, table, p, cfg.Epsilon)
-			// A re-run that finds no smaller ε keeps the first one, but a
-			// cancelled one must not pass the first-pass labels off as
-			// the result.
-			if errors.Is(err2, context.Canceled) || errors.Is(err2, context.DeadlineExceeded) {
-				return nil, err2
+			cfg2, res2, note, err := largeClusterGuard(cfg.Epsilon,
+				func(cut float64) (*AutoConfig, error) { return configure(ctx, m, table, p, cut) },
+				func(c *AutoConfig) (*dbscan.Result, error) { return runClusterer(m, c.Epsilon, c.MinSamples, p) })
+			if err != nil {
+				return nil, err
 			}
-			if err2 == nil && cfg2.Epsilon < cfg.Epsilon {
-				if res2, err3 := runClusterer(m, cfg2.Epsilon, cfg2.MinSamples, p); err3 == nil {
-					cfg = cfg2
-					res = res2
-					reconfigured = true
-				}
+			if cfg2 != nil {
+				cfg, res, reconfigured = cfg2, res2, true
 			}
+			guardNote = note
 		}
 	}
 
@@ -200,6 +201,7 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 		Matrix:       m,
 		Config:       *cfg,
 		Reconfigured: reconfigured,
+		GuardNote:    guardNote,
 		Excluded:     pool.Excluded,
 		MergedFrom:   len(rawClusters),
 	}
@@ -214,6 +216,34 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 		out.Noise = append(out.Noise, pool.Occurrences[idx]...)
 	}
 	return out, nil
+}
+
+// largeClusterGuard is the re-run of the 60 % guard, given the first
+// pass's ε: reconfigure repeats the auto-configuration on the k-NN
+// distances below a cut, recluster clusters with a configuration. It
+// returns the re-run's configuration and clustering when they replace
+// the first pass, and otherwise a note saying why the first pass
+// stands. A cancelled re-run is an error: passing the first-pass
+// labels off as the result would hide it.
+func largeClusterGuard(eps float64,
+	reconfigure func(cut float64) (*AutoConfig, error),
+	recluster func(*AutoConfig) (*dbscan.Result, error),
+) (*AutoConfig, *dbscan.Result, string, error) {
+	cfg, err := reconfigure(eps)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return nil, nil, "", err
+	}
+	if err != nil {
+		return nil, nil, fmt.Sprintf("re-run failed: %v", err), nil
+	}
+	if !(cfg.Epsilon < eps) {
+		return nil, nil, "no smaller ε", nil
+	}
+	res, err := recluster(cfg)
+	if err != nil {
+		return nil, nil, fmt.Sprintf("re-run failed: %v", err), nil
+	}
+	return cfg, res, "", nil
 }
 
 // CoveredBytes returns the number of message bytes the analysis can make

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
 	"protoclust/internal/netmsg"
 	"protoclust/internal/vecmath"
@@ -472,5 +474,112 @@ func TestClusterPoolCancelledAtEveryCheckpoint(t *testing.T) {
 				got.Config.Epsilon, got.Reconfigured, want.Config.Epsilon, want.Reconfigured)
 		}
 		break
+	}
+}
+
+// TestLargeClusterGuardOutcomes forces every branch of the 60 % guard's
+// re-run: adopted, no smaller ε, a failed auto-configuration, a failed
+// clustering, and cancellation, which alone fails the run.
+func TestLargeClusterGuardOutcomes(t *testing.T) {
+	const first = 0.3
+	rerun := &dbscan.Result{NumClusters: 2}
+	configured := func(eps float64, err error) func(float64) (*AutoConfig, error) {
+		return func(cut float64) (*AutoConfig, error) {
+			if cut != first {
+				t.Fatalf("re-run cut = %v, want the first-pass ε %v", cut, first)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &AutoConfig{Epsilon: eps, MinSamples: 3}, nil
+		}
+	}
+	clustered := func(err error) func(*AutoConfig) (*dbscan.Result, error) {
+		return func(*AutoConfig) (*dbscan.Result, error) {
+			if err != nil {
+				return nil, err
+			}
+			return rerun, nil
+		}
+	}
+	unreached := func(*AutoConfig) (*dbscan.Result, error) {
+		t.Fatal("reclustered without a smaller ε")
+		return nil, nil
+	}
+	for _, tc := range []struct {
+		name        string
+		reconfigure func(float64) (*AutoConfig, error)
+		recluster   func(*AutoConfig) (*dbscan.Result, error)
+		adopted     bool
+		note        string
+		err         error
+	}{
+		{"adopted", configured(0.2, nil), clustered(nil), true, "", nil},
+		{"no smaller ε", configured(first, nil), unreached, false, "no smaller ε", nil},
+		{"larger ε", configured(0.4, nil), unreached, false, "no smaller ε", nil},
+		{"auto-configuration failed", configured(0, ErrTooFewSegments), unreached, false,
+			"re-run failed: " + ErrTooFewSegments.Error(), nil},
+		{"clustering failed", configured(0.2, nil), clustered(dbscan.ErrBadEps), false,
+			"re-run failed: " + dbscan.ErrBadEps.Error(), nil},
+		{"cancelled", configured(0, fmt.Errorf("core: auto-configuration: %w", context.Canceled)), unreached, false,
+			"", context.Canceled},
+		{"deadline", configured(0, fmt.Errorf("core: auto-configuration: %w", context.DeadlineExceeded)), unreached, false,
+			"", context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, res, note, err := largeClusterGuard(first, tc.reconfigure, tc.recluster)
+			if !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			if (cfg != nil) != tc.adopted || (res == rerun) != tc.adopted {
+				t.Fatalf("cfg = %v, res = %v, want adopted = %v", cfg, res, tc.adopted)
+			}
+			if note != tc.note {
+				t.Fatalf("note = %q, want %q", note, tc.note)
+			}
+		})
+	}
+}
+
+// TestGuardNoteOnPipeline checks Result.GuardNote end to end: empty
+// when the guard's re-run is adopted and when the guard stays quiet,
+// and set when the re-run fails.
+func TestGuardNoteOnPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var values [][]byte
+	for i := 0; i < 50; i++ {
+		values = append(values, []byte{0x08, byte(rng.Intn(4)), 0x08, byte(rng.Intn(4))})
+		values = append(values, []byte{0x70, byte(0x70 + rng.Intn(4)), 0x77, byte(rng.Intn(4))})
+		values = append(values, []byte{0xe8, byte(0xe8 + rng.Intn(4)), 0xef, byte(0xe8 + rng.Intn(4))})
+	}
+	pool, m := poolFromValues(t, values)
+	p := DefaultParams()
+	p.LargeClusterShare = 0 // every clustering triggers the guard
+	res, err := ClusterPool(pool, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reconfigured || res.GuardNote != "" {
+		t.Fatalf("forced guard: reconfigured %v, note %q; want an adopted re-run", res.Reconfigured, res.GuardNote)
+	}
+	p.LargeClusterShare = 1 // no cluster holds more than every segment
+	res, err = ClusterPool(pool, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconfigured || res.GuardNote != "" {
+		t.Fatalf("quiet guard: reconfigured %v, note %q", res.Reconfigured, res.GuardNote)
+	}
+	// ε at the bottom quantile of the k-NN distances leaves the re-run
+	// no distance below its cut, so its auto-configuration fails.
+	p.LargeClusterShare = -1 // fires even when every segment is noise
+	p.EpsQuantile = 1e-9
+	res, err = ClusterPool(pool, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "re-run failed: "; res.Reconfigured || !strings.HasPrefix(res.GuardNote, want) ||
+		!strings.Contains(res.GuardNote, ErrTooFewSegments.Error()) {
+		t.Fatalf("failed re-run: reconfigured %v, note %q; want %q and %v", res.Reconfigured, res.GuardNote, want, ErrTooFewSegments)
 	}
 }

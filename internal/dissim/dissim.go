@@ -373,7 +373,7 @@ func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty
 		go func() {
 			defer wg.Done()
 			// Per-worker scratch for the batched kernel entry point: one
-			// tile row of partner views and distances at a time.
+			// tile's partner views and one row of distances at a time.
 			ts := make([]canberra.View, 0, tileSize)
 			out := make([]float64, tileSize)
 			for {
@@ -390,7 +390,20 @@ func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty
 				}
 				bi, bj := tiles[t][0], tiles[t][1]
 				aHi := min((bi+1)*tileSize, n)
-				bHi := min((bj+1)*tileSize, n)
+				bLo, bHi := bj*tileSize, min((bj+1)*tileSize, n)
+				// Gather the tile's partner views once; every row of the
+				// tile reads them (a diagonal row reads the suffix past
+				// its own column).
+				ts = ts[:0]
+				for b := bLo; b < bHi; b++ {
+					j := order[b]
+					vj := views[j]
+					if len(vj) == 0 {
+						fail(fmt.Errorf("dissim: segment %d: %w", j, canberra.ErrEmpty))
+						return
+					}
+					ts = append(ts, vj)
+				}
 				for a := bi * tileSize; a < aHi; a++ {
 					i := order[a]
 					vi := views[i]
@@ -398,26 +411,18 @@ func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty
 						fail(fmt.Errorf("dissim: segment %d: %w", i, canberra.ErrEmpty))
 						return
 					}
-					bLo := bj * tileSize
+					lo, cols := bLo, ts
 					if bi == bj {
-						bLo = a + 1
+						lo, cols = a+1, ts[a+1-bLo:]
 					}
-					ts = ts[:0]
-					for b := bLo; b < bHi; b++ {
-						j := order[b]
-						vj := views[j]
-						if len(vj) == 0 {
-							fail(fmt.Errorf("dissim: segment %d: %w", j, canberra.ErrEmpty))
-							return
-						}
-						ts = append(ts, vj)
-					}
-					// The length-sorted traversal makes this row a run of
-					// few distinct lengths, so the batch call spends almost
-					// all pairs in the kernel's equal-length batch path.
-					canberra.DissimViewsBatch(vi, ts, penalty, out[:len(ts)])
-					for k, d := range out[:len(ts)] {
-						st.Set(i, order[bLo+k], d)
+					// The length-sorted traversal makes cols a few runs of
+					// one length each: runs of len(vi) take the kernel's
+					// equal-length batch path, short runs of other lengths
+					// its partner lanes (see canberra.DissimViewsBatch).
+					row := out[:len(cols)]
+					canberra.DissimViewsBatch(vi, cols, penalty, row)
+					for k, d := range row {
+						st.Set(i, order[lo+k], d)
 					}
 				}
 			}

@@ -456,9 +456,11 @@ func ComputeTile(views []canberra.View, penalty float64, tileSize, bi, bj int) [
 	dim := func(b int) int { return min(tileSize, n-b*tileSize) }
 	r, c := dim(bi), dim(bj)
 	data := make([]float32, r*c)
-	// One tile row per batch call: the kernel detects equal-length runs
-	// among the partner views and serves them through its vectorized
-	// batch path.
+	// One tile row per batch call: the kernel splits the partner views
+	// into runs of one length and serves runs of the row's length
+	// through its equal-length batch path and short runs of other
+	// lengths through its partner lanes. Views here are in pool order,
+	// not length-sorted, so runs are shorter than in the eager build.
 	out := make([]float64, c)
 	// Block bases and row offsets are hoisted out of the index
 	// expressions: every product is bounded by len(views) or by
