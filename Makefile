@@ -53,9 +53,14 @@ test-service:
 
 # Differential tests of the production pipeline against the
 # obviously-correct reference implementations in internal/oracle, under
-# the race detector. See docs/testing.md.
+# the race detector. See docs/testing.md. The DBSCAN walk and the matrix
+# fill split their work by GOMAXPROCS, so their packages run again at
+# one core and at an odd count unlike the runner's (-count=1: the test
+# cache does not key on GOMAXPROCS).
 test-oracle:
 	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/ecdf/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
+	GOMAXPROCS=5 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
 
 # Golden-trace regression check: re-run the pipeline on the seeded
 # trace set and compare ε, k, cluster counts, and quality metrics

@@ -194,8 +194,8 @@ func TestDissimViewsBatch(t *testing.T) {
 				s := randView(ls, mod)
 				var ts []View
 				for len(ts) < 40 {
-					// Runs of one length, as the length-sorted traversal
-					// produces, sprinkled with single odd lengths.
+					// Runs of one length, as a LengthBlock produces,
+					// sprinkled with single odd lengths.
 					l := ls
 					if rng.Intn(3) > 0 {
 						l = 1 + rng.Intn(laneMaxLen+4)

@@ -1,7 +1,9 @@
 package canberra
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"protoclust/internal/vecmath"
 )
@@ -58,8 +60,8 @@ import (
 //     2–6 byte segments, and 79–84 % of their pairs differ in length,
 //     so a pair's sliding window is a handful of fused terms, and call,
 //     dispatch and abandon bookkeeping cost more than the arithmetic.
-//     Under the length-sorted traversal a tile row's partners come in
-//     runs of one length; DissimViewsBatch hands a run with both
+//     With each tile block visited as a LengthBlock, a tile row's
+//     partners come in runs of one length; DissimViewsBatch hands a run with both
 //     lengths at most laneMaxLen to minWindowLanes, which advances four
 //     partners together as independent chains (one per AVX2 lane) and
 //     scans every window in full without abandoning. Each window is
@@ -299,7 +301,7 @@ const laneMaxLen = 12
 
 // DissimViewsBatch fills out[j] = DissimViews(s, ts[j], pf) for every
 // view in ts. The tile builders call it once per tile row instead of
-// once per pair, and the matrix build's length-sorted traversal makes
+// once per pair, with each block in a LengthBlock's order, which makes
 // ts a few runs of one partner length each. A run of len(s) flows
 // through the kernel's batched equal-length entry point; a run of
 // another length, with both lengths at most laneMaxLen, through the
@@ -308,6 +310,61 @@ const laneMaxLen = 12
 // DissimViews calls.
 func DissimViewsBatch(s View, ts []View, pf float64, out []float64) {
 	dissimViewsBatch(active, s, ts, pf, out)
+}
+
+// LengthBlock is a block of pool indices in the order the tile builders
+// visit it: stably sorted by view length, so the partners of one
+// DissimViewsBatch call arrive as one run per distinct length while the
+// results still belong to their pool indices. The eager matrix fill, the
+// tiled backend and the shard workers all build their tiles from it.
+type LengthBlock struct {
+	// Idx holds the block's pool indices, stably sorted by view length:
+	// ascending within each run of one length.
+	Idx []int
+	// Views holds the views of Idx, in the same order.
+	Views []View
+	lo    int   // the block's smallest pool index
+	ends  []int // ends[r] is the end of run r in Idx
+}
+
+// NewLengthBlock builds the block of pool indices lo, lo+1, …, hi−1.
+func NewLengthBlock(views []View, lo, hi int) LengthBlock {
+	b := LengthBlock{Idx: make([]int, hi-lo), Views: make([]View, hi-lo), lo: lo}
+	for k := range b.Idx {
+		b.Idx[k] = lo + k
+	}
+	slices.SortStableFunc(b.Idx, func(x, y int) int {
+		return cmp.Compare(len(views[x]), len(views[y]))
+	})
+	for k, j := range b.Idx {
+		b.Views[k] = views[j]
+		if k > 0 && len(views[j]) != len(b.Views[k-1]) {
+			b.ends = append(b.ends, k)
+		}
+	}
+	if hi > lo {
+		b.ends = append(b.ends, hi-lo)
+	}
+	return b
+}
+
+// Batch fills out[k] = DissimViews(s, b.Views[k], pf) for every k with
+// b.Idx[k] > after, and leaves the other entries of out as they are.
+// out must have len(b.Idx) capacity. A row of the upper triangle passes
+// its own index as after: Idx is ascending within a run, so the
+// partners past the diagonal are a suffix of each run, found by binary
+// search instead of a filtered copy of the views.
+func (b *LengthBlock) Batch(s View, after int, pf float64, out []float64) {
+	if after < b.lo {
+		DissimViewsBatch(s, b.Views, pf, out)
+		return
+	}
+	start := 0
+	for _, end := range b.ends {
+		k, _ := slices.BinarySearch(b.Idx[start:end], after+1)
+		DissimViewsBatch(s, b.Views[start+k:end], pf, out[start+k:end])
+		start = end
+	}
 }
 
 func dissimViewsBatch(k *kernelImpl, s View, ts []View, pf float64, out []float64) {

@@ -65,6 +65,56 @@ func TestDissimViewsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLengthBlockBatch pins the block the tile builders share: Idx is
+// the block's indices stably sorted by length, Views follows it, and
+// Batch computes exactly the partners past after, bit for bit equal to
+// per-pair DissimViews, leaving the other entries of out untouched.
+func TestLengthBlockBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	views := make([]View, 90)
+	for i := range views {
+		b := make([]byte, []int{2, 3, 4, 6, 9, 13, 20}[rng.Intn(7)])
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+		}
+		views[i] = NewView(b)
+	}
+	const lo, hi = 20, 70
+	blk := NewLengthBlock(views, lo, hi)
+	if len(blk.Idx) != hi-lo || len(blk.Views) != hi-lo {
+		t.Fatalf("block holds %d indices and %d views, want %d", len(blk.Idx), len(blk.Views), hi-lo)
+	}
+	for k, j := range blk.Idx {
+		if &blk.Views[k][0] != &views[j][0] {
+			t.Fatalf("Views[%d] is not the view of Idx[%d] = %d", k, k, j)
+		}
+		if k > 0 {
+			p := blk.Idx[k-1]
+			if len(views[p]) > len(views[j]) || (len(views[p]) == len(views[j]) && p > j) {
+				t.Fatalf("Idx[%d..%d] = %d, %d is not a stable sort by length", k-1, k, p, j)
+			}
+		}
+	}
+	for _, after := range []int{-1, lo - 1, lo, 33, 45, hi - 2, hi - 1} {
+		out := make([]float64, hi-lo)
+		for k := range out {
+			out[k] = math.NaN()
+		}
+		blk.Batch(views[5], after, DefaultPenalty, out)
+		for k, j := range blk.Idx {
+			if j <= after {
+				if !math.IsNaN(out[k]) {
+					t.Fatalf("after %d: out[%d] (index %d) was written", after, k, j)
+				}
+				continue
+			}
+			if want := DissimViews(views[5], views[j], DefaultPenalty); math.Float64bits(out[k]) != math.Float64bits(want) {
+				t.Fatalf("after %d: out[%d] (index %d) = %v, DissimViews %v", after, k, j, out[k], want)
+			}
+		}
+	}
+}
+
 func TestDissimViewsContract(t *testing.T) {
 	s := NewView([]byte{5, 6, 7})
 	u := NewView([]byte{1, 2, 5, 6, 7, 9})

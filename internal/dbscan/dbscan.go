@@ -9,13 +9,26 @@
 //
 // Cluster does not expand clusters breadth-first. It finds them as the
 // connected components of the core points, in three passes over the
-// row suffixes in storage order (SuffixStreamer) and O(n) memory:
+// row suffixes in storage order (SuffixStreamer) and O(n) memory per
+// worker:
 //
 //  1. ε-degrees, self included, mark the core points.
 //  2. Union-find over the core–core ε-pairs joins them into components,
 //     numbered by their smallest core index.
 //  3. Each non-core point takes the smallest id among the components of
-//     its ε-adjacent core points, or stays Noise.
+//     its ε-adjacent core points, or stays Noise. One walk serves both
+//     directions: core rows offer their id to the candidate columns,
+//     and candidate rows take the smallest id among their core columns.
+//
+// Each pass is one banded walk: the rows are cut into bands of about
+// equal pair counts, which up to GOMAXPROCS workers, the calling
+// goroutine among them, claim dynamically. Every worker keeps its own
+// accumulator — ε-degree counts, a union-find forest, border proposals —
+// and the merge is exact (counts summed, forests joined by
+// smaller-root-wins unions, proposals by min), so the labels do not
+// depend on the split. Small matrices run inline on the calling
+// goroutine, and a Matrix without SuffixStreamer is read through Dist
+// there.
 //
 // The labels equal those of the textbook expansion seeded in index
 // order. That expansion starts each cluster at the smallest-index core
@@ -29,6 +42,11 @@ package dbscan
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"protoclust/internal/vecmath"
 )
 
 // Noise is the label assigned to points that belong to no cluster.
@@ -61,7 +79,8 @@ var (
 // Cluster runs DBSCAN with radius eps and density threshold minPts
 // (minimum neighborhood size, including the point itself, for a point to
 // be a core point). The clustering is deterministic and label-identical
-// to the expansion seeded in index order (see the package doc).
+// to the expansion seeded in index order (see the package doc), however
+// many workers the walk runs on.
 func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	n := m.Len()
 	if n == 0 {
@@ -75,7 +94,21 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadMinPts, minPts)
 	}
+	if s, ok := m.(SuffixStreamer); ok {
+		workers := runtime.GOMAXPROCS(0)
+		if vecmath.CheckedTriNum(n) < inlinePairs {
+			workers = 1
+		}
+		return cluster(newWalk(n, s.StreamSuffix, workers, bandPairs), eps, minPts), nil
+	}
+	// Nothing says a plain Matrix (a test fake) is safe for concurrent
+	// use, so it is read through Dist on the calling goroutine alone.
+	return cluster(newWalk(n, distSuffix(m), 1, bandPairs), eps, minPts), nil
+}
 
+// cluster runs the three passes of the package doc on one banded walk.
+func cluster[T float32 | float64](w *walk[T], eps float64, minPts int) *Result {
+	n := w.n
 	// Pass 1: ε-degrees. Every point is its own neighbor (Dist(i, i) =
 	// 0 ≤ eps), so minPts = 1 makes every point core without a pass.
 	core := make([]bool, n)
@@ -86,7 +119,7 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 			core[i] = true
 		}
 	} else {
-		for i, d := range epsDegrees(m, eps) {
+		for i, d := range w.degrees(eps) {
 			core[i] = d+1 >= minPts
 			cand[i] = !core[i] && d > 0
 			borders = borders || cand[i]
@@ -95,79 +128,106 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 
 	// Pass 2: union-find over core–core ε-pairs. Every root is the
 	// smallest index of its component, so numbering roots in index
-	// order numbers clusters by their smallest core point. The walk
-	// keeps row i's root in ri, so each pair costs one find.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	ri, row := 0, -1
-	eachEpsPair(m, eps, core, core, func(i, j int) {
-		if i != row {
-			ri, row = find(i), i
-		}
-		switch rj := find(j); {
-		case rj < ri:
-			parent[ri], ri = rj, rj
-		case ri < rj:
-			parent[rj] = ri
-		}
-	})
+	// order numbers clusters by their smallest core point.
+	parent := w.components(eps, core)
 	labels := make([]int, n)
 	clusters := 0
 	for p := range labels {
 		switch {
 		case !core[p]:
 			labels[p] = Noise
-		case find(p) == p:
+		case find(parent, p) == p:
 			labels[p] = clusters
 			clusters++
 		default:
-			labels[p] = labels[find(p)] // the root precedes p
+			labels[p] = labels[find(parent, p)] // the root precedes p
 		}
 	}
 
 	// Pass 3: each border candidate joins the smallest cluster among its
-	// ε-adjacent core points, whether they precede it (core rows) or
-	// follow it (its own row).
+	// ε-adjacent core points.
 	if borders && clusters > 0 {
-		join := func(b, c int) {
-			if id := labels[c]; labels[b] == Noise || id < labels[b] {
-				labels[b] = id
-			}
-		}
-		eachEpsPair(m, eps, core, cand, func(i, j int) { join(j, i) })
-		eachEpsPair(m, eps, cand, core, func(i, j int) { join(i, j) })
+		w.borders(eps, core, cand, labels)
 	}
-
-	return &Result{Labels: labels, NumClusters: clusters}, nil
+	return &Result{Labels: labels, NumClusters: clusters}
 }
 
-// epsDegrees returns every point's number of ε-neighbors, itself
-// excluded. Pass 1 is the one pass without a row or column filter, so
-// on a streaming matrix its count runs inline in the span loop instead
-// of through a call per ε-pair.
-func epsDegrees(m Matrix, eps float64) []int {
-	n := m.Len()
-	deg := make([]int, n)
-	s, streams := m.(SuffixStreamer)
-	if !streams {
-		eachEpsPair(m, eps, nil, nil, func(i, j int) {
-			deg[i]++
-			deg[j]++
-		})
-		return deg
+// bandPairs is the pair count at which the walk closes a band of rows:
+// small enough that a band takes well under a millisecond, so a
+// preempted worker cannot hold up the end of a pass, and large enough
+// that claiming bands costs nothing next to reading them.
+const bandPairs = 1 << 15
+
+// inlinePairs is the triangle size below which the walk runs on the
+// calling goroutine alone: starting workers costs more than they save.
+const inlinePairs = 1 << 16
+
+// walk is the banded suffix walk every pass of Cluster runs on. Rows
+// are cut into bands of about equal pair counts, which up to workers
+// goroutines, the calling one included, claim dynamically. Each pass
+// keeps one accumulator per worker and merges them exactly, so the
+// result does not depend on which worker read which band.
+type walk[T float32 | float64] struct {
+	n       int
+	stream  func(i int, fn func(lo int, vals []T))
+	bands   []int // band b holds rows [bands[b], bands[b+1])
+	workers int
+}
+
+// newWalk cuts n rows into bands of about band pairs each for up to
+// workers goroutines; one worker walks all rows as a single band.
+func newWalk[T float32 | float64](n int, stream func(i int, fn func(lo int, vals []T)), workers, band int) *walk[T] {
+	w := &walk[T]{n: n, stream: stream, bands: []int{0}}
+	if workers > 1 {
+		acc := 0
+		for i := 0; i < n-1; i++ {
+			if acc += n - 1 - i; acc >= band {
+				w.bands = append(w.bands, i+1)
+				acc = 0
+			}
+		}
 	}
-	for i := 0; i < n-1; i++ {
-		cnt := 0
-		s.StreamSuffix(i, func(lo int, vals []float32) {
+	if w.bands[len(w.bands)-1] != n {
+		w.bands = append(w.bands, n)
+	}
+	w.workers = max(1, min(workers, len(w.bands)-1))
+	return w
+}
+
+// run calls visit(k, lo, hi) once for every band [lo, hi), where k in
+// [0, workers) names the goroutine visiting it (0 is the caller): each
+// k is used by one goroutine only, so visit may keep per-worker state
+// indexed by k without locking.
+func (w *walk[T]) run(visit func(k, lo, hi int)) {
+	nb := len(w.bands) - 1
+	var next atomic.Int64
+	claim := func(k int) {
+		for b := int(next.Add(1) - 1); b < nb; b = int(next.Add(1) - 1) {
+			visit(k, w.bands[b], w.bands[b+1])
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < w.workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim(k)
+		}()
+	}
+	claim(0)
+	wg.Wait()
+}
+
+// degrees returns every point's number of ε-neighbors, itself
+// excluded: per-worker counts, summed.
+func (w *walk[T]) degrees(eps float64) []int {
+	degs := make([][]int, w.workers)
+	w.run(func(k, lo, hi int) {
+		if degs[k] == nil {
+			degs[k] = make([]int, w.n)
+		}
+		deg, cnt := degs[k], 0
+		count := func(lo int, vals []T) {
 			ds := deg[lo : lo+len(vals)]
 			for o, d := range vals {
 				if float64(d) <= eps {
@@ -175,42 +235,165 @@ func epsDegrees(m Matrix, eps float64) []int {
 					cnt++
 				}
 			}
-		})
-		deg[i] += cnt
+		}
+		for i := lo; i < hi; i++ {
+			cnt = 0
+			w.stream(i, count)
+			deg[i] += cnt
+		}
+	})
+	var sum []int
+	for _, deg := range degs {
+		switch {
+		case deg == nil:
+		case sum == nil:
+			sum = deg
+		default:
+			for i, d := range deg {
+				sum[i] += d
+			}
+		}
 	}
-	return deg
+	return sum
 }
 
-// eachEpsPair calls fn(i, j) for every pair i < j with d(i, j) ≤ eps,
-// in storage order, restricted to rows i with rows[i] and columns j
-// with cols[j] where those filters are non-nil. A streaming matrix is
-// read through StreamSuffix; any other Matrix (test fakes) through
-// Dist, whose float64 values it compares unquantized, as the streamed
-// values compare float64(d). A branch per value is cheaper here than a
-// branch-free gather of the ε-columns: a pool is sorted by value, so a
-// row's ε-neighbors sit in runs the branch predictor follows.
-func eachEpsPair(m Matrix, eps float64, rows, cols []bool, fn func(i, j int)) {
-	n := m.Len()
-	s, streams := m.(SuffixStreamer)
-	for i := 0; i < n-1; i++ {
-		if rows != nil && !rows[i] {
-			continue
+// components returns a union-find forest over the core–core ε-pairs
+// whose roots are the smallest index of each component. Every worker
+// builds its own forest from the pairs of its bands; replaying each
+// forest's edges x → parent[x], which join the same points as the
+// pairs that built it, into one forest by smaller-root-wins unions
+// yields the components of all pairs.
+func (w *walk[T]) components(eps float64, core []bool) []int {
+	forests := make([][]int, w.workers)
+	w.run(func(k, lo, hi int) {
+		if forests[k] == nil {
+			forests[k] = identity(w.n)
 		}
-		if !streams {
-			for j := i + 1; j < n; j++ {
-				if (cols == nil || cols[j]) && m.Dist(i, j) <= eps {
-					fn(i, j)
-				}
-			}
-			continue
-		}
-		s.StreamSuffix(i, func(lo int, vals []float32) {
+		// The walk keeps row i's root in ri, so each pair costs one find.
+		parent, ri := forests[k], 0
+		join := func(lo int, vals []T) {
 			for o, d := range vals {
-				if float64(d) <= eps && (cols == nil || cols[lo+o]) {
-					fn(i, lo+o)
+				if float64(d) <= eps && core[lo+o] {
+					switch rj := find(parent, lo+o); {
+					case rj < ri:
+						parent[ri], ri = rj, rj
+					case ri < rj:
+						parent[rj] = ri
+					}
 				}
 			}
-		})
+		}
+		for i := lo; i < hi; i++ {
+			if core[i] {
+				ri = find(parent, i)
+				w.stream(i, join)
+			}
+		}
+	})
+	var merged []int
+	for _, parent := range forests {
+		switch {
+		case parent == nil:
+		case merged == nil:
+			merged = parent
+		default:
+			for x, p := range parent {
+				if p == x {
+					continue
+				}
+				switch rx, rp := find(merged, x), find(merged, p); {
+				case rx < rp:
+					merged[rp] = rx
+				case rp < rx:
+					merged[rx] = rp
+				}
+			}
+		}
+	}
+	return merged
+}
+
+// identity returns the forest of n singleton sets.
+func identity(n int) []int {
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	return parent
+}
+
+// find returns x's root, halving the path on the way.
+func find(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// borders gives each border candidate the smallest cluster id among its
+// ε-adjacent core points, in one walk: a core row offers its id to the
+// candidates among its columns, and a candidate row takes the smallest
+// id among its core columns. Per-worker proposals are merged by min.
+func (w *walk[T]) borders(eps float64, core, cand []bool, labels []int) {
+	props := make([][]int, w.workers)
+	w.run(func(k, lo, hi int) {
+		if props[k] == nil {
+			props[k] = make([]int, w.n)
+			for b := range props[k] {
+				props[k][b] = Noise
+			}
+		}
+		prop, id := props[k], 0
+		offer := func(lo int, vals []T) {
+			for o, d := range vals {
+				if b := lo + o; float64(d) <= eps && cand[b] && (prop[b] == Noise || id < prop[b]) {
+					prop[b] = id
+				}
+			}
+		}
+		take := func(lo int, vals []T) {
+			for o, d := range vals {
+				if c := lo + o; float64(d) <= eps && core[c] && (id == Noise || labels[c] < id) {
+					id = labels[c]
+				}
+			}
+		}
+		for i := lo; i < hi; i++ {
+			switch {
+			case core[i]:
+				id = labels[i]
+				w.stream(i, offer)
+			case cand[i]:
+				id = prop[i]
+				w.stream(i, take)
+				prop[i] = id
+			}
+		}
+	})
+	for _, prop := range props {
+		for b, id := range prop {
+			if id != Noise && (labels[b] == Noise || id < labels[b]) {
+				labels[b] = id
+			}
+		}
+	}
+}
+
+// distSuffix streams a plain Matrix's row suffixes through Dist, in
+// float64 chunks, so its values compare against ε unquantized. The
+// chunk buffer is shared, so the stream serves one goroutine.
+func distSuffix(m Matrix) func(i int, fn func(lo int, vals []float64)) {
+	n := m.Len()
+	buf := make([]float64, min(n, 256))
+	return func(i int, fn func(lo int, vals []float64)) {
+		for lo := i + 1; lo < n; lo += len(buf) {
+			hi := min(lo+len(buf), n)
+			for j := lo; j < hi; j++ {
+				buf[j-lo] = m.Dist(i, j)
+			}
+			fn(lo, buf[:hi-lo])
+		}
 	}
 }
 
@@ -297,6 +480,26 @@ func (d *DenseMatrix) Set(i, j int, v float64) {
 	ri, rj := i*d.n, j*d.n
 	d.data[ri+j] = q
 	d.data[rj+i] = q
+}
+
+// SetSpan stores row i's span of the upper triangle and its mirror:
+// vals[o] becomes the dissimilarity of (i, lo+o) and (lo+o, i), under
+// the same contract as CondensedMatrix.SetSpan. Row i takes one copy;
+// the mirror walks the columns.
+func (d *DenseMatrix) SetSpan(i, lo int, vals []float32) {
+	if len(vals) == 0 {
+		return
+	}
+	if uint(i) >= uint(lo) || uint(lo+len(vals)) > uint(d.n) {
+		panic(pairOutOfRange{i, lo + len(vals) - 1, d.n})
+	}
+	row := i * d.n
+	copy(d.data[row+lo:row+lo+len(vals)], vals)
+	m := lo*d.n + i // mirror cell (lo, i), stride n
+	for _, v := range vals {
+		d.data[m] = v
+		m += d.n
+	}
 }
 
 // Row returns row i as a raw float32 slice, aliasing the matrix storage.

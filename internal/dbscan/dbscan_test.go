@@ -204,6 +204,43 @@ func TestCondensedPairOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// TestSetSpan pins the row-span writes of both resident backends: a
+// span lands at (i, lo…), the dense one also at its mirror, and a span
+// that starts on or before the diagonal or runs past n panics instead
+// of writing into a neighbouring row.
+func TestSetSpan(t *testing.T) {
+	dense, err := NewDenseMatrix(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := NewCondensedMatrix(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]interface {
+		Matrix
+		SetSpan(i, lo int, vals []float32)
+	}{"dense": dense, "condensed": cond} {
+		m.SetSpan(1, 2, []float32{0.25, 0.5})
+		m.SetSpan(3, 4, nil) // the last row's empty suffix
+		for _, c := range [][3]float64{{1, 2, 0.25}, {2, 1, 0.25}, {1, 3, 0.5}, {3, 1, 0.5}, {0, 1, 0}} {
+			if got := m.Dist(int(c[0]), int(c[1])); got != c[2] {
+				t.Errorf("%s: Dist(%v, %v) = %v, want %v", name, c[0], c[1], got, c[2])
+			}
+		}
+		for _, bad := range [][3]int{{1, 1, 1}, {2, 1, 1}, {0, 2, 3}, {-1, 0, 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: SetSpan(%d, %d, %d values) did not panic", name, bad[0], bad[1], bad[2])
+					}
+				}()
+				m.SetSpan(bad[0], bad[1], make([]float32, bad[2]))
+			}()
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pts := make(pointMatrix, 100)

@@ -2,8 +2,10 @@ package dbscan_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -225,7 +227,102 @@ func TestClusterShapesOnEveryBackend(t *testing.T) {
 		for _, perm := range [][]int{identity, reversed, middle} {
 			for name, m := range backends(t, s.n, permuted(perm, s.dist)) {
 				checkAgainstOracles(t, s.name+"/"+name, m, s.eps, s.minPts)
+				checkBands(t, s.name+"/"+name, m, s.eps, s.minPts)
 			}
+		}
+	}
+}
+
+// workerCounts are the GOMAXPROCS settings the banded walk is checked
+// at: one worker, the CI runner's two, an odd split, and more workers
+// than most test matrices have rows.
+var workerCounts = []int{1, 2, 3, 8}
+
+// checkBands runs the banded walk on m at every worker count, with
+// bands of one pair, a few pairs and the whole triangle, and demands
+// the labels of the seed-queue oracle: the per-worker accumulators must
+// merge to the same result however the rows are split.
+func checkBands(t *testing.T, what string, m dbscan.Matrix, eps float64, minPts int) {
+	t.Helper()
+	want := oracle.DBSCANExpand(m.Len(), m.Dist, eps, minPts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range workerCounts {
+		runtime.GOMAXPROCS(procs)
+		for _, band := range []int{1, 5, m.Len() * m.Len()} {
+			if got := dbscan.ClusterBands(m, eps, minPts, procs, band); !slices.Equal(got.Labels, want) {
+				t.Fatalf("%s (GOMAXPROCS=%d band=%d eps=%v minPts=%d): labels %v, expansion oracle %v",
+					what, procs, band, eps, minPts, got.Labels, want)
+			}
+		}
+	}
+}
+
+// TestClusterBandedBorderMerge pins the min-merge of the border
+// proposals. Point 0 and the points from n/2 on form cluster 0, points
+// 1–10 cluster 1, and the last point is a border adjacent to point 1
+// and to point n−2 only. Their offers come from rows at opposite ends
+// of the walk, so they usually land in different workers' proposals,
+// and the border must still join cluster 0 whichever worker merges
+// first.
+func TestClusterBandedBorderMerge(t *testing.T) {
+	const n, minPts = 1000, 4
+	group := func(i int) int {
+		switch {
+		case i == 0 || (i >= n/2 && i < n-1):
+			return 0
+		case i >= 1 && i <= 10:
+			return 1
+		}
+		return -1 - i // alone
+	}
+	dist := func(i, j int) float64 {
+		lo, hi := min(i, j), max(i, j)
+		switch {
+		case lo == hi:
+			return 0
+		case hi == n-1 && (lo == 1 || lo == n-2):
+			return 0.2
+		case group(lo) == group(hi):
+			return 0.1
+		}
+		return 1
+	}
+	m := backends(t, n, dist)["condensed"]
+	want := oracle.DBSCANExpand(n, m.Dist, 0.3, minPts)
+	if want[n-1] != 0 {
+		t.Fatalf("oracle put the border in cluster %d, want 0", want[n-1])
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range workerCounts {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 10; rep++ {
+			if got := dbscan.ClusterBands(m, 0.3, minPts, procs, 1); !slices.Equal(got.Labels, want) {
+				t.Fatalf("GOMAXPROCS=%d rep %d: border in cluster %d, want 0", procs, rep, got.Labels[n-1])
+			}
+		}
+	}
+}
+
+// TestClusterBandedMatchesOracle checks the banded walk on random
+// matrices on every backend, and Cluster itself above the size where it
+// stops running inline, at every worker count.
+func TestClusterBandedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(60)
+		ref := randomMatrix(rng, n)
+		eps := 0.05 + rng.Float64()*0.8
+		minPts := 1 + rng.Intn(6)
+		for name, m := range backends(t, n, ref.Dist) {
+			checkBands(t, "random/"+name, m, eps, minPts)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range workerCounts {
+		runtime.GOMAXPROCS(procs)
+		m := randomMatrix(rng, 600)
+		for _, eps := range []float64{0.02, 0.1, 0.5} {
+			checkAgainstOracles(t, fmt.Sprintf("n=600/GOMAXPROCS=%d", procs), m, eps, 4)
 		}
 	}
 }

@@ -167,12 +167,12 @@ func (c *CondensedMatrix) off(i, j int) int {
 	return c.base[i] + j
 }
 
-// pairOutOfRange is off's panic value: a pair outside the strict upper
-// triangle of an n-point condensed matrix.
+// pairOutOfRange is the panic value of off and of the span writes: a
+// pair outside the strict upper triangle of an n-point matrix.
 type pairOutOfRange struct{ i, j, n int }
 
 func (e pairOutOfRange) Error() string {
-	return fmt.Sprintf("dbscan: condensed pair (%d,%d) out of range for n=%d", e.i, e.j, e.n)
+	return fmt.Sprintf("dbscan: pair (%d,%d) out of range for n=%d", e.i, e.j, e.n)
 }
 
 // Dist returns the stored dissimilarity between i and j.
@@ -196,6 +196,20 @@ func (c *CondensedMatrix) Set(i, j int, v float64) {
 		i, j = j, i
 	}
 	c.data[c.off(i, j)] = Quantize(v)
+}
+
+// SetSpan stores row i's span of the upper triangle: vals[o] becomes
+// the dissimilarity of (i, lo+o). The values are stored as given, so
+// they must already have passed through Quantize. Requires
+// i < lo ≤ lo+len(vals) ≤ n; the condensed layout keeps the span
+// contiguous, so the write is one copy. An empty span is a no-op.
+func (c *CondensedMatrix) SetSpan(i, lo int, vals []float32) {
+	if len(vals) == 0 {
+		return
+	}
+	start := c.off(i, lo)
+	c.off(i, lo+len(vals)-1) // bounds the span's end to row i
+	copy(c.data[start:start+len(vals)], vals)
 }
 
 // condensedChunk bounds the prefix-gather span length: large enough to

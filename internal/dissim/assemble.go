@@ -18,9 +18,9 @@ import (
 // ComputeMatrixContext would have selected for the pool, so everything
 // downstream of the matrix is oblivious to how it was computed:
 //
-//   - Resident backends (dense, condensed) take tile values through
-//     Set. Set re-quantizes float64 → float32, but dbscan.Quantize is
-//     an exact round-trip on already-quantized values, so assembled
+//   - Resident backends (dense, condensed) take each tile row as one
+//     span of the matrix row through SetSpan. Tile values are already
+//     dbscan.Quantize'd float32, stored as they are, so assembled
 //     matrices are bit-identical to locally computed ones.
 //   - The tiled backend takes whole tiles through tilestore.Ingest,
 //     which parks them in their fixed spill slots; this path requires
@@ -31,7 +31,7 @@ import (
 type Assembler struct {
 	n, ts, nb int
 	backend   string
-	set       settable
+	set       residentStore
 	st        store
 	tiles     *tilestore.Store
 	views     []canberra.View
@@ -52,7 +52,7 @@ func NewAssembler(ctx context.Context, pool *Pool, cfg Config, tile int) (*Assem
 		return nil, ErrEmptyPool
 	}
 	if tile <= 0 {
-		tile = tileSize
+		tile = tilestore.DefaultTileSize
 	}
 	budget := cfg.MemoryBudget
 	if budget <= 0 {
@@ -138,17 +138,14 @@ func (a *Assembler) SetTile(bi, bj int, data []float32) error {
 		}
 	} else {
 		for x := 0; x < r; x++ {
-			i := bi*a.ts + x
 			row := x * c // hoisted: len(data) == r*c was checked above
 			lo := 0
 			if bi == bj {
-				// Diagonal tiles are symmetric; reading the upper half is
-				// enough, and Set ignores the zero diagonal anyway.
+				// Diagonal tiles are symmetric; the upper half is enough.
 				lo = x + 1
 			}
-			for y := lo; y < c; y++ {
-				a.set.Set(i, bj*a.ts+y, float64(data[row+y]))
-			}
+			// Each tile row is one span of the matrix row's suffix.
+			a.set.SetSpan(bi*a.ts+x, bj*a.ts+lo, data[row+lo:row+c])
 		}
 	}
 	idx := vecmath.CheckedMulAdd(bi, a.nb, bj-bi) - vecmath.CheckedTriNum(bi)

@@ -57,6 +57,9 @@ func BenchmarkComputeMatrix(b *testing.B) {
 		{"n=500/maxMismatch", 500, []int{2, 64}},
 		{"n=2000/mixed", 2000, []int{2, 3, 4, 6, 8, 12, 16}},
 		{"n=2000/awdl", 2000, histogramLengths(awdlLengths)},
+		// The pinned-eps size: its 62 MB condensed triangle does not stay
+		// in cache, so the cost of where the fill's stores land shows.
+		{"n=5571/awdl", 5571, histogramLengths(awdlLengths)},
 	}
 	for _, s := range shapes {
 		pool := randomPool(b, s.n, s.lens, 1)

@@ -7,12 +7,16 @@
 //
 // The matrix build is the pipeline's hot path — O(n²) kernel calls — and
 // is organized for throughput: segments are converted to float views
-// once (canberra.View), the upper triangle is split into fixed-size
-// tiles handed to workers through an atomic counter (balanced, unlike
-// per-row scheduling where row i carries n−i−1 pairs), and tiles walk a
-// length-sorted traversal order so runs of equal-length segments hit the
-// kernel's fast path together. ComputeReference retains the original
-// per-row implementation as the perf baseline and correctness oracle.
+// once (canberra.View), and the upper triangle is split into tiles of
+// 64 rows × 256 columns in pool-index space, handed to workers through
+// an atomic counter (balanced, unlike per-row scheduling where row i
+// carries n−i−1 pairs). A tile's results for one row are one contiguous
+// span of the row's suffix, written with one SetSpan, so the stores land
+// in storage order. Inside a tile, rows and columns are visited as their
+// block's canberra.LengthBlock, so each batched kernel call sees runs of
+// one partner length; results are put back in pool order within the
+// row span. ComputeReference retains the original per-row
+// implementation as the perf baseline and correctness oracle.
 package dissim
 
 import (
@@ -92,9 +96,9 @@ func (p *Pool) TotalOccurrences() int {
 }
 
 // Views converts every unique segment into a kernel view, once. All
-// views share one contiguous backing array in pool order, so the
-// length-sorted tile traversal walks mostly-adjacent memory and the
-// kernel's batched entry point streams rather than pointer-chases.
+// views share one contiguous backing array in pool order, so a tile's
+// block of pool indices reads mostly-adjacent memory and the kernel's
+// batched entry point streams rather than pointer-chases.
 func (p *Pool) Views() []canberra.View {
 	total := 0
 	for _, s := range p.Unique {
@@ -193,11 +197,16 @@ var ErrPoolTooLarge = errors.New("dissim: segment pool too large")
 // Config.MemoryBudget instead.
 const MaxUniqueSegments = 30000
 
-// tileSize is the edge length of one scheduling tile over the upper
-// triangle: 64×64 ≈ 4k pairs per tile keeps the per-tile atomic fetch
-// negligible while giving enough tiles for balanced parallelism even on
-// small pools.
-const tileSize = 64
+// fillRows × fillCols is the eager fill's tile, in pool-index space:
+// row i's results for a tile are one span of its condensed suffix.
+// 64 × 256 gives each row a span long enough to amortize the write and
+// each column block's length runs enough partners for the batched
+// kernel, while a pool of a few hundred segments still splits into
+// enough tiles to balance the workers.
+const (
+	fillRows = 64
+	fillCols = 256
+)
 
 // computeTileHook, when non-nil, is called once per tile a worker picks
 // up. Test instrumentation only (cancellation promptness).
@@ -275,17 +284,13 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 	return &Matrix{store: st, views: views, backend: backend}, nil
 }
 
-// settable is the write side of the eager backends.
-type settable interface {
-	dbscan.Matrix
-	Set(i, j int, v float64)
-}
-
-// residentStore is a fully allocated resident backend: settable for
-// filling and a complete store once filled.
+// residentStore is a fully allocated resident backend: written row
+// span by row span while filling, a complete store once filled.
 type residentStore interface {
 	store
-	Set(i, j int, v float64)
+	// SetSpan stores vals[o], already quantized, as the dissimilarity of
+	// (i, lo+o), for i < lo (see dbscan.CondensedMatrix.SetSpan).
+	SetSpan(i, lo int, vals []float32)
 }
 
 // newResident allocates an empty dense or condensed matrix, enforcing
@@ -324,29 +329,37 @@ func newResident(n int, backend string, budget int64) (residentStore, error) {
 	return nil, fmt.Errorf("dissim: %q is not a resident backend", backend)
 }
 
-// fillMatrix computes every upper-triangle pair of views into st.
-func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty float64) error {
-	n := len(views)
-
-	// Traversal order sorted by segment length (stable, so equal
-	// lengths keep pool order): a tile then sees runs of equal-length
-	// rows and columns and hits the kernel's equal-length fast path in
-	// batches. Results are stored at the original pool indices, so the
-	// matrix itself is unaffected.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(views[order[a]]) < len(views[order[b]])
-	})
-
-	nb := (n + tileSize - 1) / tileSize
-	tiles := make([][2]int, 0, vecmath.CheckedTriNum(nb+1))
-	for bi := 0; bi < nb; bi++ {
-		for bj := bi; bj < nb; bj++ {
-			tiles = append(tiles, [2]int{bi, bj})
+// fillGrid lists the eager fill's tiles as {row block, column block}
+// pairs, in row-block order: every block of fillCols columns that holds
+// a column j > i for some row i of the block of fillRows rows.
+func fillGrid(n int) [][2]int {
+	nbc := (n + fillCols - 1) / fillCols
+	var tiles [][2]int
+	for r0 := 0; r0 < n; r0 += fillRows {
+		for cb := (r0 + 1) / fillCols; cb < nbc; cb++ {
+			tiles = append(tiles, [2]int{r0 / fillRows, cb})
 		}
+	}
+	return tiles
+}
+
+// fillMatrix computes every upper-triangle pair of views into st.
+//
+// Tiles are blocks of pool indices, so a tile's results for row i are
+// one contiguous span of the row's suffix and land through one SetSpan.
+// Inside a tile, rows and columns are visited as canberra.LengthBlocks,
+// built once per block: each batched kernel call then sees a few runs
+// of one partner length, and its results are put back in pool order
+// within the row span.
+func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, penalty float64) error {
+	n := len(views)
+	tiles := fillGrid(n)
+	var rowBlocks, colBlocks []canberra.LengthBlock
+	for lo := 0; lo < n; lo += fillRows {
+		rowBlocks = append(rowBlocks, canberra.NewLengthBlock(views, lo, min(lo+fillRows, n)))
+	}
+	for lo := 0; lo < n; lo += fillCols {
+		colBlocks = append(colBlocks, canberra.NewLengthBlock(views, lo, min(lo+fillCols, n)))
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -372,10 +385,10 @@ func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch for the batched kernel entry point: one
-			// tile's partner views and one row of distances at a time.
-			ts := make([]canberra.View, 0, tileSize)
-			out := make([]float64, tileSize)
+			// Per-worker scratch: one row of kernel results in the column
+			// block's order, and the row span being written.
+			out := make([]float64, fillCols)
+			span := make([]float32, fillCols)
 			for {
 				t := int(next.Add(1) - 1)
 				if t >= len(tiles) || stop.Load() {
@@ -388,42 +401,35 @@ func fillMatrix(ctx context.Context, st settable, views []canberra.View, penalty
 				if computeTileHook != nil {
 					computeTileHook()
 				}
-				bi, bj := tiles[t][0], tiles[t][1]
-				aHi := min((bi+1)*tileSize, n)
-				bLo, bHi := bj*tileSize, min((bj+1)*tileSize, n)
-				// Gather the tile's partner views once; every row of the
-				// tile reads them (a diagonal row reads the suffix past
-				// its own column).
-				ts = ts[:0]
-				for b := bLo; b < bHi; b++ {
-					j := order[b]
-					vj := views[j]
+				cols := &colBlocks[tiles[t][1]]
+				for k, vj := range cols.Views {
 					if len(vj) == 0 {
-						fail(fmt.Errorf("dissim: segment %d: %w", j, canberra.ErrEmpty))
+						fail(fmt.Errorf("dissim: segment %d: %w", cols.Idx[k], canberra.ErrEmpty))
 						return
 					}
-					ts = append(ts, vj)
 				}
-				for a := bi * tileSize; a < aHi; a++ {
-					i := order[a]
+				c0 := tiles[t][1] * fillCols
+				c1 := c0 + len(cols.Idx)
+				for _, i := range rowBlocks[tiles[t][0]].Idx {
 					vi := views[i]
 					if len(vi) == 0 {
 						fail(fmt.Errorf("dissim: segment %d: %w", i, canberra.ErrEmpty))
 						return
 					}
-					lo, cols := bLo, ts
-					if bi == bj {
-						lo, cols = a+1, ts[a+1-bLo:]
+					lo := max(c0, i+1)
+					if lo >= c1 {
+						continue
 					}
-					// The length-sorted traversal makes cols a few runs of
-					// one length each: runs of len(vi) take the kernel's
-					// equal-length batch path, short runs of other lengths
-					// its partner lanes (see canberra.DissimViewsBatch).
-					row := out[:len(cols)]
-					canberra.DissimViewsBatch(vi, cols, penalty, row)
-					for k, d := range row {
-						st.Set(i, order[lo+k], d)
+					// Columns at or before the diagonal are skipped: a row
+					// crossing this column block computes only those past it.
+					cols.Batch(vi, i, penalty, out)
+					sp := span[:c1-lo]
+					for k, j := range cols.Idx {
+						if j > i {
+							sp[j-lo] = dbscan.Quantize(out[k])
+						}
 					}
+					st.SetSpan(i, lo, sp)
 				}
 			}
 		}()

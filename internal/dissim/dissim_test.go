@@ -341,7 +341,7 @@ func TestComputeContextCanceledUpFront(t *testing.T) {
 // most the pre-cancel count plus one per worker — far below the full
 // tile count of a large pool.
 func TestComputeContextCancelBoundedTiles(t *testing.T) {
-	pool := NewPool(genSegments(2048, 2)) // 32×32 tile grid → 528 tiles
+	pool := NewPool(genSegments(2048, 2)) // 32 row blocks × 8 column blocks → 144 tiles
 	ctx, cancel := context.WithCancel(context.Background())
 	var tiles atomic.Int64
 	computeTileHook = func() {

@@ -72,6 +72,30 @@ func TestComputeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFillMatchesReferenceAtTileEdges checks every backend bit for bit
+// against the per-row reference at sizes around the tile edges: one row
+// block (64) and one column block (256) of the eager fill, each ±1, and
+// sizes that leave short last blocks. Lengths mix runs of the row's own
+// length, partner-lane lengths and longer segments.
+func TestFillMatchesReferenceAtTileEdges(t *testing.T) {
+	for _, n := range []int{2, 3, 63, 64, 65, 255, 256, 257, 321} {
+		pool := randomPool(t, n, []int{2, 3, 4, 5, 6, 8, 12, 16, 24}, int64(n))
+		want, err := ComputeReference(pool, canberra.DefaultPenalty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range buildBackends(t, pool) {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if g, w := m.Dist(i, j), want.Dist(i, j); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("n=%d %s: Dist(%d,%d) = %v, reference = %v", n, name, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKNNTableMatchesSort checks the bounded-heap selection against the
 // original full-sort construction, including tie handling.
 func TestKNNTableMatchesSort(t *testing.T) {
@@ -132,11 +156,11 @@ func TestComputeEmptySegmentError(t *testing.T) {
 
 // TestComputeCancellationStopsWorkers verifies the error path: once one
 // worker fails, the shared stop flag must keep the others from chewing
-// through the remaining tiles. The empty segment sorts first in the
-// length-ordered traversal, so the very first tile errors; after that,
-// each worker may finish at most the tile it already holds.
+// through the remaining tiles. The empty segment is pool index 0, in the
+// first row block, so the very first tile errors; after that, each
+// worker may finish at most the tile it already holds.
 func TestComputeCancellationStopsWorkers(t *testing.T) {
-	n := 40 * tileSize // 780 tiles
+	const n = 2560
 	pool := emptySegmentPool(n)
 
 	var tiles atomic.Int64
@@ -146,8 +170,7 @@ func TestComputeCancellationStopsWorkers(t *testing.T) {
 	if _, err := Compute(pool, canberra.DefaultPenalty); !errors.Is(err, canberra.ErrEmpty) {
 		t.Fatalf("err = %v, want canberra.ErrEmpty", err)
 	}
-	nb := (n + tileSize - 1) / tileSize
-	total := int64(nb * (nb + 1) / 2)
+	total := int64(len(fillGrid(n)))
 	// Generous bound: every worker may pick up a few tiles before the
 	// failing one sets stop, but nothing close to the full triangle.
 	limit := int64(8*runtime.GOMAXPROCS(0)) + 8

@@ -1,7 +1,8 @@
 // Package tilestore is the bounded-memory, out-of-core backend of the
 // dissimilarity matrix: instead of materializing all n² (or n(n−1)/2)
 // float32 entries, it computes 64×64 Canberra tiles on demand through
-// the optimized kernel (canberra.DissimViews on precomputed views),
+// the optimized kernel (canberra.DissimViewsBatch on precomputed views,
+// each block's rows and columns as a canberra.LengthBlock),
 // keeps the hot tiles in a byte-budgeted LRU, and optionally spills
 // evicted tiles to one pre-allocated slot per tile in a scratch file so
 // a later miss is a pread instead of a recompute.
@@ -30,7 +31,7 @@ import (
 )
 
 // DefaultTileSize is the edge length of one tile: 64×64 float32 = 16 KiB,
-// matching the eager build's scheduling granularity.
+// the unit of caching, spill slots and distributed shards.
 const DefaultTileSize = 64
 
 // Config tunes a Store; zero fields take the documented defaults.
@@ -453,43 +454,38 @@ func (s *Store) computeTile(bi, bj int) []float32 {
 // compute the byte-for-byte identical tiles a local tiled build would.
 func ComputeTile(views []canberra.View, penalty float64, tileSize, bi, bj int) []float32 {
 	n := len(views)
-	dim := func(b int) int { return min(tileSize, n-b*tileSize) }
-	r, c := dim(bi), dim(bj)
+	r0, c0 := bi*tileSize, bj*tileSize
+	r, c := min(tileSize, n-r0), min(tileSize, n-c0)
 	data := make([]float32, r*c)
-	// One tile row per batch call: the kernel splits the partner views
-	// into runs of one length and serves runs of the row's length
-	// through its equal-length batch path and short runs of other
-	// lengths through its partner lanes. Views here are in pool order,
-	// not length-sorted, so runs are shorter than in the eager build.
+	// Rows and columns are visited as canberra.LengthBlocks, as in the
+	// eager build, so each batch call sees the partner views as runs of
+	// one length; results land at their tile-local positions. A diagonal
+	// row computes the columns past it and writes each value to (a, b)
+	// and its mirror (b, a).
+	rows := canberra.NewLengthBlock(views, r0, r0+r)
+	cols := canberra.NewLengthBlock(views, c0, c0+c)
 	out := make([]float64, c)
-	// Block bases and row offsets are hoisted out of the index
-	// expressions: every product is bounded by len(views) or by
-	// len(data) = r*c, both already allocated.
-	rowBase, colBase := bi*tileSize, bj*tileSize
-	if bi == bj {
-		for a := 0; a < r; a++ {
-			vi := views[rowBase+a]
-			ts := views[colBase+a+1 : colBase+c]
-			canberra.DissimViewsBatch(vi, ts, penalty, out[:len(ts)])
-			row := a * c
-			moff := (a+1)*c + a // mirror cell (a+1, a), stride c
-			for _, v := range out[:len(ts)] {
-				d := dbscan.Quantize(v)
-				data[row+a+1] = d
-				data[moff] = d
-				row++
-				moff += c
-			}
+	for _, i := range rows.Idx {
+		after := -1
+		if bi == bj {
+			after = i
 		}
-		return data
-	}
-	cols := views[colBase : colBase+c]
-	for a := 0; a < r; a++ {
-		vi := views[rowBase+a]
-		canberra.DissimViewsBatch(vi, cols, penalty, out)
+		cols.Batch(views[i], after, penalty, out)
+		// Hoisted offsets: a and every b are below r and c, so the
+		// products stay within len(data) = r*c (r = c on the diagonal).
+		a := i - r0
 		row := a * c
-		for b, v := range out {
-			data[row+b] = dbscan.Quantize(v)
+		for k, j := range cols.Idx {
+			if j <= after {
+				continue
+			}
+			b := j - c0
+			d := dbscan.Quantize(out[k])
+			data[row+b] = d
+			if bi == bj {
+				mirror := b * c
+				data[mirror+a] = d
+			}
 		}
 	}
 	return data

@@ -3,6 +3,7 @@ package tilestore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // testViews builds n deterministic non-empty kernel views.
-func testViews(t *testing.T, n int, seed int64) []canberra.View {
+func testViews(t testing.TB, n int, seed int64) []canberra.View {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	lens := []int{2, 3, 4, 6, 8, 12}
@@ -48,6 +49,52 @@ func newStore(t *testing.T, views []canberra.View, cfg Config) *Store {
 		}
 	})
 	return s
+}
+
+// TestComputeTileMatchesPerPair checks every tile of a grid with a
+// short last block, diagonal and off-diagonal, against per-pair kernel
+// calls: the in-tile length order must put each value at its pool
+// position, and diagonal tiles must hold both mirrored halves.
+func TestComputeTileMatchesPerPair(t *testing.T) {
+	const n, ts = 150, DefaultTileSize
+	views := testViews(t, n, 5)
+	nb := (n + ts - 1) / ts
+	for bi := 0; bi < nb; bi++ {
+		for bj := bi; bj < nb; bj++ {
+			data := ComputeTile(views, canberra.DefaultPenalty, ts, bi, bj)
+			r, c := min(ts, n-bi*ts), min(ts, n-bj*ts)
+			if len(data) != r*c {
+				t.Fatalf("tile (%d,%d): %d values, want %d", bi, bj, len(data), r*c)
+			}
+			for a := 0; a < r; a++ {
+				for b := 0; b < c; b++ {
+					i, j := bi*ts+a, bj*ts+b
+					want := oracle(views, canberra.DefaultPenalty, min(i, j), max(i, j))
+					if got := data[a*c+b]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("tile (%d,%d) cell (%d,%d): %v, per pair %v", bi, bj, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkComputeTile builds every tile of the grid on one goroutine,
+// as a tiled pass or a shard worker does.
+func BenchmarkComputeTile(b *testing.B) {
+	for _, n := range []int{320, 1000} {
+		views := testViews(b, n, 3)
+		nb := (n + DefaultTileSize - 1) / DefaultTileSize
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for range b.N {
+				for bi := 0; bi < nb; bi++ {
+					for bj := bi; bj < nb; bj++ {
+						ComputeTile(views, canberra.DefaultPenalty, DefaultTileSize, bi, bj)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestStoreValuesAndSymmetry(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package shard decomposes a dissimilarity-matrix build into leased,
 // content-addressed work units a fleet of stateless workers can compute
-// independently: the 64×64 tile grid of the tiled backend (the
-// pipeline's natural scheduling granularity since PR 1) is split into
+// independently: the 64×64 tile grid of the tiled backend is split into
 // contiguous tile ranges, each range becomes a Task handed out under an
 // expiring lease, and a completed task is identified by the SHA-256 of
 // its tile bytes — because the kernel is bit-deterministic across
