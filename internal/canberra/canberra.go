@@ -25,6 +25,12 @@ const DefaultPenalty = 0.3
 // ErrEmpty is returned when a segment of length zero is compared.
 var ErrEmpty = errors.New("canberra: empty segment")
 
+// ErrBadPenalty is returned by the matrix builders for a NaN penalty
+// factor. A NaN penalty makes every unequal-length dissimilarity NaN,
+// which no ε comparison admits, so DBSCAN would quietly drop those
+// pairs instead of failing.
+var ErrBadPenalty = errors.New("canberra: penalty factor is NaN")
+
 // Distance returns the raw Canberra distance between two equal-length
 // byte vectors: Σ |x_i − y_i| / (x_i + y_i), where terms with
 // x_i = y_i = 0 contribute zero. The result is in [0, len(x)].

@@ -37,13 +37,16 @@ type kernelImpl struct {
 	// minWindow returns the minimum normalized window distance of s slid
 	// over t (0 < |s| < |t|), equivalent to minWindowScalar.
 	minWindow func(s, t View) float64
-	// minWindowLanes fills out[j] with the minimum raw window sum
-	// between s and ts[j] for a run of partners of one length other
-	// than len(s), bit-identical to the scalar kernel's minWindowLanes
-	// in kernel.go. Optional (nil → per-pair minWindow calls); only
-	// exact kernels provide it, since the float32 kernels confirm
-	// their windows one pair at a time.
-	minWindowLanes func(s View, ts []View, out []float64)
+	// lanes is the run entry of LengthBlock.Row (idea 6 in kernel.go):
+	// for the partners p ≥ from of one lane-interleaved length run it
+	// stores out[run.idx[p]−lo] = float32(DissimViews(s, partner p, pf)),
+	// where c = (|t|−|s|)·pf is the blend's penalty weight. Row hands it
+	// runs of len(s) and, for unequal lengths, runs with both lengths at
+	// most laneMaxLen that the penalty does not saturate. Results are
+	// bit-identical to lanesScalar. Optional (nil → per-pair calls); only
+	// exact kernels provide it, since the float32 kernels confirm their
+	// windows one pair at a time.
+	lanes func(s View, run *laneRun, from, lo int, c float64, out []float32)
 	// available reports whether this kernel can run on this machine.
 	// nil means always available.
 	available func() bool
@@ -58,11 +61,11 @@ type kernelImpl struct {
 var kernels = []*kernelImpl{scalarKernel}
 
 var scalarKernel = &kernelImpl{
-	name:           "scalar",
-	dist:           distScalar,
-	minWindow:      minWindowScalar,
-	minWindowLanes: minWindowLanes,
-	exact:          true,
+	name:      "scalar",
+	dist:      distScalar,
+	minWindow: minWindowScalar,
+	lanes:     lanesScalar,
+	exact:     true,
 }
 
 // active is the kernel DissimViews dispatches through. Never nil.

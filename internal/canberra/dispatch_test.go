@@ -9,7 +9,7 @@ import (
 
 // hostKernels returns every registered kernel that can run on this
 // machine, scalar always first — the comparison baseline.
-func hostKernels(t *testing.T) []*kernelImpl {
+func hostKernels(t testing.TB) []*kernelImpl {
 	t.Helper()
 	avail := []*kernelImpl{scalarKernel}
 	for _, k := range kernels {
@@ -131,11 +131,11 @@ func checkBatch(t *testing.T, k *kernelImpl, s View, ts []View, pf float64) {
 	}
 }
 
-// TestDissimViewsBatch checks the batched entry point of every kernel
-// against per-pair calls: random mixed-length partner lists (runs of
-// len(s) take the equal-length batch path, short runs of other lengths
-// the partner lanes, the rest the per-pair path), then rows aimed at
-// the lane path's edges.
+// TestDissimViewsBatch checks DissimViewsBatch on every kernel against
+// per-pair calls: random mixed-length partner lists (runs of len(s)
+// take the equal-length batch path, the rest the per-pair path), then
+// rows aimed at the edges of the partner-lane shapes, which
+// TestLengthBlockRow and FuzzLengthBlockRow drive through the run entry.
 func TestDissimViewsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	randView := func(n, mod int) View {
@@ -153,8 +153,8 @@ func TestDissimViewsBatch(t *testing.T) {
 		return ts
 	}
 	// A length-2 view and a run of partners holding it at every offset
-	// plus one that does not: the lanes keep the exactly-zero window
-	// that per-pair scans return early on.
+	// plus one that does not: exactly-zero windows, which per-pair scans
+	// return early on.
 	zs := View{7, 9}
 	var zeroWindow []View
 	for off := 0; off < 5; off++ {

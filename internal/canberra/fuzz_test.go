@@ -121,14 +121,13 @@ func FuzzKernelCross(f *testing.F) {
 	})
 }
 
-// FuzzDissimViewsBatchRuns drives the batched entry point with the
-// shape the matrix build feeds it: runs of at least five equal-length
-// partners, one run longer than s, one shorter and one of len(s), so
-// the four-partner lane body, its remainder and both slide directions
-// all fire. Partner bytes are cut cyclically from pool at staggered
-// offsets; a seed whose pool contains s gives exactly-zero windows.
-// Every exact kernel must match per-pair DissimViews on the scalar
-// kernel (the oracle) bit for bit.
+// FuzzDissimViewsBatchRuns drives DissimViewsBatch with runs of at
+// least five equal-length partners, one run longer than s, one shorter
+// and one of len(s), so the equal-length batch, the per-pair path and
+// both slide directions all fire. Partner bytes are cut cyclically from
+// pool at staggered offsets; a seed whose pool contains s gives
+// exactly-zero windows. Every exact kernel must match per-pair
+// DissimViews on the scalar kernel (the oracle) bit for bit.
 func FuzzDissimViewsBatchRuns(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1, 0, 9, 9, 7}, uint8(3), uint8(1), uint8(2), DefaultPenalty)
 	f.Add([]byte{7, 9}, []byte{7, 9, 7, 9, 1}, uint8(4), uint8(0), uint8(6), 0.0)
@@ -172,6 +171,91 @@ func FuzzDissimViewsBatchRuns(f *testing.F) {
 				if math.Float64bits(out[j]) != math.Float64bits(want) {
 					t.Fatalf("kernel %s: batch[%d] = %v, per-pair = %v (s=%x, len(t)=%d, pf=%v)",
 						k.name, j, out[j], want, a, len(u), pf)
+				}
+			}
+		}
+	})
+}
+
+// FuzzLengthBlockRow drives LengthBlock.Row, the entry point of the
+// matrix builders, on a block whose pool order interleaves runs of
+// len(s), of a longer and a shorter lane length, and of a length past
+// laneMaxLen, with run sizes that are mostly not a multiple of four.
+// Every diagonal cut of the block is tried, under the fuzzed penalty
+// and under pf < 0, 0, the default and a saturating value. On every
+// exact kernel each stored float32 must equal float32(DissimViews) on
+// the scalar kernel bit for bit, and no entry at or before the cut may
+// be written: that is where a first group's skipped lanes and a last
+// group's padded lanes would land.
+func FuzzLengthBlockRow(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1, 0, 9, 9, 7}, uint8(3), uint8(1), uint8(0x5a), DefaultPenalty)
+	f.Add([]byte{7, 9}, []byte{7, 9, 7, 9, 1}, uint8(4), uint8(0), uint8(0x13), 0.0)
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, []byte{0}, uint8(9), uint8(4), uint8(0xff), 3.0)
+	f.Add([]byte{255, 1, 128, 4, 9, 9, 9, 2, 2, 2, 2, 0}, []byte{4, 9, 9, 200}, uint8(1), uint8(10), uint8(7), -0.5)
+	f.Add([]byte{5, 6, 7, 8}, []byte{1, 2, 5, 6, 7, 8, 9}, uint8(7), uint8(2), uint8(0xc6), 1.5)
+
+	f.Fuzz(func(t *testing.T, a, pool []byte, longer, shorter, sizes uint8, pf float64) {
+		if len(a) == 0 || len(pool) == 0 || math.IsNaN(pf) {
+			return
+		}
+		s := NewView(a[:min(len(a), laneMaxLen)])
+		ls := len(s)
+		lens := []int{ls, min(ls+1+int(longer)%laneMaxLen, laneMaxLen), laneMaxLen + 1 + int(longer)%5}
+		if ls > 1 {
+			lens = append(lens, 1+int(shorter)%(ls-1))
+		}
+		// Run sizes 1–8 (two bits of sizes per run, plus shorter mod 5),
+		// laid out round-robin so every run is scattered over the
+		// block's pool order.
+		count := make([]int, len(lens))
+		for r := range count {
+			count[r] = 1 + int(sizes>>(2*r))&3 + int(shorter)%5
+		}
+		const lo = 3
+		views := make([]View, lo)
+		at := 0
+		for left := true; left; {
+			left = false
+			for r, l := range lens {
+				if count[r] == 0 {
+					continue
+				}
+				count[r]--
+				left = true
+				b := make([]byte, l)
+				for i := range b {
+					b[i] = pool[(at+i)%len(pool)]
+				}
+				at += 1 + r
+				views = append(views, NewView(b))
+			}
+		}
+		blk := NewLengthBlock(views, lo, len(views))
+		out := make([]float32, len(views)-lo)
+		for _, p := range []float64{pf, -0.5, 0, DefaultPenalty, 3} {
+			for _, k := range kernels {
+				if !k.exact || (k.available != nil && !k.available()) {
+					continue
+				}
+				for after := lo - 1; after < len(views); after++ {
+					for o := range out {
+						out[o] = float32(math.NaN())
+					}
+					blk.row(k, s, after, p, out)
+					for j := lo; j < len(views); j++ {
+						got := out[j-lo]
+						if j <= after {
+							if !math.IsNaN(float64(got)) {
+								t.Fatalf("kernel %s, cut %d: index %d (len %d) was written", k.name, after, j, len(views[j]))
+							}
+							continue
+						}
+						want := float32(dissimViews(scalarKernel, s, views[j], p))
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("kernel %s, cut %d: index %d = %v, DissimViews %v (s=%x, len(t)=%d, pf=%v)",
+								k.name, after, j, got, want, a, len(views[j]), p)
+						}
+					}
 				}
 			}
 		}

@@ -56,22 +56,27 @@ import (
 //     vector lanes in the asm kernels — and a lane past the abandon
 //     bound keeps accumulating harmlessly until every lane is past it.
 //
-//  6. Partner lanes for short mixed-length pairs. Real pools are mostly
+//  6. Partner lanes from a lane-interleaved run. Real pools are mostly
 //     2–6 byte segments, and 79–84 % of their pairs differ in length,
 //     so a pair's sliding window is a handful of fused terms, and call,
 //     dispatch and abandon bookkeeping cost more than the arithmetic.
-//     With each tile block visited as a LengthBlock, a tile row's
-//     partners come in runs of one length; DissimViewsBatch hands a run with both
-//     lengths at most laneMaxLen to minWindowLanes, which advances four
-//     partners together as independent chains (one per AVX2 lane) and
-//     scans every window in full without abandoning. Each window is
-//     still one term chain in element order, and each partner keeps
-//     its minimum raw window sum. That is bit-identical to
-//     minWindowScalar: an abandoned window is never the selected one
-//     (idea 4), and rounded division by fls is monotone, so the
-//     minimum of the rounded quotients is the rounded quotient of the
-//     minimum. The division, the blend and the clamp then run once per
-//     pair.
+//     The tile builders visit each block as a LengthBlock, so a row's
+//     partners come in runs of one length, and the block keeps each
+//     run lane-interleaved: four partners per group, element-major, the
+//     last group zero-padded. LengthBlock.Row makes one call of the
+//     kernel's run entry per run suffix. It advances the four partners
+//     of a group together as independent chains (one per AVX2 lane),
+//     each step's partner elements one contiguous load, and for unequal
+//     lengths (both at most laneMaxLen) scans every window in full
+//     without abandoning: each window is still one term chain in
+//     element order, and each partner keeps its minimum raw window sum.
+//     That is bit-identical to minWindowScalar: an abandoned window is
+//     never the selected one (idea 4), and rounded division by fls is
+//     monotone, so the minimum of the rounded quotients is the rounded
+//     quotient of the minimum. Runs of len(s) run distScalar's four
+//     chains per lane instead. The division, the blend, the clamp and
+//     the float32 quantization then run once per group, and only the
+//     run suffix's lanes are stored, at their pool positions.
 
 // View is a segment's byte values precomputed as float64s, converted
 // once per unique segment instead of once per compared pair. Kernels
@@ -275,14 +280,19 @@ func dissimViews(k *kernelImpl, s, t View, pf float64) float64 {
 	if pf*(flt-fls) >= flt {
 		return 1
 	}
-	return blend(fls, flt, k.minWindow(s, t), pf)
+	return blend(fls, flt, k.minWindow(s, t), (flt-fls)*pf)
 }
 
 // blend folds the best window's dmin and the length penalty into the
-// clamped variable-length dissimilarity. Every unequal-length path
-// calls this one function, so they share its rounding exactly.
-func blend(fls, flt, dmin, pf float64) float64 {
-	dis := (fls*dmin + (flt-fls)*pf*(1+dmin)) / flt
+// clamped variable-length dissimilarity, given the penalty weight
+// c = (|t|−|s|)·pf. Every unequal-length path calls this one function,
+// or (the AVX2 run entry) repeats its operations in its order, so they
+// share its rounding exactly. The float64 conversions round each
+// product on its own, as the Go spec allows: without them the compiler
+// may fuse a product into the following add (arm64 does, amd64 does
+// not), and the result would depend on the architecture.
+func blend(fls, flt, dmin, c float64) float64 {
+	dis := (float64(fls*dmin) + float64(c*(1+dmin))) / flt
 	if dis > 1 {
 		dis = 1
 	}
@@ -290,41 +300,68 @@ func blend(fls, flt, dmin, pf float64) float64 {
 }
 
 // laneMaxLen is the longest segment, on either side, that the partner
-// lanes (idea 6) serve. Lanes scan every window in full; the per-pair
-// minWindow abandons, which pays off on long windows of unlike content.
-// Measured on random content (abandoning's best case) with the bound
-// raised, the AVX2 lanes beat per-pair calls at every shape up to 8v12
-// (1.4× there, 3–4× at 2v4) and lost at 8v16 and 12v16. The scalar
-// lanes also beat the scalar per-pair path at 4v12 and 8v12
-// (BenchmarkDissimViewsBatch).
+// lanes (idea 6) serve for unequal lengths. Lanes scan every window in
+// full; the per-pair minWindow abandons, which pays off on long windows
+// of unlike content. Measured on random content (abandoning's best
+// case) with the bound raised, the AVX2 lanes beat per-pair calls at
+// every shape up to 8v12 (1.4× there, 3–4× at 2v4) and lost at 8v16
+// and 12v16.
 const laneMaxLen = 12
 
 // DissimViewsBatch fills out[j] = DissimViews(s, ts[j], pf) for every
-// view in ts. The tile builders call it once per tile row instead of
-// once per pair, with each block in a LengthBlock's order, which makes
-// ts a few runs of one partner length each. A run of len(s) flows
-// through the kernel's batched equal-length entry point; a run of
-// another length, with both lengths at most laneMaxLen, through the
-// kernel's partner lanes. Everything else goes pair by pair. out must
-// have len(ts) capacity; results are bit-identical to per-pair
-// DissimViews calls.
+// view in ts, bit for bit: a run of partners of len(s) flows through the
+// kernel's batched equal-length entry point, everything else goes pair
+// by pair. out must have len(ts) capacity. The matrix builders use
+// LengthBlock.Row instead.
 func DissimViewsBatch(s View, ts []View, pf float64, out []float64) {
 	dissimViewsBatch(active, s, ts, pf, out)
 }
 
+func dissimViewsBatch(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
+	out = out[:len(ts)]
+	for j := 0; j < len(ts); {
+		r := j + 1
+		for r < len(ts) && len(ts[r]) == len(ts[j]) {
+			r++
+		}
+		if len(s) > 0 && len(ts[j]) == len(s) && k.distBatch != nil {
+			k.distBatch(s, ts[j:r], out[j:r])
+		} else {
+			for i := j; i < r; i++ {
+				out[i] = dissimViews(k, s, ts[i], pf)
+			}
+		}
+		j = r
+	}
+}
+
 // LengthBlock is a block of pool indices in the order the tile builders
-// visit it: stably sorted by view length, so the partners of one
-// DissimViewsBatch call arrive as one run per distinct length while the
-// results still belong to their pool indices. The eager matrix fill, the
-// tiled backend and the shard workers all build their tiles from it.
+// visit it: stably sorted by view length, so a row's partners arrive as
+// one run per distinct length while the results still belong to their
+// pool indices. Each run also keeps its partners lane-interleaved for
+// the run entry (idea 6). The eager matrix fill, the tiled backend and
+// the shard workers all build their tiles from it. A block is read-only
+// once built, so concurrent Row calls may share it.
 type LengthBlock struct {
 	// Idx holds the block's pool indices, stably sorted by view length:
 	// ascending within each run of one length.
 	Idx []int
 	// Views holds the views of Idx, in the same order.
 	Views []View
-	lo    int   // the block's smallest pool index
-	ends  []int // ends[r] is the end of run r in Idx
+	lo    int       // the block's smallest pool index
+	runs  []laneRun // the runs of one length, in Idx order
+}
+
+// laneRun is one length run of a LengthBlock.
+type laneRun struct {
+	idx   []int  // the partners' pool indices: a window of Idx
+	views []View // their views: the same window of Views
+	l     int    // the partners' length
+	// lanes holds the partners in groups of four, element-major:
+	// lanes[(g·l+e)·4+lane] is element e of partner 4g+lane. The last
+	// group is zero-padded to four lanes; its padded lanes are computed
+	// and never stored.
+	lanes []float64
 }
 
 // NewLengthBlock builds the block of pool indices lo, lo+1, …, hi−1.
@@ -336,134 +373,160 @@ func NewLengthBlock(views []View, lo, hi int) LengthBlock {
 	slices.SortStableFunc(b.Idx, func(x, y int) int {
 		return cmp.Compare(len(views[x]), len(views[y]))
 	})
+	size := 0
 	for k, j := range b.Idx {
 		b.Views[k] = views[j]
-		if k > 0 && len(views[j]) != len(b.Views[k-1]) {
-			b.ends = append(b.ends, k)
+		if k == 0 || len(views[j]) != len(b.Views[k-1]) {
+			b.runs = append(b.runs, laneRun{idx: b.Idx[k:k], views: b.Views[k:k], l: len(views[j])})
+		}
+		r := &b.runs[len(b.runs)-1]
+		r.idx, r.views = r.idx[:len(r.idx)+1], r.views[:len(r.views)+1]
+		if len(r.idx)%4 == 1 {
+			size += 4 * r.l
 		}
 	}
-	if hi > lo {
-		b.ends = append(b.ends, hi-lo)
+	buf := make([]float64, size)
+	for r := range b.runs {
+		run := &b.runs[r]
+		n := (len(run.idx) + 3) / 4 * 4 * run.l
+		run.lanes, buf = buf[:n:n], buf[n:]
+		for p, v := range run.views {
+			g, lane := p/4, p%4
+			for e, x := range v {
+				run.lanes[(g*run.l+e)*4+lane] = x
+			}
+		}
 	}
 	return b
 }
 
-// Batch fills out[k] = DissimViews(s, b.Views[k], pf) for every k with
-// b.Idx[k] > after, and leaves the other entries of out as they are.
-// out must have len(b.Idx) capacity. A row of the upper triangle passes
-// its own index as after: Idx is ascending within a run, so the
+// Row stores out[j−lo] = float32(DissimViews(s, views[j], pf)) for every
+// pool index j of the block with j > after, where lo is the block's
+// smallest index, and leaves the other entries of out as they are. The
+// float32 rounding is dbscan.Quantize's, so out holds what the matrix
+// stores. out must have len(Idx) capacity. A row of the upper triangle
+// passes its own index as after: Idx is ascending within a run, so the
 // partners past the diagonal are a suffix of each run, found by binary
-// search instead of a filtered copy of the views.
-func (b *LengthBlock) Batch(s View, after int, pf float64, out []float64) {
-	if after < b.lo {
-		DissimViewsBatch(s, b.Views, pf, out)
-		return
-	}
-	start := 0
-	for _, end := range b.ends {
-		k, _ := slices.BinarySearch(b.Idx[start:end], after+1)
-		DissimViewsBatch(s, b.Views[start+k:end], pf, out[start+k:end])
-		start = end
-	}
+// search.
+//
+// Each run is one call of the kernel's run entry when the kernel is
+// exact and the pair shape is one the lanes serve (equal lengths, or
+// both lengths at most laneMaxLen); other runs go pair by pair.
+func (b *LengthBlock) Row(s View, after int, pf float64, out []float32) {
+	b.row(active, s, after, pf, out)
 }
 
-func dissimViewsBatch(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
-	out = out[:len(ts)]
-	if len(s) == 0 {
-		for j := range out {
-			out[j] = 0
-		}
-		return
-	}
-	for j := 0; j < len(ts); {
-		lt := len(ts[j])
-		r := j + 1
-		for r < len(ts) && len(ts[r]) == lt {
-			r++
-		}
-		switch {
-		case lt == len(s) && k.distBatch != nil:
-			k.distBatch(s, ts[j:r], out[j:r])
-		case lt != len(s) && lt > 0 && k.minWindowLanes != nil && len(s) <= laneMaxLen && lt <= laneMaxLen:
-			dissimLanes(k, s, ts[j:r], pf, out[j:r])
-		default:
-			for i := j; i < r; i++ {
-				out[i] = dissimViews(k, s, ts[i], pf)
-			}
-		}
-		j = r
-	}
-}
-
-// dissimLanes fills out[j] = DissimViews(s, ts[j], pf) for a run of
-// non-empty partners that share one length other than len(s). Rounded
-// division by fls is monotone, so dividing the minimum raw window sum
-// once gives the dmin minWindowScalar selects window by window.
-func dissimLanes(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
+func (b *LengthBlock) row(k *kernelImpl, s View, after int, pf float64, out []float32) {
+	out = out[:len(b.Idx)]
 	if pf < 0 {
 		pf = 0
 	}
-	fls, flt := float64(len(s)), float64(len(ts[0]))
-	if fls > flt {
-		fls, flt = flt, fls
-	}
-	if pf*(flt-fls) >= flt {
-		for j := range out {
-			out[j] = 1
+	ls := len(s)
+	for r := range b.runs {
+		run := &b.runs[r]
+		from := 0
+		if after >= b.lo {
+			from, _ = slices.BinarySearch(run.idx, after+1)
 		}
-		return
-	}
-	k.minWindowLanes(s, ts, out)
-	for j, sum := range out {
-		out[j] = blend(fls, flt, min(sum/fls, 2), pf)
+		if from == len(run.idx) {
+			continue
+		}
+		fls, flt := float64(min(ls, run.l)), float64(max(ls, run.l))
+		switch {
+		case k.lanes == nil || ls == 0 || run.l == 0 || (ls != run.l && max(ls, run.l) > laneMaxLen):
+			for p := from; p < len(run.idx); p++ {
+				out[run.idx[p]-b.lo] = float32(dissimViews(k, s, run.views[p], pf))
+			}
+		case ls != run.l && pf*(flt-fls) >= flt:
+			// Saturated: dissimViews returns 1 before any window.
+			for _, j := range run.idx[from:] {
+				out[j-b.lo] = 1
+			}
+		default:
+			k.lanes(s, run, from, b.lo, (flt-fls)*pf, out)
+		}
 	}
 }
 
-// minWindowLanes stores in out[j] the minimum raw window sum between s
-// and ts[j], sliding whichever is shorter over the other (idea 6).
-// Every ts[j] has the same length, other than len(s). Four partners
-// advance together as independent chains; each window is still one
-// term chain in element order, so every window sum carries the bits
-// abandonScalar gives it when it runs to the end.
-func minWindowLanes(s View, ts []View, out []float64) {
-	short, long := len(s), len(ts[0])
-	sStep, tStep := 0, 1 // s slides over the partners
+// lanesScalar is the scalar kernel's run entry (idea 6): for the
+// partners p ≥ from of run it stores out[idx[p]−lo], four partners per
+// step as independent chains. c is the blend's penalty weight. The AVX2
+// run entry performs the same operations in the same order.
+func lanesScalar(s View, run *laneRun, from, lo int, c float64, out []float32) {
+	l, ls := run.l, len(s)
+	fls, flt := float64(min(ls, l)), float64(max(ls, l))
+	for g := from / 4; 4*g < len(run.idx); g++ {
+		grp := run.lanes[4*g*l : 4*(g+1)*l]
+		var sums [4]float64
+		if ls == l {
+			sums = distLanes(s, grp)
+		} else {
+			sums = minWindowLanes(s, grp)
+		}
+		for lane := max(from-4*g, 0); lane < min(4, len(run.idx)-4*g); lane++ {
+			d := sums[lane] / fls
+			if ls != l {
+				d = blend(fls, flt, min(d, 2), c)
+			}
+			out[run.idx[4*g+lane]-lo] = float32(d)
+		}
+	}
+}
+
+// distLanes returns the raw Canberra distances between x and the four
+// partners of one interleaved group of len(x) elements each, every
+// partner with distScalar's four chains, reduce order and tail.
+func distLanes(x View, grp []float64) [4]float64 {
+	grp = grp[:4*len(x)]
+	var c0, c1, c2, c3, sum [4]float64
+	i := 0
+	for ; i+3 < len(x); i += 4 {
+		for lane := range 4 {
+			c0[lane] = term(c0[lane], x[i], grp[4*i+lane])
+			c1[lane] = term(c1[lane], x[i+1], grp[4*i+4+lane])
+			c2[lane] = term(c2[lane], x[i+2], grp[4*i+8+lane])
+			c3[lane] = term(c3[lane], x[i+3], grp[4*i+12+lane])
+		}
+	}
+	for lane := range 4 {
+		sum[lane] = (c0[lane] + c2[lane]) + (c1[lane] + c3[lane])
+	}
+	for ; i < len(x); i++ {
+		for lane := range 4 {
+			sum[lane] = term(sum[lane], x[i], grp[4*i+lane])
+		}
+	}
+	return sum
+}
+
+// minWindowLanes returns the minimum raw window sums between s and the
+// four partners of one interleaved group, sliding whichever is shorter
+// over the other. The four partners advance together as independent
+// chains; each window is still one term chain in element order and
+// runs to the end, so every window sum carries the bits abandonScalar
+// gives it when it does not abandon. Rounded division by fls is
+// monotone, so dividing the minimum once gives the dmin
+// minWindowScalar selects window by window.
+func minWindowLanes(s View, grp []float64) [4]float64 {
+	l := len(grp) / 4
+	short, long := len(s), l
+	sStep, tStep := 0, 4 // s slides over the partners
 	if short > long {
 		short, long = long, short
 		sStep, tStep = 1, 0 // the partners slide over s
 	}
-	last := long - short
-	j := 0
-	for ; j+3 < len(ts); j += 4 {
-		t0, t1, t2, t3 := ts[j], ts[j+1], ts[j+2], ts[j+3]
-		m0, m1, m2, m3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		for off := 0; off <= last; off++ {
-			so, to := off*sStep, off*tStep
-			x := s[so : so+short]
-			w0, w1, w2, w3 := t0[to:to+short], t1[to:to+short], t2[to:to+short], t3[to:to+short]
-			var a0, a1, a2, a3 float64
-			for i, v := range x {
-				a0 = term(a0, v, w0[i])
-				a1 = term(a1, v, w1[i])
-				a2 = term(a2, v, w2[i])
-				a3 = term(a3, v, w3[i])
-			}
-			m0, m1, m2, m3 = min(m0, a0), min(m1, a1), min(m2, a2), min(m3, a3)
+	m0, m1, m2, m3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	for off := 0; off <= long-short; off++ {
+		x := s[off*sStep : off*sStep+short]
+		w := grp[off*tStep : off*tStep+4*short]
+		var a0, a1, a2, a3 float64
+		for i, v := range x {
+			a0 = term(a0, v, w[4*i])
+			a1 = term(a1, v, w[4*i+1])
+			a2 = term(a2, v, w[4*i+2])
+			a3 = term(a3, v, w[4*i+3])
 		}
-		out[j], out[j+1], out[j+2], out[j+3] = m0, m1, m2, m3
+		m0, m1, m2, m3 = min(m0, a0), min(m1, a1), min(m2, a2), min(m3, a3)
 	}
-	for ; j < len(ts); j++ {
-		t := ts[j]
-		m := math.Inf(1)
-		for off := 0; off <= last; off++ {
-			so, to := off*sStep, off*tStep
-			x, w := s[so:so+short], t[to:to+short]
-			var a float64
-			for i, v := range x {
-				a = term(a, v, w[i])
-			}
-			m = min(m, a)
-		}
-		out[j] = m
-	}
+	return [4]float64{m0, m1, m2, m3}
 }

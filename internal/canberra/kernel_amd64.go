@@ -21,13 +21,21 @@ import "protoclust/internal/vecmath"
 //     carries identical bits; the batch abandons only when all four
 //     lanes have reached the bound, which by the selection-identity
 //     argument on minWindowScalar never changes which window wins.
-//   - canberraMinLanes4AVX2 runs minWindowLanes' four partner chains
-//     one per lane: every window is one chain in element order and
-//     runs to the end, and each lane keeps its minimum window sum.
+//   - canberraLanesAVX2 is the run entry of LengthBlock.Row: one call
+//     per (row, run suffix). It reads a lane-interleaved run, so the
+//     four partners' elements of a step are one contiguous VMOVUPD,
+//     and runs lanesScalar's chains one partner per lane:
+//     distScalar's four chains for equal lengths, and for unequal
+//     lengths every window as one chain in element order to the end,
+//     keeping each lane's minimum. It finishes each group in
+//     registers with the IEEE operations of blend in blend's order
+//     (divide by |s|, min with 2, blend, clamp), converts to float32
+//     as dbscan.Quantize does, and stores the lanes that belong to the
+//     run suffix straight to their pool positions.
 //
-// Everything is written against the 512-entry recipSum table via
-// VGATHERDPD; the table is shared read-only state, so concurrent tile
-// workers hit the same cache lines without contention.
+// Every term reads the 512-entry recipSum table via VGATHERDPD; the
+// table is shared read-only state, so concurrent tile workers hit the
+// same cache lines without contention.
 
 // haveAVX2 reports whether this CPU supports the kernel: AVX2 + FMA
 // instruction sets and OS-managed ymm state (OSXSAVE + XCR0 ymm bits —
@@ -85,39 +93,33 @@ func canberraDistBatchAVX2(x *float64, n int, ys []View, out *float64, fls float
 //go:noescape
 func canberraAbandon4AVX2(s *float64, n int, t *float64, bound float64, sums *[4]float64)
 
-// canberraMinLanes4AVX2 stores in out[k] the minimum raw window sum
-// between b and ts[k] for the four partners ts[0:4] over windows
-// windows of n elements. Between windows b advances by bStep bytes and
-// every partner by tStep bytes.
+// canberraLanesAVX2 is the AVX2 run entry (see lanesAVX2): it walks
+// the four-partner groups of a lane-interleaved run from lanes, each
+// group l·4 float64s, and stores group g's lane k (for 4g+k in
+// [first, n)) as a float32 at out[idx[4g+k]−lo]. windows = 1 selects the
+// equal-length body (distScalar's four chains per lane, divided by fls);
+// otherwise each lane keeps its minimum raw sum over windows windows of
+// short elements, advancing s by sStep bytes and the partners by tStep
+// bytes between windows, and blends it with fls, flt and the penalty
+// weight c.
 //
 //go:noescape
-func canberraMinLanes4AVX2(b *float64, bStep int, ts *View, tStep int, n, windows int, out *[4]float64)
+func canberraLanesAVX2(s, lanes *float64, l int, idx *int, first, n, lo int, out *float32, short, windows, sStep, tStep int, fls, flt, c float64)
 
-// minWindowLanesAVX2 is minWindowLanes with the four partners of a
-// step in one ymm register, one pair per lane. A short final group
-// repeats its last partner to fill the lanes and keeps only the real
-// ones.
-func minWindowLanesAVX2(s View, ts []View, out []float64) {
-	short, long := len(s), len(ts[0])
-	bStep, tStep := 0, 8 // s slides over the partners
-	if short > long {
-		short, long = long, short
-		bStep, tStep = 8, 0 // the partners slide over s
+// lanesAVX2 is lanesScalar with the four partners of a group in one
+// ymm register, one pair per lane, and the whole run in one call. The
+// run starts at the group holding from; lanes before from and the
+// padded lanes past the run's end are computed and not stored.
+func lanesAVX2(s View, run *laneRun, from, lo int, c float64, out []float32) {
+	l, ls := run.l, len(s)
+	short, long := min(ls, l), max(ls, l)
+	sStep, tStep := 0, 32 // s slides over the partners
+	if ls > l {
+		sStep, tStep = 8, 0 // the partners slide over s
 	}
-	windows := long - short + 1
-	j := 0
-	for ; j+3 < len(ts); j += 4 {
-		canberraMinLanes4AVX2(&s[0], bStep, &ts[j], tStep, short, windows, (*[4]float64)(out[j:]))
-	}
-	if j < len(ts) {
-		var group [4]View
-		for k := range group {
-			group[k] = ts[min(j+k, len(ts)-1)]
-		}
-		var sums [4]float64
-		canberraMinLanes4AVX2(&s[0], bStep, &group[0], tStep, short, windows, &sums)
-		copy(out[j:], sums[:])
-	}
+	g := from &^ 3
+	canberraLanesAVX2(&s[0], &run.lanes[g*l], l, &run.idx[g], from-g, len(run.idx)-g, lo, &out[0],
+		short, long-short+1, sStep, tStep, float64(short), float64(long), c)
 }
 
 func distAVX2(x, y View) float64 {
@@ -173,12 +175,12 @@ func minWindowAVX2(s, t View) float64 {
 
 func init() {
 	register(&kernelImpl{
-		name:           "avx2",
-		dist:           distAVX2,
-		distBatch:      distBatchAVX2,
-		minWindow:      minWindowAVX2,
-		minWindowLanes: minWindowLanesAVX2,
-		available:      haveAVX2,
-		exact:          true,
+		name:      "avx2",
+		dist:      distAVX2,
+		distBatch: distBatchAVX2,
+		minWindow: minWindowAVX2,
+		lanes:     lanesAVX2,
+		available: haveAVX2,
+		exact:     true,
 	})
 }

@@ -22,12 +22,14 @@ import "protoclust/internal/vecmath"
 // 0-1, V-high chains 2-3, reduced as (s0+s2)+(s1+s3) exactly like
 // distScalar. The sliding-window kernel scans two adjacent windows as
 // the two lanes, abandoning when both have reached the bound, exactly
-// like abandonScalar2.
+// like abandonScalar2. The partner-lane run entry behind
+// LengthBlock.Row is the scalar kernel's Go body, lanesScalar.
 //
-// Validation status: this file cross-compiles in CI
-// (GOARCH=arm64 go build ./...) and is fuzzed via the same differential
-// targets as the other kernels whenever the tests run on real arm64
-// hardware; the repo's own CI hosts are amd64-only, so on a new arm64
+// Validation status: this file and the package's tests cross-compile
+// in CI (GOARCH=arm64 go build ./..., go test -c) and are fuzzed via
+// the same differential targets as the other kernels whenever the
+// tests run on real arm64 hardware; the repo's own CI hosts are
+// amd64-only, so on a new arm64
 // host run `go test ./internal/canberra/` once (loud failure if the
 // translation drifts) or set PROTOCLUST_KERNEL=noasm to sidestep the
 // asm entirely.
@@ -94,11 +96,11 @@ func minWindowNEON(s, t View) float64 {
 
 func init() {
 	register(&kernelImpl{
-		name:           "neon",
-		dist:           distNEON,
-		distBatch:      distBatchNEON,
-		minWindow:      minWindowNEON,
-		minWindowLanes: minWindowLanes,
-		exact:          true,
+		name:      "neon",
+		dist:      distNEON,
+		distBatch: distBatchNEON,
+		minWindow: minWindowNEON,
+		lanes:     lanesScalar,
+		exact:     true,
 	})
 }

@@ -1,8 +1,8 @@
 package canberra
 
 import (
-	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -65,11 +65,14 @@ func TestDissimViewsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLengthBlockBatch pins the block the tile builders share: Idx is
-// the block's indices stably sorted by length, Views follows it, and
-// Batch computes exactly the partners past after, bit for bit equal to
-// per-pair DissimViews, leaving the other entries of out untouched.
-func TestLengthBlockBatch(t *testing.T) {
+// TestLengthBlockRow pins the block the tile builders share: Idx is
+// the block's indices stably sorted by length, Views follows it, each
+// run's interleaved copy holds its partners element-major in groups of
+// four with a zero-padded last group, and Row stores exactly the
+// partners past after, at their pool positions, bit for bit equal to
+// float32(DissimViews) on the scalar kernel, on every kernel, leaving
+// the other entries of out untouched.
+func TestLengthBlockRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	views := make([]View, 90)
 	for i := range views {
@@ -95,21 +98,88 @@ func TestLengthBlockBatch(t *testing.T) {
 			}
 		}
 	}
-	for _, after := range []int{-1, lo - 1, lo, 33, 45, hi - 2, hi - 1} {
-		out := make([]float64, hi-lo)
-		for k := range out {
-			out[k] = math.NaN()
+	total := 0
+	for _, run := range blk.runs {
+		total += len(run.idx)
+		if len(run.lanes) != (len(run.idx)+3)/4*4*run.l {
+			t.Fatalf("run of length %d with %d partners has %d interleaved values", run.l, len(run.idx), len(run.lanes))
 		}
-		blk.Batch(views[5], after, DefaultPenalty, out)
-		for k, j := range blk.Idx {
-			if j <= after {
-				if !math.IsNaN(out[k]) {
-					t.Fatalf("after %d: out[%d] (index %d) was written", after, k, j)
+		for p := range (len(run.idx) + 3) / 4 * 4 {
+			for e := range run.l {
+				want := 0.0
+				if p < len(run.idx) {
+					want = views[run.idx[p]][e]
 				}
-				continue
+				if got := run.lanes[(p/4*run.l+e)*4+p%4]; got != want {
+					t.Fatalf("run of length %d: partner %d element %d = %v, want %v", run.l, p, e, got, want)
+				}
 			}
-			if want := DissimViews(views[5], views[j], DefaultPenalty); math.Float64bits(out[k]) != math.Float64bits(want) {
-				t.Fatalf("after %d: out[%d] (index %d) = %v, DissimViews %v", after, k, j, out[k], want)
+		}
+	}
+	if total != hi-lo {
+		t.Fatalf("runs hold %d partners, want %d", total, hi-lo)
+	}
+	for _, k := range hostKernels(t) {
+		for _, s := range []View{views[5], views[0], views[1], views[40]} {
+			for _, after := range []int{-1, lo - 1, lo, 33, 45, hi - 2, hi - 1} {
+				out := make([]float32, hi-lo)
+				for o := range out {
+					out[o] = float32(math.NaN())
+				}
+				blk.row(k, s, after, DefaultPenalty, out)
+				for j := lo; j < hi; j++ {
+					got := out[j-lo]
+					if j <= after {
+						if !math.IsNaN(float64(got)) {
+							t.Fatalf("kernel %s, after %d: out[%d] was written", k.name, after, j-lo)
+						}
+						continue
+					}
+					if k.exact {
+						want := float32(dissimViews(scalarKernel, s, views[j], DefaultPenalty))
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("kernel %s, after %d, |s| = %d: index %d = %v, DissimViews %v",
+								k.name, after, len(s), j, got, want)
+						}
+					} else if want := float32(dissimViews(k, s, views[j], DefaultPenalty)); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("kernel %s, after %d: index %d = %v, per pair %v", k.name, after, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlendRoundsEachStep checks blend against a reference that rounds
+// every operation to 53 bits on its own, in blend's order: c = (lt−ls)·pf,
+// fls·dmin, c·(1+dmin), their sum, the division by flt, then the clamp.
+// A compiler that fused a product into the following add (arm64's
+// FMADDD) would miss some of these bits, and so would the AVX2 run
+// entry if it did the steps in another order.
+func TestBlendRoundsEachStep(t *testing.T) {
+	f := func(x float64) *big.Float { return big.NewFloat(x) }
+	op := func() *big.Float { return new(big.Float).SetPrec(53).SetMode(big.ToNearestEven) }
+	var dmins []float64
+	for i := 0; i <= 256; i++ {
+		dmins = append(dmins, float64(i)/128, 2*float64(i)/257, math.Nextafter(float64(i)/128, 3))
+	}
+	for _, pf := range []float64{0, 0.1, DefaultPenalty, 0.5, 0.7, 1, 1.3} {
+		for ls := 1; ls <= laneMaxLen; ls++ {
+			for lt := ls + 1; lt <= laneMaxLen; lt++ {
+				fls, flt := float64(ls), float64(lt)
+				c := op().Mul(op().Sub(f(flt), f(fls)), f(pf))
+				cf, _ := c.Float64()
+				for _, dmin := range dmins {
+					a := op().Mul(f(fls), f(dmin))
+					p := op().Mul(c, op().Add(f(1), f(dmin)))
+					want, _ := op().Quo(op().Add(a, p), f(flt)).Float64()
+					if want > 1 {
+						want = 1
+					}
+					if got := blend(fls, flt, dmin, (flt-fls)*pf); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("blend(%d, %d, %v, c=%v) = %v, step-by-step %v", ls, lt, dmin, cf, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -218,41 +288,60 @@ func BenchmarkDissimilarityReference(b *testing.B) {
 	}
 }
 
-// BenchmarkDissimViewsBatch measures one row of 64 equal-length
-// partners on random content, the case where abandoning saves the most,
-// through the active kernel: "batch" is DissimViewsBatch (the partner
-// lanes for every shape here), "perPair" the per-pair abandoning path.
-func BenchmarkDissimViewsBatch(b *testing.B) {
+// pinnedLengths is the segment length histogram, as {length, count},
+// of the NEMESYS pool of a generated 1,000-message AWDL trace (5,571
+// unique segments), the pool shape the pinned-eps benchmark clusters:
+// 93 % of segments are 2–6 bytes.
+var pinnedLengths = [][2]int{
+	{2, 923}, {3, 896}, {4, 1187}, {5, 1084}, {6, 1074}, {7, 285}, {8, 48},
+	{9, 14}, {10, 10}, {11, 16}, {12, 23}, {13, 5}, {15, 5}, {20, 1},
+}
+
+// BenchmarkLengthBlockRow measures LengthBlock.Row as the eager fill
+// drives it, on a 256-view column block whose lengths follow
+// pinnedLengths: "offDiagonal" rows take every partner, "diagonal" rows
+// are the block's own and cut each run at their index, so short run
+// suffixes and partly used groups show. Each kernel that serves the run
+// entry runs it; ns/pair is per stored value.
+func BenchmarkLengthBlockRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	randView := func(n int) View {
-		v := make(View, n)
-		for i := range v {
-			v[i] = float64(rng.Intn(256))
+	var lens []int
+	for _, lc := range pinnedLengths {
+		for range lc[1] {
+			lens = append(lens, lc[0])
 		}
-		return v
 	}
-	for _, sh := range [][2]int{{2, 4}, {3, 5}, {4, 6}, {2, 8}, {6, 3}, {4, 12}, {8, 12}, {laneMaxLen, 2}} {
-		s := randView(sh[0])
-		ts := make([]View, 64)
-		for i := range ts {
-			ts[i] = randView(sh[1])
+	const block = 256
+	views := make([]View, 2*block)
+	for i := range views {
+		v := make(View, lens[rng.Intn(len(lens))])
+		for e := range v {
+			v[e] = float64(rng.Intn(256))
 		}
-		out := make([]float64, len(ts))
-		perPair := func() {
-			for j, u := range ts {
-				out[j] = DissimViews(s, u, DefaultPenalty)
-			}
+		views[i] = v
+	}
+	blk := NewLengthBlock(views, block, 2*block)
+	out := make([]float32, block)
+	for _, k := range hostKernels(b) {
+		if k.lanes == nil {
+			continue
 		}
-		batch := func() { DissimViewsBatch(s, ts, DefaultPenalty, out) }
-		for _, m := range []struct {
-			name string
-			fn   func()
-		}{{"batch", batch}, {"perPair", perPair}} {
-			b.Run(fmt.Sprintf("%dv%d/%s", sh[0], sh[1], m.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.fn()
+		for _, c := range []struct {
+			name  string
+			rows  []View
+			pairs int
+			after func(r int) int
+		}{
+			{"offDiagonal", views[:block], block * block, func(int) int { return -1 }},
+			{"diagonal", views[block:], block * (block - 1) / 2, func(r int) int { return block + r }},
+		} {
+			b.Run(k.name+"/"+c.name, func(b *testing.B) {
+				for range b.N {
+					for r, s := range c.rows {
+						blk.row(k, s, c.after(r), DefaultPenalty, out)
+					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/pair")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.pairs), "ns/pair")
 			})
 		}
 	}

@@ -13,16 +13,18 @@
 // carries n−i−1 pairs). A tile's results for one row are one contiguous
 // span of the row's suffix, written with one SetSpan, so the stores land
 // in storage order. Inside a tile, rows and columns are visited as their
-// block's canberra.LengthBlock, so each batched kernel call sees runs of
-// one partner length; results are put back in pool order within the
-// row span. ComputeReference retains the original per-row
-// implementation as the perf baseline and correctness oracle.
+// block's canberra.LengthBlock: one LengthBlock.Row call per row makes
+// one kernel call per run of one partner length and writes the
+// quantized results straight to their pool positions in the row span.
+// ComputeReference retains the original per-row implementation as the
+// perf baseline and correctness oracle.
 package dissim
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -151,7 +153,8 @@ const DefaultMemoryBudget int64 = 2 << 30
 // Config parameterizes the matrix build.
 type Config struct {
 	// Penalty is the Canberra length-mismatch penalty factor
-	// (canberra.DefaultPenalty for the paper's configuration).
+	// (canberra.DefaultPenalty for the paper's configuration). A NaN
+	// penalty fails the build with canberra.ErrBadPenalty.
 	Penalty float64
 	// Backend selects the storage layout; "" means BackendAuto.
 	Backend string
@@ -242,6 +245,9 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 	n := pool.Size()
 	if n == 0 {
 		return nil, ErrEmptyPool
+	}
+	if math.IsNaN(cfg.Penalty) {
+		return nil, fmt.Errorf("dissim: %w", canberra.ErrBadPenalty)
 	}
 	budget := cfg.MemoryBudget
 	if budget <= 0 {
@@ -348,9 +354,10 @@ func fillGrid(n int) [][2]int {
 // Tiles are blocks of pool indices, so a tile's results for row i are
 // one contiguous span of the row's suffix and land through one SetSpan.
 // Inside a tile, rows and columns are visited as canberra.LengthBlocks,
-// built once per block: each batched kernel call then sees a few runs
-// of one partner length, and its results are put back in pool order
-// within the row span.
+// built once per block (with their lane-interleaved runs): one
+// LengthBlock.Row call per row computes the row's partners run by run
+// and writes the quantized results straight to their places in the row
+// span.
 func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, penalty float64) error {
 	n := len(views)
 	tiles := fillGrid(n)
@@ -385,9 +392,8 @@ func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, pe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch: one row of kernel results in the column
-			// block's order, and the row span being written.
-			out := make([]float64, fillCols)
+			// Per-worker scratch: one row's results for a column block,
+			// at their pool positions within the block.
 			span := make([]float32, fillCols)
 			for {
 				t := int(next.Add(1) - 1)
@@ -422,14 +428,9 @@ func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, pe
 					}
 					// Columns at or before the diagonal are skipped: a row
 					// crossing this column block computes only those past it.
-					cols.Batch(vi, i, penalty, out)
-					sp := span[:c1-lo]
-					for k, j := range cols.Idx {
-						if j > i {
-							sp[j-lo] = dbscan.Quantize(out[k])
-						}
-					}
-					st.SetSpan(i, lo, sp)
+					sp := span[:c1-c0]
+					cols.Row(vi, i, penalty, sp)
+					st.SetSpan(i, lo, sp[lo-c0:])
 				}
 			}
 		}()

@@ -303,6 +303,22 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 	}
 }
 
+// TestComputeRejectsNaNPenalty checks that a NaN penalty fails the
+// build on every backend instead of storing NaN for every unequal-length
+// pair, which DBSCAN would quietly treat as no ε-edge.
+func TestComputeRejectsNaNPenalty(t *testing.T) {
+	pool := NewPool(genSegments(64, 3))
+	for _, backend := range []string{BackendAuto, BackendDense, BackendCondensed, BackendTiled} {
+		m, err := ComputeMatrix(pool, Config{Penalty: math.NaN(), Backend: backend})
+		if !errors.Is(err, canberra.ErrBadPenalty) {
+			t.Errorf("%s: err = %v, want canberra.ErrBadPenalty", backend, err)
+		}
+		if m != nil {
+			t.Errorf("%s: got a matrix with a NaN penalty", backend)
+		}
+	}
+}
+
 // genSegments builds n distinct pseudo-random segments, mimicking the
 // benchperf harness shapes (mixed short lengths, deterministic seed).
 func genSegments(n int, seed int64) []netmsg.Segment {

@@ -76,10 +76,34 @@ func TestComputeMatchesReference(t *testing.T) {
 // against the per-row reference at sizes around the tile edges: one row
 // block (64) and one column block (256) of the eager fill, each ±1, and
 // sizes that leave short last blocks. Lengths mix runs of the row's own
-// length, partner-lane lengths and longer segments.
+// length, partner-lane lengths and longer segments. Three more pools
+// use few lengths, so runs are long and scattered over the pool order:
+// there many rows cut their block's runs inside the last, zero-padded
+// group of four, whose padded lanes must never reach storage.
 func TestFillMatchesReferenceAtTileEdges(t *testing.T) {
+	type shape struct {
+		n      int
+		lens   []int
+		padded bool // some row must cut a run inside its padded last group
+	}
+	var shapes []shape
 	for _, n := range []int{2, 3, 63, 64, 65, 255, 256, 257, 321} {
-		pool := randomPool(t, n, []int{2, 3, 4, 5, 6, 8, 12, 16, 24}, int64(n))
+		shapes = append(shapes, shape{n, []int{2, 3, 4, 5, 6, 8, 12, 16, 24}, false})
+	}
+	shapes = append(shapes, shape{7, []int{2, 5}, true}, shape{70, []int{2, 3, 5}, true}, shape{300, []int{2, 3, 4, 6, 7}, true})
+	for _, sh := range shapes {
+		n := sh.n
+		pool := randomPool(t, n, sh.lens, int64(n))
+		if sh.padded {
+			views := pool.Views()
+			cuts := 0
+			for c0 := 0; c0 < n; c0 += fillCols {
+				cuts += cutsInPaddedGroup(views, c0, min(c0+fillCols, n))
+			}
+			if cuts == 0 {
+				t.Fatalf("n=%d: no row cuts a run inside its padded last group", n)
+			}
+		}
 		want, err := ComputeReference(pool, canberra.DefaultPenalty)
 		if err != nil {
 			t.Fatal(err)
@@ -94,6 +118,36 @@ func TestFillMatchesReferenceAtTileEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cutsInPaddedGroup counts the (row, run) pairs of the block of pool
+// indices [lo, hi) whose diagonal cut falls in the run's last group of
+// four while that group is zero-padded: the row's partners past the
+// diagonal start in that group.
+func cutsInPaddedGroup(views []canberra.View, lo, hi int) int {
+	blk := canberra.NewLengthBlock(views, lo, hi)
+	cuts := 0
+	for start := 0; start < len(blk.Idx); {
+		end := start + 1
+		for end < len(blk.Idx) && len(blk.Views[end]) == len(blk.Views[start]) {
+			end++
+		}
+		if m := end - start; m%4 != 0 {
+			for i := lo; i < hi; i++ {
+				from := 0
+				for _, j := range blk.Idx[start:end] {
+					if j <= i {
+						from++
+					}
+				}
+				if from >= m&^3 && from < m {
+					cuts++
+				}
+			}
+		}
+		start = end
+	}
+	return cuts
 }
 
 // TestKNNTableMatchesSort checks the bounded-heap selection against the

@@ -1,7 +1,7 @@
 // Package tilestore is the bounded-memory, out-of-core backend of the
 // dissimilarity matrix: instead of materializing all n² (or n(n−1)/2)
 // float32 entries, it computes 64×64 Canberra tiles on demand through
-// the optimized kernel (canberra.DissimViewsBatch on precomputed views,
+// the optimized kernel (canberra.LengthBlock.Row on precomputed views,
 // each block's rows and columns as a canberra.LengthBlock),
 // keeps the hot tiles in a byte-budgeted LRU, and optionally spills
 // evicted tiles to one pre-allocated slot per tile in a scratch file so
@@ -47,7 +47,8 @@ type Config struct {
 	// needed; the file consumes no namespace and is reclaimed by the
 	// kernel when the store is closed or the process exits.
 	SpillDir string
-	// Penalty is the Canberra length-mismatch penalty factor.
+	// Penalty is the Canberra length-mismatch penalty factor; New
+	// rejects a NaN penalty with canberra.ErrBadPenalty.
 	Penalty float64
 }
 
@@ -118,8 +119,8 @@ var (
 )
 
 // New creates a tiled store over the given kernel views. Every view
-// must be non-empty (the kernel contract); ctx bounds all lazy tile
-// computation the store performs later.
+// must be non-empty (the kernel contract) and the penalty not NaN; ctx
+// bounds all lazy tile computation the store performs later.
 func New(ctx context.Context, views []canberra.View, cfg Config) (*Store, error) {
 	n := len(views)
 	if n == 0 {
@@ -129,6 +130,9 @@ func New(ctx context.Context, views []canberra.View, cfg Config) (*Store, error)
 		if len(v) == 0 {
 			return nil, fmt.Errorf("tilestore: segment %d: %w", i, canberra.ErrEmpty)
 		}
+	}
+	if math.IsNaN(cfg.Penalty) {
+		return nil, fmt.Errorf("tilestore: %w", canberra.ErrBadPenalty)
 	}
 	ts := cfg.TileSize
 	if ts <= 0 {
@@ -458,34 +462,25 @@ func ComputeTile(views []canberra.View, penalty float64, tileSize, bi, bj int) [
 	r, c := min(tileSize, n-r0), min(tileSize, n-c0)
 	data := make([]float32, r*c)
 	// Rows and columns are visited as canberra.LengthBlocks, as in the
-	// eager build, so each batch call sees the partner views as runs of
-	// one length; results land at their tile-local positions. A diagonal
-	// row computes the columns past it and writes each value to (a, b)
-	// and its mirror (b, a).
+	// eager build: one Row call per row writes the row's results to
+	// their tile-local positions. A diagonal row computes the columns
+	// past it, and each value is mirrored from (a, b) to (b, a).
 	rows := canberra.NewLengthBlock(views, r0, r0+r)
 	cols := canberra.NewLengthBlock(views, c0, c0+c)
-	out := make([]float64, c)
 	for _, i := range rows.Idx {
-		after := -1
-		if bi == bj {
-			after = i
-		}
-		cols.Batch(views[i], after, penalty, out)
 		// Hoisted offsets: a and every b are below r and c, so the
 		// products stay within len(data) = r*c (r = c on the diagonal).
 		a := i - r0
-		row := a * c
-		for k, j := range cols.Idx {
-			if j <= after {
-				continue
-			}
-			b := j - c0
-			d := dbscan.Quantize(out[k])
-			data[row+b] = d
-			if bi == bj {
-				mirror := b * c
-				data[mirror+a] = d
-			}
+		off := a * c
+		row := data[off : off+c]
+		if bi != bj {
+			cols.Row(views[i], -1, penalty, row)
+			continue
+		}
+		cols.Row(views[i], i, penalty, row)
+		for b := a + 1; b < c; b++ {
+			mirror := b * c
+			data[mirror+a] = row[b]
 		}
 	}
 	return data

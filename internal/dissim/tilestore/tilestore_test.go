@@ -54,24 +54,37 @@ func newStore(t *testing.T, views []canberra.View, cfg Config) *Store {
 // TestComputeTileMatchesPerPair checks every tile of a grid with a
 // short last block, diagonal and off-diagonal, against per-pair kernel
 // calls: the in-tile length order must put each value at its pool
-// position, and diagonal tiles must hold both mirrored halves.
+// position, and diagonal tiles must hold both mirrored halves. The
+// second set of views cycles through three lengths, so the runs of a
+// 64-view block hold 22, 21 and 21 partners, each spread over the whole
+// block in pool order: none is a multiple of four, and every diagonal
+// row from a run's 20th partner up to its last cuts the run inside its
+// last, zero-padded group. A padded lane stored there would overwrite a
+// mirrored value.
 func TestComputeTileMatchesPerPair(t *testing.T) {
 	const n, ts = 150, DefaultTileSize
-	views := testViews(t, n, 5)
+	cyclic := make([]canberra.View, n)
+	for i := range cyclic {
+		for range []int{2, 5, 3}[i%3] {
+			cyclic[i] = append(cyclic[i], float64((i*37+len(cyclic[i])*11)%256))
+		}
+	}
 	nb := (n + ts - 1) / ts
-	for bi := 0; bi < nb; bi++ {
-		for bj := bi; bj < nb; bj++ {
-			data := ComputeTile(views, canberra.DefaultPenalty, ts, bi, bj)
-			r, c := min(ts, n-bi*ts), min(ts, n-bj*ts)
-			if len(data) != r*c {
-				t.Fatalf("tile (%d,%d): %d values, want %d", bi, bj, len(data), r*c)
-			}
-			for a := 0; a < r; a++ {
-				for b := 0; b < c; b++ {
-					i, j := bi*ts+a, bj*ts+b
-					want := oracle(views, canberra.DefaultPenalty, min(i, j), max(i, j))
-					if got := data[a*c+b]; math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("tile (%d,%d) cell (%d,%d): %v, per pair %v", bi, bj, a, b, got, want)
+	for _, views := range [][]canberra.View{testViews(t, n, 5), cyclic} {
+		for bi := 0; bi < nb; bi++ {
+			for bj := bi; bj < nb; bj++ {
+				data := ComputeTile(views, canberra.DefaultPenalty, ts, bi, bj)
+				r, c := min(ts, n-bi*ts), min(ts, n-bj*ts)
+				if len(data) != r*c {
+					t.Fatalf("tile (%d,%d): %d values, want %d", bi, bj, len(data), r*c)
+				}
+				for a := 0; a < r; a++ {
+					for b := 0; b < c; b++ {
+						i, j := bi*ts+a, bj*ts+b
+						want := oracle(views, canberra.DefaultPenalty, min(i, j), max(i, j))
+						if got := data[a*c+b]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("tile (%d,%d) cell (%d,%d): %v, per pair %v", bi, bj, a, b, got, want)
+						}
 					}
 				}
 			}
@@ -246,5 +259,12 @@ func TestNewRejectsEmptyViews(t *testing.T) {
 	views := []canberra.View{canberra.NewView([]byte{1, 2}), canberra.NewView(nil)}
 	if _, err := New(context.Background(), views, Config{}); !errors.Is(err, canberra.ErrEmpty) {
 		t.Fatalf("New with empty view err = %v, want canberra.ErrEmpty", err)
+	}
+}
+
+func TestNewRejectsNaNPenalty(t *testing.T) {
+	views := testViews(t, 10, 1)
+	if _, err := New(context.Background(), views, Config{Penalty: math.NaN()}); !errors.Is(err, canberra.ErrBadPenalty) {
+		t.Fatalf("New with NaN penalty err = %v, want canberra.ErrBadPenalty", err)
 	}
 }
