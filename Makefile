@@ -96,7 +96,7 @@ bench-check:
 # Regenerates the perf-trajectory artifact for the dissimilarity hot
 # path: per-kernel shard (every compiled SIMD kernel vs scalar and the
 # PR-1 baseline), kernel, matrix build, and k-NN table per backend
-# (dense / condensed / tiled) at n = 500/2000/8000, plus the GOMAXPROCS
+# (condensed / tiled) at n = 500/2000/8000, plus the GOMAXPROCS
 # scaling sweep. See docs/tuning.md § Performance.
 bench-json:
 	$(GO) run ./cmd/benchperf -out BENCH_6.json
@@ -155,7 +155,6 @@ fuzz:
 	$(GO) test -run XXX -fuzz 'FuzzDissimilarity$$' -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzKernelDifferential -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzKernelCross -fuzztime 10s ./internal/canberra/
-	$(GO) test -run XXX -fuzz FuzzDissimViewsBatchRuns -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzLengthBlockRow -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzFind -fuzztime 10s ./internal/kneedle/
 	$(GO) test -run XXX -fuzz FuzzSmoothMatchesOracle -fuzztime 10s ./internal/spline/

@@ -6,9 +6,9 @@
 // canberra.DissimilarityPenalty), so the file records the before/after
 // of this optimization round and gives later PRs a trajectory to
 // compare against. A per-backend shard additionally times the full
-// matrix-build + k-NN pass through each storage backend (dense,
-// condensed, tiled, and tiled under a constrained budget with spill),
-// recording the throughput cost of bounded memory.
+// matrix-build + k-NN pass through each storage backend (condensed,
+// tiled, and tiled under a constrained budget with spill), recording
+// the throughput cost of bounded memory.
 //
 // Regenerate with:
 //
@@ -58,8 +58,8 @@ const pr1EqualLen8NsOp = 12.174
 
 // lenTiming is one equal-length measurement of one kernel: the
 // per-call DissimViews cost and the amortized per-pair cost of the
-// batched entry point (64 partners per call — the matrix build's tile
-// row) at the same length.
+// matrix build's row entry, LengthBlock.Row, over a block of 64
+// partners of the same length.
 type lenTiming struct {
 	Len         int     `json:"len"`
 	PerCallNsOp float64 `json:"per_call_ns_op"`
@@ -76,7 +76,6 @@ type slidingTiming struct {
 // host can run, measured over the same inputs.
 type kernelVariant struct {
 	Kernel  string          `json:"kernel"`
-	Exact   bool            `json:"exact"`
 	Equal   []lenTiming     `json:"equal_length"`
 	Sliding []slidingTiming `json:"sliding"`
 	// Equal8VsScalar is scalar's len-8 per-call time over this kernel's.
@@ -127,9 +126,9 @@ type backendResult struct {
 	TotalNs       int64   `json:"total_ns"`
 	NsPerPair     float64 `json:"ns_per_pair"`
 	ResidentBytes int64   `json:"resident_bytes"`
-	// VsDense is dense total time / this backend's total time (> 1 means
-	// faster than dense).
-	VsDense float64 `json:"throughput_vs_dense"`
+	// VsCondensed is condensed total time / this backend's total time
+	// (> 1 means faster than condensed).
+	VsCondensed float64 `json:"throughput_vs_condensed"`
 }
 
 type shapeResult struct {
@@ -257,7 +256,7 @@ func measureKernelVariants(rng *rand.Rand) []kernelVariant {
 		}
 	}()
 
-	const batchPartners = 64 // one matrix-build tile row
+	const batchPartners = 64 // one block of partners
 	lens := []int{8, 16, 32, 64}
 	slides := [][2]int{{4, 16}, {8, 64}}
 
@@ -284,20 +283,21 @@ func measureKernelVariants(rng *rand.Rand) []kernelVariant {
 			log.Printf("benchperf: kernel %s: %v (skipping)", name, err)
 			continue
 		}
-		v := kernelVariant{Kernel: name, Exact: canberra.KernelExact(name)}
+		v := kernelVariant{Kernel: name}
 		for _, l := range lens {
 			x, y := randView(l), randView(l)
 			ts := make([]canberra.View, batchPartners)
 			for i := range ts {
 				ts[i] = randView(l)
 			}
-			dists := make([]float64, batchPartners)
+			blk := canberra.NewLengthBlock(ts, 0, batchPartners)
+			dists := make([]float32, batchPartners)
 			reps := 200000 / l * 8
 			t := lenTiming{Len: l, PerCallNsOp: perCall(x, y, reps)}
 			batchNs := timeIt(100*time.Millisecond, func() {
 				for i := 0; i < reps/batchPartners+1; i++ {
-					canberra.DissimViewsBatch(x, ts, canberra.DefaultPenalty, dists)
-					sink += dists[0]
+					blk.Row(x, -1, canberra.DefaultPenalty, dists)
+					sink += float64(dists[0])
 				}
 			})
 			t.BatchNsPair = batchNs / float64(reps/batchPartners+1) / batchPartners
@@ -432,7 +432,6 @@ func measureBackends(pool *dissim.Pool, n, k int, spill string) []backendResult 
 		backend string
 		budget  int64
 	}{
-		{"dense", dissim.BackendDense, 0},
 		{"condensed", dissim.BackendCondensed, 0},
 		{"tiled", dissim.BackendTiled, 0},
 		{"tiled+spill", dissim.BackendTiled, constrainedBudget(n)},
@@ -468,7 +467,7 @@ func measureBackends(pool *dissim.Pool, n, k int, spill string) []backendResult 
 		})
 	}
 	for i := range out {
-		out[i].VsDense = float64(out[0].TotalNs) / float64(out[i].TotalNs)
+		out[i].VsCondensed = float64(out[0].TotalNs) / float64(out[i].TotalNs)
 	}
 	return out
 }
@@ -793,8 +792,8 @@ func main() {
 			s.N, s.MatrixBuild.Speedup, s.KNNTable.Speedup,
 			s.Kernel.EqualLengthSpeedx, s.Kernel.SlidingSpeedx)
 		for _, b := range s.Backends {
-			fmt.Printf("         backend %-12s %8.1f ns/pair  resident %11d B  vs dense %5.2fx\n",
-				b.Backend, b.NsPerPair, b.ResidentBytes, b.VsDense)
+			fmt.Printf("         backend %-12s %8.1f ns/pair  resident %11d B  vs condensed %5.2fx\n",
+				b.Backend, b.NsPerPair, b.ResidentBytes, b.VsCondensed)
 		}
 	}
 	printScaling(f.Scaling)

@@ -27,7 +27,7 @@ func main() {
 	var (
 		update    = flag.Bool("update", false, "rewrite the golden records from the current pipeline output")
 		dir       = flag.String("dir", "testdata/golden", "directory holding the golden records")
-		backend   = flag.String("backend", "", "dissimilarity-matrix backend: dense, condensed, tiled (default: auto)")
+		backend   = flag.String("backend", "", "dissimilarity-matrix backend: auto, condensed, tiled (default: auto)")
 		formatRun = flag.Bool("format", false, "also check the cross-trace field-type recognition records")
 	)
 	flag.Parse()

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"protoclust"
+	"protoclust/internal/canberra"
 )
 
 func main() {
@@ -35,6 +36,9 @@ func main() {
 	// mid-matrix instead of finishing the O(n²) build.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := canberra.EnvError(); err != nil {
+		fmt.Fprintf(os.Stderr, "protoclust: warning: %v; using kernel %s\n", err, canberra.ActiveKernel())
+	}
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "protoclust:", err)
 		os.Exit(1)
@@ -61,7 +65,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		asJSON    = fs.Bool("json", false, "emit the analysis as JSON instead of text")
 		compFlag  = fs.Bool("composition", false, "with ground truth: print cluster composition by true type")
 		memBudget = fs.Int64("memory-budget", 0, "resident bytes allowed for the dissimilarity matrix (0 = 2 GiB default); larger pools switch to the tiled backend")
-		backend   = fs.String("matrix-backend", "", "force the matrix storage backend: dense, condensed, tiled (default: auto within -memory-budget)")
+		backend   = fs.String("matrix-backend", "", "force the matrix storage backend: auto, condensed, tiled (default: auto within -memory-budget)")
 		spillDir  = fs.String("spill-dir", "", "with the tiled backend: spill evicted tiles to scratch files under this directory")
 
 		sweepFlag  = fs.Bool("sweep", false, "run a configuration sweep instead of a single analysis (see the -sweep-* axes)")

@@ -6,34 +6,27 @@ import (
 	"sort"
 )
 
-// Kernel dispatch. Each kernelImpl bundles the two inner-loop entry
-// points DissimViews needs; the package selects one implementation at
-// init (best available for the CPU it is running on) and stores it in
-// the package-level pointer `active`. The indirection costs one
-// predictable indirect call per pair — noise next to the loops behind
-// it — and buys a single binary that runs everywhere plus cheap A/B
-// benchmarking between kernels on the same host.
+// Kernel dispatch. Each kernelImpl bundles the inner-loop entry points
+// DissimViews and LengthBlock.Row need; the package selects one
+// implementation at init (best available for the CPU it is running on)
+// and stores it in the package-level pointer `active`. The indirection
+// costs one predictable indirect call per pair or run — noise next to
+// the loops behind it — and buys a single binary that runs everywhere
+// plus cheap A/B benchmarking between kernels on the same host.
 //
 // Selection order for "auto": avx2 > neon > scalar, taking the first
-// kernel whose available() probe passes. The float32 kernels are never
-// auto-selected: they trade one float32 ulp of the stored value for
-// speed, so they are strictly opt-in (PROTOCLUST_KERNEL=scalar-f32 or
-// SetKernel). The probe for the asm kernels checks real CPU features
+// kernel whose available() probe passes. Every kernel returns the
+// scalar kernel's bits, so the choice moves speed only, never a stored
+// distance. The probe for the asm kernels checks real CPU features
 // (e.g. AVX2+FMA and OS ymm-state support via XGETBV), so a binary
 // built with asm still falls back to scalar on an old machine.
 
-// kernelImpl is one full implementation of the two kernel inner loops.
+// kernelImpl is one full implementation of the kernel inner loops.
 type kernelImpl struct {
 	name string
 	// dist returns the raw (un-normalized) Canberra distance between two
 	// equal-length non-empty views.
 	dist func(x, y View) float64
-	// distBatch fills out[j] = dist(x, ys[j]) / float64(len(x)) — the
-	// normalized equal-length dissimilarity — for equal-length partners.
-	// Optional (nil → per-pair dist calls); the asm kernels provide it
-	// to amortize call overhead on short segments, and fold the
-	// normalizing division into the store.
-	distBatch func(x View, ys []View, out []float64)
 	// minWindow returns the minimum normalized window distance of s slid
 	// over t (0 < |s| < |t|), equivalent to minWindowScalar.
 	minWindow func(s, t View) float64
@@ -43,16 +36,11 @@ type kernelImpl struct {
 	// where c = (|t|−|s|)·pf is the blend's penalty weight. Row hands it
 	// runs of len(s) and, for unequal lengths, runs with both lengths at
 	// most laneMaxLen that the penalty does not saturate. Results are
-	// bit-identical to lanesScalar. Optional (nil → per-pair calls); only
-	// exact kernels provide it, since the float32 kernels confirm their
-	// windows one pair at a time.
+	// bit-identical to lanesScalar.
 	lanes func(s View, run *laneRun, from, lo int, c float64, out []float32)
 	// available reports whether this kernel can run on this machine.
 	// nil means always available.
 	available func() bool
-	// exact is true for kernels that return bit-identical float64
-	// results to the scalar kernel, false for the float32 variants.
-	exact bool
 }
 
 // kernels is the registry of every implementation compiled into this
@@ -65,7 +53,6 @@ var scalarKernel = &kernelImpl{
 	dist:      distScalar,
 	minWindow: minWindowScalar,
 	lanes:     lanesScalar,
-	exact:     true,
 }
 
 // active is the kernel DissimViews dispatches through. Never nil.
@@ -103,15 +90,12 @@ func selectAtInit() {
 	}
 }
 
-// autoKernel returns the best available exact kernel: the registry is
-// ordered scalar-first, arch kernels appended after, and later exact
+// autoKernel returns the best available kernel: the registry is
+// ordered scalar-first, arch kernels appended after, and later
 // registrations win.
 func autoKernel() *kernelImpl {
 	best := scalarKernel
 	for _, k := range kernels {
-		if !k.exact {
-			continue
-		}
 		if k.available == nil || k.available() {
 			best = k
 		}
@@ -173,20 +157,8 @@ func Kernels() []string {
 
 // EnvError reports whether the PROTOCLUST_KERNEL environment variable
 // was set to a value that could not be resolved at init (the package
-// fell back to auto selection). Surfaced by cmd layers that want to
-// warn instead of silently ignoring a typo.
+// fell back to auto selection). The commands log it at startup instead
+// of silently ignoring a typo.
 func EnvError() error {
 	return envErr
-}
-
-// KernelExact reports whether the named kernel returns bit-identical
-// float64 results to the scalar kernel (false for the float32
-// screening variants, and for unknown names).
-func KernelExact(name string) bool {
-	for _, k := range kernels {
-		if k.name == name {
-			return k.exact
-		}
-	}
-	return false
 }

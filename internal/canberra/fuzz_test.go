@@ -70,11 +70,8 @@ func FuzzKernelDifferential(f *testing.F) {
 }
 
 // FuzzKernelCross cross-checks every registered kernel against the
-// scalar kernel on arbitrary segment pairs: exact kernels (the SIMD
-// float64 translations) must match bit for bit, float32 screening
-// kernels within one float32 ulp of the stored (quantized) value. The
-// batched entry point is checked against the per-pair one on the same
-// inputs.
+// scalar kernel on arbitrary segment pairs, bit for bit, per pair and
+// through LengthBlock.Row.
 func FuzzKernelCross(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1}, DefaultPenalty)
 	f.Add([]byte{0}, []byte{0, 0, 0, 0, 0, 0, 0, 0}, 0.0)
@@ -92,85 +89,23 @@ func FuzzKernelCross(f *testing.F) {
 		}
 		s, u := NewView(a), NewView(b)
 		want := dissimViews(scalarKernel, s, u, pf)
+		// A block holding u, s and u again, so the row has an
+		// equal-length self pair and, unless |u| = |s|, a second run.
+		views := []View{u, s, u}
+		blk := NewLengthBlock(views, 0, len(views))
+		out := make([]float32, len(views))
 		for _, k := range kernels {
 			if k.available != nil && !k.available() {
 				continue
 			}
-			got := dissimViews(k, s, u, pf)
-			if k.exact {
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("kernel %s diverges from scalar: (%x,%x,pf=%v) got %v want %v",
-						k.name, a, b, pf, got, want)
-				}
-			} else if d := ulp32(got, want); d > 1 {
-				t.Fatalf("kernel %s off by %d float32 ulps: (%x,%x,pf=%v) got %v want %v",
-					k.name, d, a, b, pf, got, want)
+			if got := dissimViews(k, s, u, pf); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("kernel %s diverges from scalar: (%x,%x,pf=%v) got %v want %v",
+					k.name, a, b, pf, got, want)
 			}
-		}
-		// Batch vs per-pair, including an equal-length self pair so the
-		// run detection and the batch asm kernels both fire.
-		ts := []View{u, s, u}
-		out := make([]float64, len(ts))
-		DissimViewsBatch(s, ts, pf, out)
-		for i, ti := range ts {
-			pp := DissimViews(s, ti, pf)
-			if math.Float64bits(out[i]) != math.Float64bits(pp) {
-				t.Fatalf("batch[%d] = %v, per-pair = %v on (%x,%x,pf=%v)", i, out[i], pp, a, b, pf)
-			}
-		}
-	})
-}
-
-// FuzzDissimViewsBatchRuns drives DissimViewsBatch with runs of at
-// least five equal-length partners, one run longer than s, one shorter
-// and one of len(s), so the equal-length batch, the per-pair path and
-// both slide directions all fire. Partner bytes are cut cyclically from
-// pool at staggered offsets; a seed whose pool contains s gives
-// exactly-zero windows. Every exact kernel must match per-pair
-// DissimViews on the scalar kernel (the oracle) bit for bit.
-func FuzzDissimViewsBatchRuns(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1, 0, 9, 9, 7}, uint8(3), uint8(1), uint8(2), DefaultPenalty)
-	f.Add([]byte{7, 9}, []byte{7, 9, 7, 9, 1}, uint8(4), uint8(0), uint8(6), 0.0)
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, []byte{0}, uint8(9), uint8(4), uint8(0), 3.0)
-	f.Add([]byte{255, 1, 128, 4, 9, 9, 9, 2, 2, 2, 2, 0}, []byte{4, 9, 9, 200}, uint8(1), uint8(10), uint8(3), -0.5)
-	f.Add([]byte{5, 6, 7, 8}, []byte{1, 2, 5, 6, 7, 8, 9}, uint8(12), uint8(2), uint8(1), 1.5)
-
-	f.Fuzz(func(t *testing.T, a, pool []byte, longer, shorter, extra uint8, pf float64) {
-		if len(a) == 0 || len(pool) == 0 || math.IsNaN(pf) || math.IsInf(pf, 0) {
-			return
-		}
-		s := NewView(a[:min(len(a), laneMaxLen+2)])
-		ls := len(s)
-		// s and the longer run reach past laneMaxLen, so the per-pair
-		// fallback around the bound runs too.
-		lens := []int{ls + 1 + int(longer)%(laneMaxLen+2), ls}
-		if ls > 1 {
-			lens = append(lens, 1+int(shorter)%(ls-1))
-		}
-		n := 5 + int(extra)%8 // a full lane group, mostly with a remainder
-		var ts []View
-		at := 0
-		for r, l := range lens {
-			for p := 0; p < n; p++ {
-				b := make([]byte, l)
-				for i := range b {
-					b[i] = pool[(at+i)%len(pool)]
-				}
-				at += 1 + r
-				ts = append(ts, NewView(b))
-			}
-		}
-		out := make([]float64, len(ts))
-		for _, k := range kernels {
-			if !k.exact || (k.available != nil && !k.available()) {
-				continue
-			}
-			dissimViewsBatch(k, s, ts, pf, out)
-			for j, u := range ts {
-				want := dissimViews(scalarKernel, s, u, pf)
-				if math.Float64bits(out[j]) != math.Float64bits(want) {
-					t.Fatalf("kernel %s: batch[%d] = %v, per-pair = %v (s=%x, len(t)=%d, pf=%v)",
-						k.name, j, out[j], want, a, len(u), pf)
+			blk.row(k, s, -1, pf, out)
+			for j, v := range views {
+				if pp := float32(dissimViews(scalarKernel, s, v, pf)); math.Float32bits(out[j]) != math.Float32bits(pp) {
+					t.Fatalf("kernel %s: row[%d] = %v, per-pair = %v on (%x,%x,pf=%v)", k.name, j, out[j], pp, a, b, pf)
 				}
 			}
 		}
@@ -183,7 +118,7 @@ func FuzzDissimViewsBatchRuns(f *testing.F) {
 // laneMaxLen, with run sizes that are mostly not a multiple of four.
 // Every diagonal cut of the block is tried, under the fuzzed penalty
 // and under pf < 0, 0, the default and a saturating value. On every
-// exact kernel each stored float32 must equal float32(DissimViews) on
+// kernel each stored float32 must equal float32(DissimViews) on
 // the scalar kernel bit for bit, and no entry at or before the cut may
 // be written: that is where a first group's skipped lanes and a last
 // group's padded lanes would land.
@@ -234,7 +169,7 @@ func FuzzLengthBlockRow(f *testing.F) {
 		out := make([]float32, len(views)-lo)
 		for _, p := range []float64{pf, -0.5, 0, DefaultPenalty, 3} {
 			for _, k := range kernels {
-				if !k.exact || (k.available != nil && !k.available()) {
+				if k.available != nil && !k.available() {
 					continue
 				}
 				for after := lo - 1; after < len(views); after++ {

@@ -17,7 +17,7 @@ import (
 // Since the SIMD round, the kernel is split in two layers:
 //
 //   - This file holds the portable scalar implementation and the
-//     DissimViews/DissimViewsBatch orchestration shared by every
+//     DissimViews/LengthBlock.Row orchestration shared by every
 //     backend. The scalar kernel is written so that the SIMD kernels
 //     can reproduce it bit for bit (see the accumulation-order notes
 //     on distScalar), which keeps cluster labels identical no matter
@@ -250,9 +250,8 @@ func minWindowScalar(s, t View) float64 {
 // abandoned early are exactly those that could not have updated dmin,
 // and the reciprocal-table fused terms differ from the reference's
 // divisions by at most 1 ulp each. Across kernels the contract is
-// stricter: every float64 kernel (scalar, AVX2, NEON) returns the
-// identical bit pattern, and the opt-in float32 kernels stay within
-// one float32 ulp of the stored (quantized) value.
+// stricter: every kernel (scalar, AVX2, NEON) returns the identical
+// bit pattern.
 func DissimViews(s, t View, pf float64) float64 {
 	return dissimViews(active, s, t, pf)
 }
@@ -307,33 +306,6 @@ func blend(fls, flt, dmin, c float64) float64 {
 // every shape up to 8v12 (1.4× there, 3–4× at 2v4) and lost at 8v16
 // and 12v16.
 const laneMaxLen = 12
-
-// DissimViewsBatch fills out[j] = DissimViews(s, ts[j], pf) for every
-// view in ts, bit for bit: a run of partners of len(s) flows through the
-// kernel's batched equal-length entry point, everything else goes pair
-// by pair. out must have len(ts) capacity. The matrix builders use
-// LengthBlock.Row instead.
-func DissimViewsBatch(s View, ts []View, pf float64, out []float64) {
-	dissimViewsBatch(active, s, ts, pf, out)
-}
-
-func dissimViewsBatch(k *kernelImpl, s View, ts []View, pf float64, out []float64) {
-	out = out[:len(ts)]
-	for j := 0; j < len(ts); {
-		r := j + 1
-		for r < len(ts) && len(ts[r]) == len(ts[j]) {
-			r++
-		}
-		if len(s) > 0 && len(ts[j]) == len(s) && k.distBatch != nil {
-			k.distBatch(s, ts[j:r], out[j:r])
-		} else {
-			for i := j; i < r; i++ {
-				out[i] = dissimViews(k, s, ts[i], pf)
-			}
-		}
-		j = r
-	}
-}
 
 // LengthBlock is a block of pool indices in the order the tile builders
 // visit it: stably sorted by view length, so a row's partners arrive as
@@ -409,9 +381,9 @@ func NewLengthBlock(views []View, lo, hi int) LengthBlock {
 // partners past the diagonal are a suffix of each run, found by binary
 // search.
 //
-// Each run is one call of the kernel's run entry when the kernel is
-// exact and the pair shape is one the lanes serve (equal lengths, or
-// both lengths at most laneMaxLen); other runs go pair by pair.
+// Each run is one call of the kernel's run entry when the pair shape is
+// one the lanes serve (equal lengths, or both lengths at most
+// laneMaxLen); other runs go pair by pair.
 func (b *LengthBlock) Row(s View, after int, pf float64, out []float32) {
 	b.row(active, s, after, pf, out)
 }
@@ -433,7 +405,7 @@ func (b *LengthBlock) row(k *kernelImpl, s View, after int, pf float64, out []fl
 		}
 		fls, flt := float64(min(ls, run.l)), float64(max(ls, run.l))
 		switch {
-		case k.lanes == nil || ls == 0 || run.l == 0 || (ls != run.l && max(ls, run.l) > laneMaxLen):
+		case ls == 0 || run.l == 0 || (ls != run.l && max(ls, run.l) > laneMaxLen):
 			for p := from; p < len(run.idx); p++ {
 				out[run.idx[p]-b.lo] = float32(dissimViews(k, s, run.views[p], pf))
 			}

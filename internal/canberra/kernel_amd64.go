@@ -77,9 +77,8 @@ func xgetbv0() (eax, edx uint32)
 
 // canberraDistBatchAVX2 fills out[j] with the raw Canberra distance
 // between x and ys[j] divided by fls; every ys[j] must have exactly
-// n = len(x) elements, and fls = 1 yields the raw distance. The whole
-// batch loop lives in assembly so short segments pay the Go→asm call
-// overhead once per tile row, not once per pair.
+// n = len(x) elements, and fls = 1 yields the raw distance. distAVX2
+// calls it with a single partner.
 //
 //go:noescape
 func canberraDistBatchAVX2(x *float64, n int, ys []View, out *float64, fls float64)
@@ -129,10 +128,6 @@ func distAVX2(x, y View) float64 {
 	return out[0]
 }
 
-func distBatchAVX2(x View, ys []View, out []float64) {
-	canberraDistBatchAVX2(&x[0], len(x), ys, &out[0], float64(len(x)))
-}
-
 // minWindowAVX2 mirrors minWindowScalar with four windows per step.
 // The bound handed to a batch is the best raw sum before the batch —
 // staler than the scalar two-window loop's, which only means lanes
@@ -177,10 +172,8 @@ func init() {
 	register(&kernelImpl{
 		name:      "avx2",
 		dist:      distAVX2,
-		distBatch: distBatchAVX2,
 		minWindow: minWindowAVX2,
 		lanes:     lanesAVX2,
 		available: haveAVX2,
-		exact:     true,
 	})
 }

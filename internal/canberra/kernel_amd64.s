@@ -45,11 +45,9 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 //
 // out[j] = (raw Canberra distance between x[0:n] and ys[j][0:n]) / fls
 // for every j; callers wanting the raw sum pass fls = 1 (division by
-// one is exact). The batch loop lives here so a tile row of short
-// segments pays the call overhead once, and pairs are processed two at
-// a time — both pairs share the x load and their gather/FMA chains are
-// independent, which hides the gather latency that dominates a single
-// short pair. Per pair: main loop of 4 elements per iteration into 4
+// one is exact). distAVX2 passes one pair; with more, pairs are
+// processed two at a time — both pairs share the x load and their
+// gather/FMA chains are independent. Per pair: main loop of 4 elements per iteration into 4
 // accumulator lanes, reduce (s0+s2)+(s1+s3), then a sequential scalar
 // tail over the n&3 remainder — the exact shape of distScalar.
 //
@@ -345,118 +343,6 @@ remloop:
 store:
 	MOVQ sums+32(FP), AX
 	VMOVUPD Y0, (AX)
-	VZEROUPPER
-	RET
-
-// func canberraAbandon8F32AVX2(s *float32, n int, t *float32, bound float32, sums *[8]float32)
-//
-// Float32 screening twin of canberraAbandon4AVX2: eight adjacent
-// sliding windows as eight single-precision lanes against the
-// recipSum32 table. Screening sums are not part of the bit-identity
-// contract — the caller re-confirms candidate windows in float64 — so
-// this loop uses fused float32 FMA terms and only has to stay within
-// the f32Inflate error margin of the float64 sums.
-TEXT ·canberraAbandon8F32AVX2(SB), NOSPLIT, $0-40
-	MOVQ s+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ t+16(FP), DX
-
-	LEAQ ·recipSum32(SB), BX
-	VPCMPEQD Y1, Y1, Y1
-	VPSRLD $1, Y1, Y1  // float32 abs mask
-	VPCMPEQD Y2, Y2, Y2
-	VPSRLD $23, Y2, Y2 // int32 index mask: 511 ×8
-	VBROADCASTSS bound+24(FP), Y11
-	VXORPS Y0, Y0, Y0
-
-	MOVQ CX, R10
-	SHRQ $2, R10
-	JE remsetup
-
-grouploop:
-	// element i
-	VBROADCASTSS (SI), Y4
-	VMOVUPS (DX), Y5
-	VSUBPS Y5, Y4, Y7
-	VANDPS Y1, Y7, Y7
-	VADDPS Y5, Y4, Y8
-	VCVTTPS2DQ Y8, Y8
-	VPAND Y2, Y8, Y8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPS Y9, (BX)(Y8*4), Y10
-	VFMADD231PS Y10, Y7, Y0
-
-	// element i+1
-	VBROADCASTSS 4(SI), Y4
-	VMOVUPS 4(DX), Y5
-	VSUBPS Y5, Y4, Y7
-	VANDPS Y1, Y7, Y7
-	VADDPS Y5, Y4, Y8
-	VCVTTPS2DQ Y8, Y8
-	VPAND Y2, Y8, Y8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPS Y9, (BX)(Y8*4), Y10
-	VFMADD231PS Y10, Y7, Y0
-
-	// element i+2
-	VBROADCASTSS 8(SI), Y4
-	VMOVUPS 8(DX), Y5
-	VSUBPS Y5, Y4, Y7
-	VANDPS Y1, Y7, Y7
-	VADDPS Y5, Y4, Y8
-	VCVTTPS2DQ Y8, Y8
-	VPAND Y2, Y8, Y8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPS Y9, (BX)(Y8*4), Y10
-	VFMADD231PS Y10, Y7, Y0
-
-	// element i+3
-	VBROADCASTSS 12(SI), Y4
-	VMOVUPS 12(DX), Y5
-	VSUBPS Y5, Y4, Y7
-	VANDPS Y1, Y7, Y7
-	VADDPS Y5, Y4, Y8
-	VCVTTPS2DQ Y8, Y8
-	VPAND Y2, Y8, Y8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPS Y9, (BX)(Y8*4), Y10
-	VFMADD231PS Y10, Y7, Y0
-
-	ADDQ $16, SI
-	ADDQ $16, DX
-
-	// abandon when all eight lanes ≥ bound
-	VCMPPS $0x0D, Y11, Y0, Y12
-	VMOVMSKPS Y12, AX
-	CMPQ AX, $255
-	JE store
-	DECQ R10
-	JNE grouploop
-
-remsetup:
-	MOVQ CX, R10
-	ANDQ $3, R10
-	JE store
-
-remloop:
-	VBROADCASTSS (SI), Y4
-	VMOVUPS (DX), Y5
-	VSUBPS Y5, Y4, Y7
-	VANDPS Y1, Y7, Y7
-	VADDPS Y5, Y4, Y8
-	VCVTTPS2DQ Y8, Y8
-	VPAND Y2, Y8, Y8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPS Y9, (BX)(Y8*4), Y10
-	VFMADD231PS Y10, Y7, Y0
-	ADDQ $4, SI
-	ADDQ $4, DX
-	DECQ R10
-	JNE remloop
-
-store:
-	MOVQ sums+32(FP), AX
-	VMOVUPS Y0, (AX)
 	VZEROUPPER
 	RET
 

@@ -36,7 +36,8 @@ import "protoclust/internal/vecmath"
 
 // canberraDistBatchNEON fills out[j] with the raw Canberra distance
 // between x and ys[j] divided by fls; every ys[j] must have exactly
-// n = len(x) elements, and fls = 1 yields the raw distance.
+// n = len(x) elements, and fls = 1 yields the raw distance. distNEON
+// calls it with a single partner.
 //
 //go:noescape
 func canberraDistBatchNEON(x *float64, n int, ys []View, out *float64, fls float64)
@@ -55,10 +56,6 @@ func distNEON(x, y View) float64 {
 	var out [1]float64
 	canberraDistBatchNEON(&x[0], len(x), ys[:], &out[0], 1)
 	return out[0]
-}
-
-func distBatchNEON(x View, ys []View, out []float64) {
-	canberraDistBatchNEON(&x[0], len(x), ys, &out[0], float64(len(x)))
 }
 
 // minWindowNEON mirrors minWindowScalar exactly — same two-window
@@ -98,9 +95,7 @@ func init() {
 	register(&kernelImpl{
 		name:      "neon",
 		dist:      distNEON,
-		distBatch: distBatchNEON,
 		minWindow: minWindowNEON,
 		lanes:     lanesScalar,
-		exact:     true,
 	})
 }

@@ -71,16 +71,20 @@ func TestDissimViewsMatchesReference(t *testing.T) {
 // four with a zero-padded last group, and Row stores exactly the
 // partners past after, at their pool positions, bit for bit equal to
 // float32(DissimViews) on the scalar kernel, on every kernel, leaving
-// the other entries of out untouched.
+// the other entries of out untouched. After a random block, each kernel
+// runs blocks aimed at the edges of the partner-lane shapes.
 func TestLengthBlockRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	randView := func(n int) View {
+		v := make(View, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(256))
+		}
+		return v
+	}
 	views := make([]View, 90)
 	for i := range views {
-		b := make([]byte, []int{2, 3, 4, 6, 9, 13, 20}[rng.Intn(7)])
-		for j := range b {
-			b[j] = byte(rng.Intn(256))
-		}
-		views[i] = NewView(b)
+		views[i] = randView([]int{2, 3, 4, 6, 9, 13, 20}[rng.Intn(7)])
 	}
 	const lo, hi = 20, 70
 	blk := NewLengthBlock(views, lo, hi)
@@ -119,33 +123,88 @@ func TestLengthBlockRow(t *testing.T) {
 	if total != hi-lo {
 		t.Fatalf("runs hold %d partners, want %d", total, hi-lo)
 	}
+
+	run := func(n, l int) []View {
+		ts := make([]View, n)
+		for i := range ts {
+			ts[i] = randView(l)
+		}
+		return ts
+	}
+	// A length-2 view and a run of partners holding it at every offset
+	// plus one that does not: exactly-zero windows, which per-pair scans
+	// return early on.
+	zs := View{7, 9}
+	var zeroWindow []View
+	for off := 0; off < 5; off++ {
+		u := randView(6)
+		u[off], u[off+1] = 7, 9
+		zeroWindow = append(zeroWindow, u)
+	}
+	zeroWindow = append(zeroWindow, randView(6))
+	edges := []struct {
+		name string
+		s    View
+		ts   []View
+		pf   float64
+	}{
+		{"zero window", zs, zeroWindow, DefaultPenalty},
+		{"zero window, s longer", View{1, 7, 9, 4, 4, 4},
+			[]View{{7, 9}, {4, 4}, {8, 8}, {9, 4}, {1, 7}, {2, 2}}, DefaultPenalty},
+		{"pf > 1 saturates", randView(2), run(6, 7), 3},
+		{"pf > 1 below saturation", randView(3), run(6, 4), 1.2},
+		{"pf > 1 saturates, s longer", randView(9), run(5, 3), 2},
+		{"pf < 0", randView(3), append(run(5, 8), run(5, 2)...), -0.5},
+		{"at the bound", randView(2), run(7, laneMaxLen), DefaultPenalty},
+		{"at the bound, s longer", randView(laneMaxLen), run(7, laneMaxLen-1), DefaultPenalty},
+		{"one past the bound", randView(3), run(7, laneMaxLen+1), DefaultPenalty},
+		{"one past the bound, s longer", randView(laneMaxLen + 1), run(7, 4), DefaultPenalty},
+		{"empty run between runs", randView(4),
+			append(append(run(5, 6), run(3, 0)...), run(5, 2)...), DefaultPenalty},
+		{"empty s", nil, append(run(3, 3), run(2, 4)...), DefaultPenalty},
+	}
 	for _, k := range hostKernels(t) {
-		for _, s := range []View{views[5], views[0], views[1], views[40]} {
-			for _, after := range []int{-1, lo - 1, lo, 33, 45, hi - 2, hi - 1} {
-				out := make([]float32, hi-lo)
-				for o := range out {
-					out[o] = float32(math.NaN())
-				}
-				blk.row(k, s, after, DefaultPenalty, out)
-				for j := lo; j < hi; j++ {
-					got := out[j-lo]
-					if j <= after {
-						if !math.IsNaN(float64(got)) {
-							t.Fatalf("kernel %s, after %d: out[%d] was written", k.name, after, j-lo)
-						}
-						continue
-					}
-					if k.exact {
-						want := float32(dissimViews(scalarKernel, s, views[j], DefaultPenalty))
-						if math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("kernel %s, after %d, |s| = %d: index %d = %v, DissimViews %v",
-								k.name, after, len(s), j, got, want)
-						}
-					} else if want := float32(dissimViews(k, s, views[j], DefaultPenalty)); math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("kernel %s, after %d: index %d = %v, per pair %v", k.name, after, j, got, want)
-					}
+		t.Run(k.name, func(t *testing.T) {
+			for _, s := range []View{views[5], views[0], views[1], views[40]} {
+				for _, after := range []int{-1, lo - 1, lo, 33, 45, hi - 2, hi - 1} {
+					checkRow(t, k, &blk, views, s, after, DefaultPenalty)
 				}
 			}
+			for _, e := range edges {
+				t.Run(e.name, func(t *testing.T) {
+					eb := NewLengthBlock(e.ts, 0, len(e.ts))
+					for after := -1; after < len(e.ts); after++ {
+						checkRow(t, k, &eb, e.ts, e.s, after, e.pf)
+					}
+				})
+			}
+		})
+	}
+}
+
+// checkRow runs one Row of blk, a block over views, on kernel k and
+// checks every entry of out: the partners past after against
+// float32(DissimViews) on the scalar kernel, bit for bit, and the
+// others unwritten.
+func checkRow(t *testing.T, k *kernelImpl, blk *LengthBlock, views []View, s View, after int, pf float64) {
+	t.Helper()
+	out := make([]float32, len(blk.Idx))
+	for o := range out {
+		out[o] = float32(math.NaN())
+	}
+	blk.row(k, s, after, pf, out)
+	for o, got := range out {
+		j := blk.lo + o
+		if j <= after {
+			if !math.IsNaN(float64(got)) {
+				t.Fatalf("kernel %s, after %d: out[%d] was written", k.name, after, o)
+			}
+			continue
+		}
+		want := float32(dissimViews(scalarKernel, s, views[j], pf))
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("kernel %s, after %d, |s| = %d, pf = %v: index %d (len %d) = %v, DissimViews %v",
+				k.name, after, len(s), pf, j, len(views[j]), got, want)
 		}
 	}
 }
@@ -323,9 +382,6 @@ func BenchmarkLengthBlockRow(b *testing.B) {
 	blk := NewLengthBlock(views, block, 2*block)
 	out := make([]float32, block)
 	for _, k := range hostKernels(b) {
-		if k.lanes == nil {
-			continue
-		}
 		for _, c := range []struct {
 			name  string
 			rows  []View

@@ -64,7 +64,7 @@ type Params struct {
 	// served by the tiled out-of-core backend. Cache-neutral: every
 	// backend produces bit-identical labels.
 	MemoryBudget int64
-	// MatrixBackend forces a matrix storage backend ("auto", "dense",
+	// MatrixBackend forces a matrix storage backend ("auto",
 	// "condensed", "tiled"); "" means auto. Cache-neutral.
 	MatrixBackend string
 	// MatrixSpillDir enables the tiled backend's disk spill under the

@@ -94,7 +94,6 @@ func TestComputeStatsBitExactAcrossBackends(t *testing.T) {
 	}
 	pool := dissim.NewPool(segs)
 	for _, cfg := range []dissim.Config{
-		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendDense},
 		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendCondensed},
 		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendTiled, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
 	} {

@@ -438,74 +438,3 @@ func (r *Result) LargestClusterShare() (share float64, nonNoise int) {
 	}
 	return float64(max) / float64(nonNoise), nonNoise
 }
-
-// DenseMatrix is a Matrix backed by a flat, symmetric slice. Entries
-// are stored as float32: dissimilarities live in [0, 1] and heuristic
-// segmentation can produce tens of thousands of unique segments, where
-// float64 storage would double the footprint for no analytic benefit.
-type DenseMatrix struct {
-	n    int
-	data []float32 // row-major n×n
-}
-
-var _ Matrix = (*DenseMatrix)(nil)
-
-// NewDenseMatrix allocates an n×n zero matrix. It fails with
-// ErrMatrixSize instead of panicking when n² elements overflow the
-// representable range.
-func NewDenseMatrix(n int) (*DenseMatrix, error) {
-	if _, err := DenseBytes(n); err != nil {
-		return nil, err
-	}
-	return &DenseMatrix{n: n, data: make([]float32, n*n)}, nil
-}
-
-// Len returns the number of points.
-func (d *DenseMatrix) Len() int { return d.n }
-
-// The row offsets below are hoisted out of the index expressions: the
-// product i*n cannot wrap because MatrixBytes already rejected any n
-// with n*n > maxElems at allocation time, and len(data) == n*n bounds
-// every index.
-
-// Dist returns the stored dissimilarity between i and j.
-func (d *DenseMatrix) Dist(i, j int) float64 {
-	row := i * d.n
-	return float64(d.data[row+j])
-}
-
-// Set stores a symmetric dissimilarity between i and j.
-func (d *DenseMatrix) Set(i, j int, v float64) {
-	q := Quantize(v)
-	ri, rj := i*d.n, j*d.n
-	d.data[ri+j] = q
-	d.data[rj+i] = q
-}
-
-// SetSpan stores row i's span of the upper triangle and its mirror:
-// vals[o] becomes the dissimilarity of (i, lo+o) and (lo+o, i), under
-// the same contract as CondensedMatrix.SetSpan. Row i takes one copy;
-// the mirror walks the columns.
-func (d *DenseMatrix) SetSpan(i, lo int, vals []float32) {
-	if len(vals) == 0 {
-		return
-	}
-	if uint(i) >= uint(lo) || uint(lo+len(vals)) > uint(d.n) {
-		panic(pairOutOfRange{i, lo + len(vals) - 1, d.n})
-	}
-	row := i * d.n
-	copy(d.data[row+lo:row+lo+len(vals)], vals)
-	m := lo*d.n + i // mirror cell (lo, i), stride n
-	for _, v := range vals {
-		d.data[m] = v
-		m += d.n
-	}
-}
-
-// Row returns row i as a raw float32 slice, aliasing the matrix storage.
-// Hot scans (k-NN selection) iterate it directly instead of paying one
-// bounds-checked Dist call per entry. Callers must not mutate it.
-func (d *DenseMatrix) Row(i int) []float32 {
-	lo := i * d.n
-	return d.data[lo : lo+d.n]
-}

@@ -163,21 +163,22 @@ func TestLargestClusterShare(t *testing.T) {
 	}
 }
 
-func TestDenseMatrix(t *testing.T) {
-	m, err := NewDenseMatrix(3)
+func TestCondensedMatrix(t *testing.T) {
+	m, err := NewCondensedMatrix(3)
 	if err != nil {
-		t.Fatalf("NewDenseMatrix: %v", err)
+		t.Fatalf("NewCondensedMatrix: %v", err)
 	}
 	m.Set(0, 1, 0.5)
-	m.Set(1, 2, 0.25)
+	m.Set(2, 1, 0.25)
+	m.Set(2, 2, 0.75) // the diagonal is implicitly zero
 	if m.Dist(1, 0) != 0.5 {
 		t.Errorf("Dist(1,0) = %v, want 0.5 (symmetry)", m.Dist(1, 0))
 	}
 	if m.Dist(2, 1) != 0.25 {
 		t.Errorf("Dist(2,1) = %v, want 0.25", m.Dist(2, 1))
 	}
-	if m.Dist(0, 0) != 0 {
-		t.Errorf("Dist(0,0) = %v, want 0", m.Dist(0, 0))
+	if m.Dist(2, 2) != 0 {
+		t.Errorf("Dist(2,2) = %v, want 0", m.Dist(2, 2))
 	}
 	if m.Len() != 3 {
 		t.Errorf("Len = %d, want 3", m.Len())
@@ -204,40 +205,31 @@ func TestCondensedPairOutOfRangePanics(t *testing.T) {
 	}
 }
 
-// TestSetSpan pins the row-span writes of both resident backends: a
-// span lands at (i, lo…), the dense one also at its mirror, and a span
-// that starts on or before the diagonal or runs past n panics instead
-// of writing into a neighbouring row.
+// TestSetSpan pins the condensed row-span write: a span lands at
+// (i, lo…) and reads back from both sides, and a span that starts on or
+// before the diagonal or runs past n panics instead of writing into a
+// neighbouring row.
 func TestSetSpan(t *testing.T) {
-	dense, err := NewDenseMatrix(4)
+	m, err := NewCondensedMatrix(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := NewCondensedMatrix(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]interface {
-		Matrix
-		SetSpan(i, lo int, vals []float32)
-	}{"dense": dense, "condensed": cond} {
-		m.SetSpan(1, 2, []float32{0.25, 0.5})
-		m.SetSpan(3, 4, nil) // the last row's empty suffix
-		for _, c := range [][3]float64{{1, 2, 0.25}, {2, 1, 0.25}, {1, 3, 0.5}, {3, 1, 0.5}, {0, 1, 0}} {
-			if got := m.Dist(int(c[0]), int(c[1])); got != c[2] {
-				t.Errorf("%s: Dist(%v, %v) = %v, want %v", name, c[0], c[1], got, c[2])
-			}
+	m.SetSpan(1, 2, []float32{0.25, 0.5})
+	m.SetSpan(3, 4, nil) // the last row's empty suffix
+	for _, c := range [][3]float64{{1, 2, 0.25}, {2, 1, 0.25}, {1, 3, 0.5}, {3, 1, 0.5}, {0, 1, 0}} {
+		if got := m.Dist(int(c[0]), int(c[1])); got != c[2] {
+			t.Errorf("Dist(%v, %v) = %v, want %v", c[0], c[1], got, c[2])
 		}
-		for _, bad := range [][3]int{{1, 1, 1}, {2, 1, 1}, {0, 2, 3}, {-1, 0, 1}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: SetSpan(%d, %d, %d values) did not panic", name, bad[0], bad[1], bad[2])
-					}
-				}()
-				m.SetSpan(bad[0], bad[1], make([]float32, bad[2]))
+	}
+	for _, bad := range [][3]int{{1, 1, 1}, {2, 1, 1}, {0, 2, 3}, {-1, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetSpan(%d, %d, %d values) did not panic", bad[0], bad[1], bad[2])
+				}
 			}()
-		}
+			m.SetSpan(bad[0], bad[1], make([]float32, bad[2]))
+		}()
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // randomMatrix builds a random symmetric dissimilarity matrix whose
 // points fall into a few loose clumps, so DBSCAN has real structure to
 // find at typical radii.
-func randomMatrix(rng *rand.Rand, n int) *dbscan.DenseMatrix {
+func randomMatrix(rng *rand.Rand, n int) *dbscan.CondensedMatrix {
 	// 1-D positions: clump centers at 0, 1, 2, ... with jitter, plus a
 	// few far-out stragglers that should end up noise.
 	pos := make([]float64, n)
@@ -30,7 +30,7 @@ func randomMatrix(rng *rand.Rand, n int) *dbscan.DenseMatrix {
 			pos[i] = float64(rng.Intn(3)) + rng.Float64()*0.2
 		}
 	}
-	m, err := dbscan.NewDenseMatrix(n)
+	m, err := dbscan.NewCondensedMatrix(n)
 	if err != nil {
 		panic(err)
 	}
@@ -92,24 +92,19 @@ func TestClusterMatchesOracle(t *testing.T) {
 const tileEdge = 4
 
 // backends stores the symmetric dist (dist(i, i) = 0) on every matrix
-// backend: dense, condensed, and tiled under a one-tile budget, so that
+// backend: condensed, and tiled under a one-tile budget, so that
 // nearly every tile access evicts and reloads from the spill file. The
 // tiled store is seeded through Ingest, the way a distributed
 // coordinator assembles worker tiles, so it serves arbitrary distances
 // rather than Canberra values.
 func backends(t *testing.T, n int, dist func(i, j int) float64) map[string]dbscan.Matrix {
 	t.Helper()
-	dense, err := dbscan.NewDenseMatrix(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cond, err := dbscan.NewCondensedMatrix(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dense.Set(i, j, dist(i, j))
 			cond.Set(i, j, dist(i, j))
 		}
 	}
@@ -136,7 +131,7 @@ func backends(t *testing.T, n int, dist func(i, j int) float64) map[string]dbsca
 			var data []float32
 			for i := bi * tileEdge; i < min((bi+1)*tileEdge, n); i++ {
 				for j := bj * tileEdge; j < min((bj+1)*tileEdge, n); j++ {
-					data = append(data, dbscan.Quantize(dense.Dist(i, j)))
+					data = append(data, dbscan.Quantize(cond.Dist(i, j)))
 				}
 			}
 			if err := tiled.Ingest(bi, bj, data); err != nil {
@@ -144,7 +139,7 @@ func backends(t *testing.T, n int, dist func(i, j int) float64) map[string]dbsca
 			}
 		}
 	}
-	return map[string]dbscan.Matrix{"dense": dense, "condensed": cond, "tiled": tiled}
+	return map[string]dbscan.Matrix{"condensed": cond, "tiled": tiled}
 }
 
 // line returns the distance function of points on a line.
@@ -330,8 +325,8 @@ func TestClusterBandedMatchesOracle(t *testing.T) {
 // FuzzClusterMatchesOracle checks production DBSCAN against both
 // oracles on fuzzed point sets. Points are bytes on a line, at
 // distance |a−b|/255, and ε is one of those distances quantized, so
-// pairs at exactly ε are common. The dense and condensed backends are
-// checked; the tiled one shares the suffix contract and is covered by
+// pairs at exactly ε are common. The condensed backend is checked; the
+// tiled one shares the suffix contract and is covered by
 // TestClusterShapesOnEveryBackend.
 func FuzzClusterMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 13, 26, 128, 141, 154, 255}, uint8(13), uint8(2))
@@ -346,22 +341,15 @@ func FuzzClusterMatchesOracle(f *testing.F) {
 		eps := float64(dbscan.Quantize(float64(e%64+1) / 255))
 		minPts := int(mp%8) + 1
 		n := len(pts)
-		dense, err := dbscan.NewDenseMatrix(n)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cond, err := dbscan.NewCondensedMatrix(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				d := math.Abs(float64(pts[i])-float64(pts[j])) / 255
-				dense.Set(i, j, d)
-				cond.Set(i, j, d)
+				cond.Set(i, j, math.Abs(float64(pts[i])-float64(pts[j]))/255)
 			}
 		}
-		checkAgainstOracles(t, "dense", dense, eps, minPts)
 		checkAgainstOracles(t, "condensed", cond, eps, minPts)
 	})
 }

@@ -37,18 +37,6 @@ const maxInt = int(^uint(0) >> 1)
 // slice length and the byte count (4·elems) fit the host int.
 const maxElems = int64(maxInt) / 4
 
-// DenseBytes returns the resident size of an n×n DenseMatrix in bytes,
-// or ErrMatrixSize when n² elements overflow the representable range.
-func DenseBytes(n int) (int64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("%w: negative n = %d", ErrMatrixSize, n)
-	}
-	if n != 0 && int64(n) > maxElems/int64(n) {
-		return 0, fmt.Errorf("%w: %d points overflow a dense n*n layout", ErrMatrixSize, n)
-	}
-	return int64(n) * int64(n) * 4, nil
-}
-
 // CondensedBytes returns the resident size of an n-point CondensedMatrix
 // in bytes — n(n−1)/2 float32 entries — or ErrMatrixSize on overflow.
 func CondensedBytes(n int) (int64, error) {
@@ -92,25 +80,7 @@ type SuffixStreamer interface {
 	StreamSuffix(i int, fn func(lo int, vals []float32))
 }
 
-var (
-	_ RowStreamer = (*DenseMatrix)(nil)
-	_ RowStreamer = (*CondensedMatrix)(nil)
-)
-
-// StreamRow yields the whole dense row as one span.
-func (d *DenseMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	fn(0, d.Row(i))
-}
-
-// StreamSuffix yields the dense row after its diagonal as one span.
-func (d *DenseMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
-	if i+1 < d.n {
-		fn(i+1, d.Row(i)[i+1:])
-	}
-}
-
-// ResidentBytes returns the matrix's resident storage size.
-func (d *DenseMatrix) ResidentBytes() int64 { return int64(d.n) * int64(d.n) * 4 }
+var _ RowStreamer = (*CondensedMatrix)(nil)
 
 // zeroSpan is the shared single-entry diagonal span emitted by
 // condensed StreamRow. Consumers must not mutate spans (RowStreamer
@@ -118,7 +88,7 @@ func (d *DenseMatrix) ResidentBytes() int64 { return int64(d.n) * int64(d.n) * 4
 var zeroSpan = []float32{0}
 
 // CondensedMatrix is a Matrix storing only the strict upper triangle:
-// n(n−1)/2 float32 entries, half the resident footprint of DenseMatrix.
+// n(n−1)/2 float32 entries, half the footprint of a full n×n layout.
 // Entry (i, j) with i < j lives at i·(2n−i−1)/2 + (j−i−1), which the
 // per-row base table turns into one addition: base[i] + j.
 type CondensedMatrix struct {

@@ -18,8 +18,8 @@ import (
 // ComputeMatrixContext would have selected for the pool, so everything
 // downstream of the matrix is oblivious to how it was computed:
 //
-//   - Resident backends (dense, condensed) take each tile row as one
-//     span of the matrix row through SetSpan. Tile values are already
+//   - The condensed backend takes each tile row as one span of the
+//     matrix row through SetSpan. Tile values are already
 //     dbscan.Quantize'd float32, stored as they are, so assembled
 //     matrices are bit-identical to locally computed ones.
 //   - The tiled backend takes whole tiles through tilestore.Ingest,
@@ -31,7 +31,7 @@ import (
 type Assembler struct {
 	n, ts, nb int
 	backend   string
-	set       residentStore
+	set       *dbscan.CondensedMatrix
 	st        store
 	tiles     *tilestore.Store
 	views     []canberra.View
@@ -76,8 +76,8 @@ func NewAssembler(ctx context.Context, pool *Pool, cfg Config, tile int) (*Assem
 	a.remaining = vecmath.CheckedTriNum(a.nb + 1)
 	a.seen = make([]bool, a.remaining)
 	switch backend {
-	case BackendDense, BackendCondensed:
-		m, err := newResident(n, backend, budget)
+	case BackendCondensed:
+		m, err := newCondensed(n, budget)
 		if err != nil {
 			return nil, err
 		}

@@ -89,19 +89,6 @@ func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 	requireIdentical(t, assembled, local)
 }
 
-func TestAssemblerMatchesLocalDense(t *testing.T) {
-	pool := assemblePool(t, 90)
-	cfg := Config{Penalty: 1.5, Backend: BackendDense}
-	local, err := ComputeMatrix(pool, cfg)
-	if err != nil {
-		t.Fatalf("ComputeMatrix: %v", err)
-	}
-	defer func() { _ = local.Close() }()
-	assembled := assembleVia(t, pool, cfg, tilestore.DefaultTileSize)
-	defer func() { _ = assembled.Close() }()
-	requireIdentical(t, assembled, local)
-}
-
 func TestAssemblerTiledBackendViaIngest(t *testing.T) {
 	pool := assemblePool(t, 150)
 	cfg := Config{Penalty: 1.5, Backend: BackendTiled, SpillDir: t.TempDir()}
@@ -147,7 +134,7 @@ func TestAssemblerRejectsBadTiles(t *testing.T) {
 
 func TestAssemblerSmallTileSizeOnResidentBackend(t *testing.T) {
 	// Small tile sizes exercise multi-shard paths on small pools; the
-	// resident backends accept any grid.
+	// condensed backend accepts any grid.
 	pool := assemblePool(t, 50)
 	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
 	local, err := ComputeMatrix(pool, cfg)

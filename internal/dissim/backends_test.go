@@ -9,8 +9,8 @@ import (
 )
 
 // buildBackends computes the same pool through every storage backend:
-// dense, condensed, and tiled under a deliberately tiny budget with
-// disk spill, so eviction and reload paths are exercised too.
+// condensed, and tiled under a deliberately tiny budget with disk
+// spill, so eviction and reload paths are exercised too.
 func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 	t.Helper()
 	out := make(map[string]*Matrix)
@@ -18,7 +18,6 @@ func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 		name string
 		cfg  Config
 	}{
-		{"dense", Config{Penalty: canberra.DefaultPenalty, Backend: BackendDense}},
 		{"condensed", Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed}},
 		{"tiled", Config{
 			Penalty:      canberra.DefaultPenalty,
@@ -45,30 +44,33 @@ func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 }
 
 // TestBackendEquivalenceProperty is the cross-backend property test:
-// on randomized pools, every storage backend must produce bit-identical
-// distances, row and row-suffix streams, k-NN tables, and MinPositive.
-// The backends share dbscan.Quantize and the streaming order contracts,
-// so any divergence here is a layout bug, not float noise.
+// on randomized pools, every storage backend must produce distances,
+// row and row-suffix streams, k-NN tables, and MinPositive bit-identical
+// to ComputeReference's. The reference stores through the condensed
+// layout too, but pair by pair; the tiled backend keeps its own layout,
+// so a condensed offset bug cannot hide in both sides of the
+// comparison. The backends share dbscan.Quantize and the streaming
+// order contracts, so any divergence here is a layout bug, not float
+// noise.
 func TestBackendEquivalenceProperty(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
 		pool := randomPool(t, 130, []int{2, 3, 4, 6, 8, 12, 16}, seed)
 		n := pool.Size()
-		ms := buildBackends(t, pool)
-		ref := ms["dense"]
+		ref, err := ComputeReference(pool, canberra.DefaultPenalty)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		for name, m := range ms {
-			if name == "dense" {
-				continue
-			}
+		for name, m := range buildBackends(t, pool) {
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if g, w := m.Dist(i, j), ref.Dist(i, j); math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("seed %d: %s Dist(%d,%d) = %v, dense = %v", seed, name, i, j, g, w)
+						t.Fatalf("seed %d: %s Dist(%d,%d) = %v, reference = %v", seed, name, i, j, g, w)
 					}
 				}
 			}
 
-			// StreamRow must replay the exact dense row scan: same values,
+			// StreamRow must replay the exact Dist row scan: same values,
 			// same ascending-column order, covering [0, n) exactly once.
 			for i := 0; i < n; i++ {
 				row := make([]float32, 0, n)
@@ -85,7 +87,7 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				}
 				for j, d32 := range row {
 					if w := dbscan.Quantize(ref.Dist(i, j)); math.Float32bits(d32) != math.Float32bits(w) {
-						t.Fatalf("seed %d: %s StreamRow(%d) col %d = %v, dense = %v", seed, name, i, j, d32, w)
+						t.Fatalf("seed %d: %s StreamRow(%d) col %d = %v, reference = %v", seed, name, i, j, d32, w)
 					}
 				}
 			}
@@ -97,22 +99,22 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 			}
 			want, err := ref.KNNTable(kmax)
 			if err != nil {
-				t.Fatalf("seed %d: dense KNNTable: %v", seed, err)
+				t.Fatalf("seed %d: reference KNNTable: %v", seed, err)
 			}
 			for k := range want {
 				for i := range want[k] {
 					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-						t.Fatalf("seed %d: %s KNNTable[%d][%d] = %v, dense = %v",
+						t.Fatalf("seed %d: %s KNNTable[%d][%d] = %v, reference = %v",
 							seed, name, k, i, got[k][i], want[k][i])
 					}
 				}
 			}
 
 			if g, w := m.MinPositive(), ref.MinPositive(); math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("seed %d: %s MinPositive = %v, dense = %v", seed, name, g, w)
+				t.Fatalf("seed %d: %s MinPositive = %v, reference = %v", seed, name, g, w)
 			}
 
-			// StreamSuffix must replay the dense row after its diagonal:
+			// StreamSuffix must replay the row after its diagonal:
 			// same values, ascending columns, covering (i, n) exactly once.
 			for i := 0; i < n; i++ {
 				next := i + 1
@@ -122,7 +124,7 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 					}
 					for o, d32 := range vals {
 						if w := dbscan.Quantize(ref.Dist(i, lo+o)); math.Float32bits(d32) != math.Float32bits(w) {
-							t.Fatalf("seed %d: %s StreamSuffix(%d) col %d = %v, dense = %v", seed, name, i, lo+o, d32, w)
+							t.Fatalf("seed %d: %s StreamSuffix(%d) col %d = %v, reference = %v", seed, name, i, lo+o, d32, w)
 						}
 					}
 					next = lo + len(vals)

@@ -34,7 +34,6 @@ import (
 	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/netmsg"
-	"protoclust/internal/vecmath"
 )
 
 // MinSegmentLength is the shortest segment admitted to clustering;
@@ -134,11 +133,8 @@ const (
 	// BackendAuto picks condensed when it fits the memory budget and
 	// tiled otherwise.
 	BackendAuto = "auto"
-	// BackendDense is the full n×n float32 layout (fast aliased rows,
-	// double the condensed footprint).
-	BackendDense = "dense"
-	// BackendCondensed stores the strict upper triangle: n(n−1)/2
-	// float32, half the dense footprint. The default resident backend.
+	// BackendCondensed stores the strict upper triangle, n(n−1)/2
+	// float32, computed eagerly. The resident backend.
 	BackendCondensed = "condensed"
 	// BackendTiled computes 64×64 tiles on demand under a byte-budgeted
 	// LRU with optional disk spill (internal/dissim/tilestore).
@@ -159,8 +155,8 @@ type Config struct {
 	// Backend selects the storage layout; "" means BackendAuto.
 	Backend string
 	// MemoryBudget bounds the matrix's resident bytes; ≤ 0 means
-	// DefaultMemoryBudget. Explicitly requested dense/condensed
-	// backends that exceed the budget fail with ErrPoolTooLarge; auto
+	// DefaultMemoryBudget. An explicitly requested condensed backend
+	// that exceeds the budget fails with ErrPoolTooLarge; auto
 	// falls back to tiled; tiled uses it as the tile-LRU bound.
 	MemoryBudget int64
 	// SpillDir enables the tiled backend's disk spill under the given
@@ -195,9 +191,9 @@ var ErrPoolTooLarge = errors.New("dissim: segment pool too large")
 
 // MaxUniqueSegments bounds the population of the pre-kernel reference
 // path (ComputeReference), which only exists as an oracle and perf
-// baseline and always allocates densely: n² float32 entries; 30k
-// uniques ≈ 3.6 GB. The production backends are bounded by
-// Config.MemoryBudget instead.
+// baseline and always allocates a condensed matrix: 30k uniques
+// ≈ 1.8 GB. The production backends are bounded by Config.MemoryBudget
+// instead.
 const MaxUniqueSegments = 30000
 
 // fillRows × fillCols is the eager fill's tile, in pool-index space:
@@ -237,8 +233,8 @@ func ComputeMatrix(pool *Pool, cfg Config) (*Matrix, error) {
 }
 
 // ComputeMatrixContext builds the dissimilarity matrix on the backend
-// cfg selects. Resident backends (dense, condensed) are computed
-// eagerly in balanced upper-triangle tiles; the tiled backend returns
+// cfg selects. The condensed backend is computed eagerly in balanced
+// upper-triangle tiles; the tiled backend returns
 // immediately and computes 64×64 tiles on first touch within
 // cfg.MemoryBudget resident bytes.
 func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
@@ -265,8 +261,8 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 
 	var st store
 	switch backend {
-	case BackendDense, BackendCondensed:
-		m, err := newResident(n, backend, budget)
+	case BackendCondensed:
+		m, err := newCondensed(n, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -290,49 +286,22 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 	return &Matrix{store: st, views: views, backend: backend}, nil
 }
 
-// residentStore is a fully allocated resident backend: written row
-// span by row span while filling, a complete store once filled.
-type residentStore interface {
-	store
-	// SetSpan stores vals[o], already quantized, as the dissimilarity of
-	// (i, lo+o), for i < lo (see dbscan.CondensedMatrix.SetSpan).
-	SetSpan(i, lo int, vals []float32)
-}
-
-// newResident allocates an empty dense or condensed matrix, enforcing
-// the memory budget before touching memory.
-func newResident(n int, backend string, budget int64) (residentStore, error) {
-	switch backend {
-	case BackendDense:
-		b, err := dbscan.DenseBytes(n)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
-		}
-		if b > budget {
-			return nil, fmt.Errorf("%w: %d unique segments need %d bytes dense (budget %d)",
-				ErrPoolTooLarge, n, b, budget)
-		}
-		m, err := dbscan.NewDenseMatrix(n)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
-		}
-		return m, nil
-	case BackendCondensed:
-		b, err := dbscan.CondensedBytes(n)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
-		}
-		if b > budget {
-			return nil, fmt.Errorf("%w: %d unique segments need %d bytes condensed (budget %d)",
-				ErrPoolTooLarge, n, b, budget)
-		}
-		m, err := dbscan.NewCondensedMatrix(n)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
-		}
-		return m, nil
+// newCondensed allocates an empty condensed matrix, enforcing the memory
+// budget before touching memory.
+func newCondensed(n int, budget int64) (*dbscan.CondensedMatrix, error) {
+	b, err := dbscan.CondensedBytes(n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
 	}
-	return nil, fmt.Errorf("dissim: %q is not a resident backend", backend)
+	if b > budget {
+		return nil, fmt.Errorf("%w: %d unique segments need %d bytes condensed (budget %d)",
+			ErrPoolTooLarge, n, b, budget)
+	}
+	m, err := dbscan.NewCondensedMatrix(n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
+	}
+	return m, nil
 }
 
 // fillGrid lists the eager fill's tiles as {row block, column block}
@@ -349,7 +318,7 @@ func fillGrid(n int) [][2]int {
 	return tiles
 }
 
-// fillMatrix computes every upper-triangle pair of views into st.
+// fillMatrix computes every upper-triangle pair of views into m.
 //
 // Tiles are blocks of pool indices, so a tile's results for row i are
 // one contiguous span of the row's suffix and land through one SetSpan.
@@ -358,7 +327,7 @@ func fillGrid(n int) [][2]int {
 // LengthBlock.Row call per row computes the row's partners run by run
 // and writes the quantized results straight to their places in the row
 // span.
-func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, penalty float64) error {
+func fillMatrix(ctx context.Context, m *dbscan.CondensedMatrix, views []canberra.View, penalty float64) error {
 	n := len(views)
 	tiles := fillGrid(n)
 	var rowBlocks, colBlocks []canberra.LengthBlock
@@ -430,7 +399,7 @@ func fillMatrix(ctx context.Context, st residentStore, views []canberra.View, pe
 					// crossing this column block computes only those past it.
 					sp := span[:c1-c0]
 					cols.Row(vi, i, penalty, sp)
-					st.SetSpan(i, lo, sp[lo-c0:])
+					m.SetSpan(i, lo, sp[lo-c0:])
 				}
 			}
 		}()
@@ -446,9 +415,7 @@ func (m *Matrix) Len() int { return m.store.Len() }
 func (m *Matrix) Dist(i, j int) float64 { return m.store.Dist(i, j) }
 
 // StreamRow streams row i span by span in ascending column order (see
-// dbscan.RowStreamer); the row consumers use it instead of assuming an
-// aliased full row, which no longer exists on the condensed and tiled
-// backends.
+// dbscan.RowStreamer); neither backend stores a full row to alias.
 func (m *Matrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamRow(i, fn)
 }
@@ -460,8 +427,8 @@ func (m *Matrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamSuffix(i, fn)
 }
 
-// Backend names the storage backend serving this matrix ("dense",
-// "condensed", or "tiled").
+// Backend names the storage backend serving this matrix ("condensed" or
+// "tiled").
 func (m *Matrix) Backend() string { return m.backend }
 
 // Err returns the first deferred error of a lazily computed backend (a
@@ -485,7 +452,7 @@ func (m *Matrix) Close() error {
 }
 
 // ResidentBytes returns the bytes the matrix currently holds in memory:
-// the full storage for the resident backends, the cached tile bytes for
+// the full storage for the condensed backend, the cached tile bytes for
 // the tiled backend.
 func (m *Matrix) ResidentBytes() int64 {
 	if r, ok := m.store.(interface{ ResidentBytes() int64 }); ok {
@@ -504,22 +471,4 @@ func (m *Matrix) Views() []canberra.View { return m.views }
 // materializing the upper triangle.
 func (m *Matrix) MinPositive() float64 {
 	return dbscan.MinPositiveDist(m.store)
-}
-
-// UpperTriangle returns every pairwise dissimilarity once. Fewer than
-// two segments yield nil.
-func (m *Matrix) UpperTriangle() []float64 {
-	n := m.Len()
-	if n < 2 {
-		return nil
-	}
-	out := make([]float64, vecmath.CheckedTriNum(n))
-	p := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out[p] = m.Dist(i, j)
-			p++
-		}
-	}
-	return out
 }

@@ -90,6 +90,15 @@ func TestComputeMatrixValues(t *testing.T) {
 	if got := m.Dist(0, 1); math.Abs(got-want) > 1e-6 {
 		t.Errorf("Dist(0,1) = %v, want %v", got, want)
 	}
+
+	// A single segment is a 1×1 matrix: its only row has no suffix.
+	one, err := Compute(NewPool(segsFromValues([]byte{1, 2})), canberra.DefaultPenalty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.StreamSuffix(0, func(lo int, vals []float32) {
+		t.Errorf("StreamSuffix of a 1×1 matrix yielded %v at %d, want nothing", vals, lo)
+	})
 }
 
 func TestKNNDistances(t *testing.T) {
@@ -163,24 +172,6 @@ func TestKNNDistancesRange(t *testing.T) {
 	}
 	if _, err := m.KNNDistances(2); err == nil {
 		t.Error("k beyond n-1 should error")
-	}
-}
-
-func TestUpperTriangle(t *testing.T) {
-	segs := segsFromValues([]byte{1, 1}, []byte{2, 2}, []byte{3, 3}, []byte{4, 4})
-	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ut := m.UpperTriangle()
-	if len(ut) != 6 {
-		t.Fatalf("UpperTriangle = %d values, want 6", len(ut))
-	}
-	for _, d := range ut {
-		if d < 0 || d > 1 {
-			t.Errorf("dissimilarity %v out of [0,1]", d)
-		}
 	}
 }
 
@@ -262,18 +253,16 @@ func TestKNNSubsetProperty(t *testing.T) {
 }
 
 func TestComputeRejectsPoolOverBudget(t *testing.T) {
-	// 64 segments need 16 KiB dense / 8 KiB condensed — both beyond a
-	// 1 KiB budget, so the explicit in-memory backends must refuse with
-	// ErrPoolTooLarge (and name the segment count) instead of allocating.
+	// 64 segments need 8 KiB condensed — beyond a 1 KiB budget, so the
+	// explicit condensed backend must refuse with ErrPoolTooLarge (and
+	// name the segment count) instead of allocating.
 	pool := NewPool(genSegments(64, 11))
-	for _, backend := range []string{BackendDense, BackendCondensed} {
-		_, err := ComputeMatrix(pool, Config{Penalty: canberra.DefaultPenalty, Backend: backend, MemoryBudget: 1 << 10})
-		if !errors.Is(err, ErrPoolTooLarge) {
-			t.Errorf("%s: err = %v, want ErrPoolTooLarge", backend, err)
-		}
-		if err == nil || !strings.Contains(err.Error(), "64 unique segments") {
-			t.Errorf("%s: err = %v, want segment count in message", backend, err)
-		}
+	_, err := ComputeMatrix(pool, Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed, MemoryBudget: 1 << 10})
+	if !errors.Is(err, ErrPoolTooLarge) {
+		t.Errorf("err = %v, want ErrPoolTooLarge", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "64 unique segments") {
+		t.Errorf("err = %v, want segment count in message", err)
 	}
 
 	// The auto backend under the same budget falls through to tiled and
@@ -297,7 +286,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 	for i := 0; i < pool.Size(); i++ {
 		for j := 0; j < pool.Size(); j++ {
 			if got.Dist(i, j) != want.Dist(i, j) {
-				t.Fatalf("Dist(%d,%d): tiled %v, dense %v", i, j, got.Dist(i, j), want.Dist(i, j))
+				t.Fatalf("Dist(%d,%d): tiled %v, condensed %v", i, j, got.Dist(i, j), want.Dist(i, j))
 			}
 		}
 	}
@@ -308,7 +297,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 // pair, which DBSCAN would quietly treat as no ε-edge.
 func TestComputeRejectsNaNPenalty(t *testing.T) {
 	pool := NewPool(genSegments(64, 3))
-	for _, backend := range []string{BackendAuto, BackendDense, BackendCondensed, BackendTiled} {
+	for _, backend := range []string{BackendAuto, BackendCondensed, BackendTiled} {
 		m, err := ComputeMatrix(pool, Config{Penalty: math.NaN(), Backend: backend})
 		if !errors.Is(err, canberra.ErrBadPenalty) {
 			t.Errorf("%s: err = %v, want canberra.ErrBadPenalty", backend, err)

@@ -233,20 +233,6 @@ func TestComputeCancellationStopsWorkers(t *testing.T) {
 	}
 }
 
-func TestUpperTriangleTinyMatrixNil(t *testing.T) {
-	segs := segsFromValues([]byte{1, 2})
-	m, err := Compute(NewPool(segs), canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ut := m.UpperTriangle(); ut != nil {
-		t.Errorf("UpperTriangle of 1×1 matrix = %v, want nil", ut)
-	}
-	m.StreamSuffix(0, func(lo int, vals []float32) {
-		t.Errorf("StreamSuffix of a 1×1 matrix yielded %v at %d, want nothing", vals, lo)
-	})
-}
-
 func TestMatrixViews(t *testing.T) {
 	pool := randomPool(t, 10, []int{2, 4}, 5)
 	m, err := Compute(pool, canberra.DefaultPenalty)

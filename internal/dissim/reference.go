@@ -10,7 +10,7 @@ import (
 	"protoclust/internal/dbscan"
 )
 
-// This file preserves the pre-kernel implementations verbatim. They are
+// This file preserves the pre-kernel implementations. They are
 // the correctness oracle for the optimized paths (differential tests
 // compare every matrix entry and k-NN column) and the perf baseline the
 // BENCH_*.json trajectory measures speedups against. They are not used
@@ -18,7 +18,8 @@ import (
 
 // ComputeReference fills the dissimilarity matrix with the original
 // per-row scheduling and the byte-slice reference kernel
-// (canberra.DissimilarityPenalty). Row i carries n−i−1 pairs, so late
+// (canberra.DissimilarityPenalty), storing each pair through the
+// condensed matrix's per-pair Set. Row i carries n−i−1 pairs, so late
 // rows are nearly free while early rows dominate — the imbalance
 // Compute's tiles remove.
 func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
@@ -29,7 +30,7 @@ func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
 	if n > MaxUniqueSegments {
 		return nil, fmt.Errorf("%w: %d unique segments (max %d)", ErrPoolTooLarge, n, MaxUniqueSegments)
 	}
-	dense, err := dbscan.NewDenseMatrix(n)
+	m, err := dbscan.NewCondensedMatrix(n)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoolTooLarge, err)
 	}
@@ -64,7 +65,7 @@ func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
 						mu.Unlock()
 						return
 					}
-					dense.Set(i, j, d)
+					m.Set(i, j, d)
 				}
 			}
 		}()
@@ -73,7 +74,7 @@ func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
 	if firstEr != nil {
 		return nil, firstEr
 	}
-	return &Matrix{store: dense, views: pool.Views(), backend: BackendDense}, nil
+	return &Matrix{store: m, views: pool.Views(), backend: BackendCondensed}, nil
 }
 
 // KNNTableSort is the original k-NN table construction: one full

@@ -8,9 +8,9 @@
 // a later miss is a pread instead of a recompute.
 //
 // The store serves the same dbscan.Matrix / dbscan.RowStreamer contract
-// as the resident backends and stores values through the shared
+// as the condensed backend and stores values through the shared
 // dbscan.Quantize helper, so cluster labels and k-NN tables are
-// bit-identical to DenseMatrix regardless of tile size, budget, or
+// bit-identical to CondensedMatrix regardless of tile size, budget, or
 // eviction order (the backend-equivalence property tests enforce this).
 package tilestore
 

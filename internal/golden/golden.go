@@ -100,7 +100,7 @@ func Run(s Spec) (*Record, error) {
 }
 
 // RunBackend is Run with an explicit dissimilarity-matrix backend
-// ("dense", "condensed", "tiled"; "" = automatic). Every backend stores
+// ("auto", "condensed", "tiled"; "" = automatic). Every backend stores
 // identically quantized values, so the records must come out identical
 // — `make golden-check` exercises the default and the tiled path
 // against the same golden files.

@@ -70,7 +70,7 @@ func Cluster(tr *netmsg.Trace, seg segment.Segmenter, p Params) (*Result, error)
 	}
 
 	n := len(msgs)
-	matrix, err := dbscan.NewDenseMatrix(n)
+	matrix, err := dbscan.NewCondensedMatrix(n)
 	if err != nil {
 		return nil, fmt.Errorf("msgtype: matrix: %w", err)
 	}
@@ -155,7 +155,7 @@ func messageDissimilarity(a, b []netmsg.Segment, penalty float64) (float64, erro
 // (60th percentile of nearest-neighbor distances) — message-type
 // structure is much coarser than field-type structure, so the full
 // Algorithm 1 machinery is unnecessary here.
-func autoEpsilon(m *dbscan.DenseMatrix) float64 {
+func autoEpsilon(m *dbscan.CondensedMatrix) float64 {
 	n := m.Len()
 	nn := make([]float64, n)
 	for i := 0; i < n; i++ {

@@ -354,7 +354,8 @@ func TestHTTPErrors(t *testing.T) {
 
 	// Bad query parameters on the pcap endpoint: 400.
 	for _, q := range []string{"port=abc", "timeout_ms=xyz", "samples=p",
-		"memory_budget_bytes=1e9", "port=80x", "timeout_ms=5s", "port=70000", "port=-1"} {
+		"memory_budget_bytes=1e9", "port=80x", "timeout_ms=5s", "port=70000", "port=-1",
+		"matrix_backend=dense"} {
 		resp, err = http.Post(srv.URL+"/v1/jobs/pcap?"+q, "application/octet-stream",
 			strings.NewReader("irrelevant"))
 		if err != nil {
@@ -380,7 +381,7 @@ func TestHTTPPprofRegistered(t *testing.T) {
 }
 
 // TestHTTPMemoryBudgetExceeded submits a job whose explicitly requested
-// dense matrix exceeds its memory budget: the job fails
+// condensed matrix exceeds its memory budget: the job fails
 // deterministically (not retryable), and fetching the result yields a
 // 422 whose message names the segment count, so the client can size the
 // budget or switch backends. The same trace under the same budget then
@@ -388,7 +389,7 @@ func TestHTTPPprofRegistered(t *testing.T) {
 func TestHTTPMemoryBudgetExceeded(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	sub := httpSubmit(t, srv.URL,
-		`{"proto":"ntp","n":60,"seed":1,"segmenter":"truth","matrix_backend":"dense","memory_budget_bytes":1024}`)
+		`{"proto":"ntp","n":60,"seed":1,"segmenter":"truth","matrix_backend":"condensed","memory_budget_bytes":1024}`)
 	st := httpPoll(t, srv.URL, sub.ID, 30*time.Second)
 	if st.State != StateFailed || st.Retryable {
 		t.Fatalf("job = %+v, want deterministic failure", st)

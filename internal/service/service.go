@@ -68,7 +68,7 @@ type JobSpec struct {
 	Samples       int    `json:"samples,omitempty"`
 	// MemoryBudget bounds the resident bytes of the job's dissimilarity
 	// matrix; 0 keeps the library default (2 GiB). MatrixBackend forces
-	// a storage backend ("dense", "condensed", "tiled"); "" means
+	// a storage backend ("auto", "condensed", "tiled"); "" means
 	// automatic selection within the budget. Both are cache-neutral:
 	// labels are bit-identical across backends.
 	MemoryBudget  int64  `json:"memory_budget_bytes,omitempty"`
@@ -104,7 +104,7 @@ func (sp *JobSpec) Validate() error {
 		return fmt.Errorf("service: port %d outside 0..65535", sp.Port)
 	}
 	switch sp.MatrixBackend {
-	case "", dissim.BackendAuto, dissim.BackendDense, dissim.BackendCondensed, dissim.BackendTiled:
+	case "", dissim.BackendAuto, dissim.BackendCondensed, dissim.BackendTiled:
 	default:
 		return fmt.Errorf("service: unknown matrix_backend %q", sp.MatrixBackend)
 	}
