@@ -58,7 +58,7 @@ test-service:
 # one core and at an odd count unlike the runner's (-count=1: the test
 # cache does not key on GOMAXPROCS).
 test-oracle:
-	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/ecdf/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/
+	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/ecdf/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/ ./internal/segment/netzob/
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
 	GOMAXPROCS=5 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
 
@@ -151,7 +151,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzExtractPayload -fuzztime 10s ./internal/pcap/
 	$(GO) test -run XXX -fuzz FuzzSegmentMessage -fuzztime 10s ./internal/segment/nemesys/
 	$(GO) test -run XXX -fuzz FuzzSegment -fuzztime 10s ./internal/segment/csp/
-	$(GO) test -run XXX -fuzz FuzzSegment -fuzztime 10s ./internal/segment/netzob/
+	$(GO) test -run XXX -fuzz 'FuzzSegment$$' -fuzztime 10s ./internal/segment/netzob/
+	$(GO) test -run XXX -fuzz FuzzSegmentMatchesOracle -fuzztime 10s ./internal/segment/netzob/
 	$(GO) test -run XXX -fuzz 'FuzzDissimilarity$$' -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzKernelDifferential -fuzztime 10s ./internal/canberra/
 	$(GO) test -run XXX -fuzz FuzzKernelCross -fuzztime 10s ./internal/canberra/

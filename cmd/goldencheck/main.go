@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 
+	"protoclust/internal/dissim"
 	"protoclust/internal/golden"
 )
 
@@ -31,6 +32,10 @@ func main() {
 		formatRun = flag.Bool("format", false, "also check the cross-trace field-type recognition records")
 	)
 	flag.Parse()
+	if err := dissim.CheckBackend(*backend); err != nil {
+		fmt.Fprintln(os.Stderr, "goldencheck:", err)
+		os.Exit(2)
+	}
 
 	tol := golden.DefaultTolerance()
 	failed := 0

@@ -29,6 +29,7 @@ import (
 
 	"protoclust"
 	"protoclust/internal/canberra"
+	"protoclust/internal/dissim"
 )
 
 func main() {
@@ -81,6 +82,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		templatesOut = fs.String("templates-out", "", "train field-type templates on this trace and save them to this file")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := dissim.CheckBackend(*backend); err != nil {
 		return err
 	}
 	if *timeout > 0 {

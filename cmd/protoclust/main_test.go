@@ -84,6 +84,26 @@ func TestRunBadSegmenter(t *testing.T) {
 	}
 }
 
+// TestRunBadBackendFailsUpFront requires an unknown -matrix-backend to
+// fail before any input is read or generated: a missing pcap would
+// report a different error, and a generated trace prints its size.
+func TestRunBadBackendFailsUpFront(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope.pcap")
+	for _, args := range [][]string{
+		{"-pcap", missing, "-matrix-backend", "dense"},
+		{"-proto", "ntp", "-n", "60", "-segmenter", "truth", "-matrix-backend", "dense"},
+	} {
+		var sb strings.Builder
+		err := run(context.Background(), args, &sb)
+		if err == nil || !strings.Contains(err.Error(), `unknown matrix backend "dense"`) {
+			t.Errorf("%v: err = %v, want unknown matrix backend", args, err)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("%v: wrote %q before failing", args, sb.String())
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	if err := run(context.Background(), []string{"-definitely-not-a-flag"}, &strings.Builder{}); err == nil {
 		t.Error("unknown flag should error")

@@ -99,8 +99,8 @@ func NewAssembler(ctx context.Context, pool *Pool, cfg Config, tile int) (*Assem
 			return nil, fmt.Errorf("dissim: tiled assembly: %w", err)
 		}
 		a.tiles, a.st = ts, ts
-	default:
-		return nil, fmt.Errorf("dissim: unknown matrix backend %q", cfg.Backend)
+	default: // only a name CheckBackend rejects gets here
+		return nil, CheckBackend(cfg.Backend)
 	}
 	return a, nil
 }

@@ -141,6 +141,17 @@ const (
 	BackendTiled = "tiled"
 )
 
+// CheckBackend returns nil when name selects a matrix backend ("" or
+// one of the Backend names) and an error naming it otherwise, so a
+// caller can reject a bad name before doing any work.
+func CheckBackend(name string) error {
+	switch name {
+	case "", BackendAuto, BackendCondensed, BackendTiled:
+		return nil
+	}
+	return fmt.Errorf("dissim: unknown matrix backend %q", name)
+}
+
 // DefaultMemoryBudget bounds the matrix's resident bytes when Config
 // leaves MemoryBudget zero: 2 GiB keeps condensed storage through
 // n ≈ 32k and switches larger pools to the tiled backend.
@@ -280,8 +291,8 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 			return nil, fmt.Errorf("dissim: tiled backend: %w", err)
 		}
 		st = ts
-	default:
-		return nil, fmt.Errorf("dissim: unknown matrix backend %q", cfg.Backend)
+	default: // only a name CheckBackend rejects gets here
+		return nil, CheckBackend(cfg.Backend)
 	}
 	return &Matrix{store: st, views: views, backend: backend}, nil
 }

@@ -308,6 +308,30 @@ func TestComputeRejectsNaNPenalty(t *testing.T) {
 	}
 }
 
+// TestCheckBackend pins the one backend-name check: every name a
+// build accepts passes it, and a name it rejects fails the eager build
+// and the assembler with the same error.
+func TestCheckBackend(t *testing.T) {
+	for _, name := range []string{"", BackendAuto, BackendCondensed, BackendTiled} {
+		if err := CheckBackend(name); err != nil {
+			t.Errorf("CheckBackend(%q) = %v", name, err)
+		}
+	}
+	pool := NewPool(genSegments(64, 3))
+	for _, name := range []string{"dense", "Tiled", " auto"} {
+		want := CheckBackend(name)
+		if want == nil {
+			t.Fatalf("CheckBackend(%q) accepted it", name)
+		}
+		if _, err := ComputeMatrix(pool, Config{Penalty: 1, Backend: name}); err == nil || err.Error() != want.Error() {
+			t.Errorf("ComputeMatrix(%q): err = %v, want %v", name, err, want)
+		}
+		if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: name}, 64); err == nil || err.Error() != want.Error() {
+			t.Errorf("NewAssembler(%q): err = %v, want %v", name, err, want)
+		}
+	}
+}
+
 // genSegments builds n distinct pseudo-random segments, mimicking the
 // benchperf harness shapes (mixed short lengths, deterministic seed).
 func genSegments(n int, seed int64) []netmsg.Segment {

@@ -138,7 +138,8 @@ func TestBudgetSpentMidway(t *testing.T) {
 
 func TestAlignPairwise(t *testing.T) {
 	consensus := []int16{1, 2, 3, 4}
-	rowA, rowB := align(consensus, []byte{1, 2, 9, 3, 4})
+	var a aligner
+	rowA, rowB := a.align(consensus, []byte{1, 2, 9, 3, 4})
 	if len(rowA) != len(rowB) {
 		t.Fatalf("row lengths differ: %d vs %d", len(rowA), len(rowB))
 	}
@@ -188,15 +189,59 @@ func TestExpandAllInsertsGaps(t *testing.T) {
 	}
 }
 
-func TestConsensusOf(t *testing.T) {
-	aligned := [][]int16{
-		{5, -1, 7},
-		{5, 6, 8},
-		{5, 6, 8},
+func TestColumnStatistics(t *testing.T) {
+	// A column with no bytes yet (all gaps) reads as gap.
+	c := newColumn()
+	if c.modal != -1 || c.nonGap != 0 {
+		t.Fatalf("empty column: modal %d nonGap %d, want -1 and 0", c.modal, c.nonGap)
 	}
-	c := consensusOf(aligned)
-	if c[0] != 5 || c[1] != 6 || c[2] != 8 {
-		t.Errorf("consensus = %v, want [5 6 8]", c)
+	// Equal counts go to the smaller value, whichever arrived first.
+	for _, v := range []byte{9, 7, 9, 7} {
+		c.add(v)
+	}
+	if c.modal != 7 || c.modalN != 2 || c.nonGap != 4 {
+		t.Errorf("tie: modal %d×%d of %d, want 7×2 of 4", c.modal, c.modalN, c.nonGap)
+	}
+	c.add(9)
+	if c.modal != 9 || c.modalN != 3 {
+		t.Errorf("lead: modal %d×%d, want 9×3", c.modal, c.modalN)
+	}
+}
+
+func TestStarAlignInsertsGapColumn(t *testing.T) {
+	// The third message has a byte the first two lack, so alignment
+	// inserts a gap column mid-trace: it holds only that byte, and the
+	// columns around it keep their counts.
+	msgs := []*netmsg.Message{
+		{Data: []byte{1, 2, 3, 4}},
+		{Data: []byte{1, 2, 3, 4}},
+		{Data: []byte{1, 2, 200, 3, 4}},
+		{Data: []byte{1, 2, 3, 4}},
+	}
+	aligned, cols, spent, err := starAlign(context.Background(), msgs, DefaultBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(5*5 + 5*6 + 6*5); spent != want {
+		t.Errorf("spent = %d cells, want %d", spent, want)
+	}
+	if len(cols) != 5 || len(aligned[0]) != 5 {
+		t.Fatalf("%d columns, rows of %d; want 5 and 5", len(cols), len(aligned[0]))
+	}
+	gap := cols[2]
+	if gap.nonGap != 1 || gap.modal != 200 || gap.modalN != 1 || gap.counts[200] != 1 {
+		t.Errorf("inserted column: modal %d×%d of %d, want 200×1 of 1", gap.modal, gap.modalN, gap.nonGap)
+	}
+	for c, want := range []int16{1, 2, -1, 3, 4} {
+		if c == 2 {
+			continue
+		}
+		if col := cols[c]; col.modal != want || col.modalN != 4 || col.nonGap != 4 {
+			t.Errorf("column %d: modal %d×%d of %d, want %d×4 of 4", c, col.modal, col.modalN, col.nonGap, want)
+		}
+	}
+	if aligned[0][2] != -1 || aligned[1][2] != -1 || aligned[3][2] != -1 {
+		t.Errorf("gap column not gap in the other rows: %v", aligned)
 	}
 }
 

@@ -103,10 +103,8 @@ func (sp *JobSpec) Validate() error {
 	case sp.Port < 0 || sp.Port > 65535:
 		return fmt.Errorf("service: port %d outside 0..65535", sp.Port)
 	}
-	switch sp.MatrixBackend {
-	case "", dissim.BackendAuto, dissim.BackendCondensed, dissim.BackendTiled:
-	default:
-		return fmt.Errorf("service: unknown matrix_backend %q", sp.MatrixBackend)
+	if err := dissim.CheckBackend(sp.MatrixBackend); err != nil {
+		return fmt.Errorf("service: matrix_backend: %w", err)
 	}
 	if sp.Sweep != nil {
 		if _, err := sp.Sweep.grid(); err != nil {
