@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-noasm test-race test-service test-oracle golden-check golden-update vet lint bench bench-check bench-json bench-scaling smoke-tiled smoke-distributed smoke-sweep smoke-format eval fuzz serve clean
+.PHONY: all build test test-short test-noasm test-race test-service test-oracle golden-check golden-update vet lint bench bench-check bench-scaling smoke-tiled smoke-distributed smoke-sweep smoke-format eval fuzz serve clean
 
 all: build lint test
 
@@ -93,27 +93,22 @@ bench:
 bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Regenerates the perf-trajectory artifact for the dissimilarity hot
-# path: per-kernel shard (every compiled SIMD kernel vs scalar and the
-# PR-1 baseline), kernel, matrix build, and k-NN table per backend
-# (condensed / tiled) at n = 500/2000/8000, plus the GOMAXPROCS
-# scaling sweep. See docs/tuning.md § Performance.
-bench-json:
-	$(GO) run ./cmd/benchperf -out BENCH_6.json
-
-# Quick GOMAXPROCS cores-vs-throughput sweep only (matrix build, k-NN
-# table, tiled pass). Non-blocking CI smoke; meaningful numbers need a
-# multicore host.
+# GOMAXPROCS cores-vs-throughput sweep of the three parallel stages at
+# n = 500: the eager matrix build (BenchmarkComputeMatrix, with its
+# pre-kernel reference), the k-NN table on the resident matrix, and the
+# lazy tiled pass (build, k-NN table, Close). Non-blocking CI smoke;
+# meaningful numbers need a multicore host.
 bench-scaling:
-	$(GO) run ./cmd/benchperf -scaling-only -scaling-n 500 -out /dev/null
+	$(GO) test -run '^$$' -bench '^Benchmark(ComputeMatrix|KNNTable)$$/^n=500$$/^(mixed|heap|tiled)$$' -cpu 1,2,4 ./internal/dissim
 
 # End-to-end smoke of the tiled out-of-core backend: cluster an n=5000
-# synthetic pool under a deliberately tiny tile budget (with spill) and
-# cross-check the labels bit-for-bit against the condensed backend,
-# under a GOMEMLIMIT that a resident matrix of that size would respect
-# anyway but a leaking tile cache would not.
+# clustered pool under a 4 MiB tile budget (with spill) and cross-check
+# the labels bit-for-bit against the condensed backend, under a
+# GOMEMLIMIT that a resident matrix of that size would respect anyway
+# but a leaking tile cache would not (the clustered-5000 case of
+# TestTiledBackendMatchesCondensed; the test's small case runs too).
 smoke-tiled:
-	GOMEMLIMIT=768MiB $(GO) run ./cmd/benchperf -e2e-n 5000 -e2e-budget 4194304 -out /dev/null
+	GOMEMLIMIT=768MiB $(GO) test -count=1 -run '^TestTiledBackendMatchesCondensed$$' ./internal/core
 
 # End-to-end smoke of the distributed coordinator/worker path: builds
 # the protoclustd and protoclust-worker binaries, launches one

@@ -9,6 +9,7 @@
 package protoclust_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -33,7 +34,7 @@ func BenchmarkTableI(b *testing.B) {
 			var row experiments.Table1Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				row, err = experiments.Table1Row1(spec.Protocol, spec.Messages)
+				row, err = experiments.Table1Row1(context.Background(), spec.Protocol, spec.Messages)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -59,7 +60,7 @@ func BenchmarkTableII(b *testing.B) {
 					var row experiments.Table2Row
 					for i := 0; i < b.N; i++ {
 						var err error
-						row, err = experiments.Table2Row1(spec.Protocol, spec.Messages, seg)
+						row, err = experiments.Table2Row1(context.Background(), spec.Protocol, spec.Messages, seg)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -84,7 +85,7 @@ func BenchmarkFigure2(b *testing.B) {
 	var data *experiments.Figure2Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = experiments.Figure2()
+		data, err = experiments.Figure2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func BenchmarkFigure3(b *testing.B) {
 	var examples []experiments.Figure3Example
 	for i := 0; i < b.N; i++ {
 		var err error
-		examples, err = experiments.Figure3(3)
+		examples, err = experiments.Figure3(context.Background(), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func BenchmarkCoverageComparison(b *testing.B) {
 	var rows []experiments.CoverageRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.CoverageComparison()
+		rows, err = experiments.CoverageComparison(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func ablationTrace(b *testing.B, proto string, n int) []protoclust.Segment {
 	if err != nil {
 		b.Fatal(err)
 	}
-	segs, err := segment.GroundTruth{}.Segment(tr.Deduplicate())
+	segs, err := segment.GroundTruth{}.Segment(context.Background(), tr.Deduplicate())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func BenchmarkAblationRefinement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.DefaultParams()
 				p.DisableRefinement = disabled
-				res, err := core.ClusterSegments(segs, p)
+				res, err := core.ClusterSegmentsContext(context.Background(), segs, p, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,14 +174,14 @@ func BenchmarkAblationRefinement(b *testing.B) {
 func BenchmarkAblationEpsilon(b *testing.B) {
 	segs := ablationTrace(b, "ntp", 100)
 	pool := dissim.NewPool(segs)
-	matrix, err := dissim.Compute(pool, canberra.DefaultPenalty)
+	matrix, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, p core.Params) eval.Metrics {
 		var m eval.Metrics
 		for i := 0; i < b.N; i++ {
-			res, err := core.ClusterPool(pool, matrix, p)
+			res, err := core.ClusterPoolContext(context.Background(), pool, matrix, p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,7 +215,7 @@ func BenchmarkAblationPenalty(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.DefaultParams()
 				p.Penalty = pf
-				res, err := core.ClusterSegments(segs, p)
+				res, err := core.ClusterSegmentsContext(context.Background(), segs, p, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -234,7 +235,7 @@ func BenchmarkDissimilarityMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dissim.Compute(pool, canberra.DefaultPenalty); err != nil {
+		if _, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,13 +244,13 @@ func BenchmarkDissimilarityMatrix(b *testing.B) {
 func BenchmarkEpsilonAutoConfig(b *testing.B) {
 	segs := ablationTrace(b, "ntp", 100)
 	pool := dissim.NewPool(segs)
-	matrix, err := dissim.Compute(pool, canberra.DefaultPenalty)
+	matrix, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Configure(matrix, core.DefaultParams()); err != nil {
+		if _, err := core.ConfigureContext(context.Background(), matrix, core.DefaultParams()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +271,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 			o.Segmenter = protoclust.SegmenterTruth
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := protoclust.Analyze(tr, o); err != nil {
+				if _, err := protoclust.AnalyzeContext(context.Background(), tr, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,7 +290,7 @@ func BenchmarkSegmenters(b *testing.B) {
 		b.Run(seg.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := seg.Segment(dd); err != nil {
+				if _, err := seg.Segment(context.Background(), dd); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +311,7 @@ func BenchmarkAblationClusterer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.DefaultParams()
 				p.Clusterer = clusterer
-				res, err := core.ClusterSegments(segs, p)
+				res, err := core.ClusterSegmentsContext(context.Background(), segs, p, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,7 +347,7 @@ func BenchmarkAblationGuard(b *testing.B) {
 					if disabled {
 						p.LargeClusterShare = 1.1 // share can never exceed 1
 					}
-					res, err := core.ClusterSegments(segs, p)
+					res, err := core.ClusterSegmentsContext(context.Background(), segs, p, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -47,10 +48,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	ctx := context.Background()
 	ran := false
 	if *all || *table == 1 {
 		ran = true
-		rows, err := experiments.Table1()
+		rows, err := experiments.Table1(ctx)
 		if err != nil {
 			return err
 		}
@@ -67,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *all || *table == 2 {
 		ran = true
-		rows, err := experiments.Table2()
+		rows, err := experiments.Table2(ctx)
 		if err != nil {
 			return err
 		}
@@ -84,7 +86,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *all || *figure == 2 {
 		ran = true
-		data, err := experiments.Figure2()
+		data, err := experiments.Figure2(ctx)
 		if err != nil {
 			return err
 		}
@@ -101,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *all || *figure == 3 {
 		ran = true
-		examples, err := experiments.Figure3(3)
+		examples, err := experiments.Figure3(ctx, 3)
 		if err != nil {
 			return err
 		}
@@ -114,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *all || *coverage {
 		ran = true
-		rows, err := experiments.CoverageComparison()
+		rows, err := experiments.CoverageComparison(ctx)
 		if err != nil {
 			return err
 		}
@@ -131,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		seeds := []int64{1, 2, 3, 4, 5}
 		var rows []experiments.SeedSweepRow
 		for _, proto := range []string{"dhcp", "dns", "nbns", "ntp", "smb", "awdl"} {
-			row, err := experiments.SeedSweep(proto, 100, seeds)
+			row, err := experiments.SeedSweep(ctx, proto, 100, seeds)
 			if err != nil {
 				return err
 			}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -37,10 +38,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	ctx := context.Background()
 	tol := golden.DefaultTolerance()
 	failed := 0
 	for _, spec := range golden.DefaultTraces() {
-		rec, err := golden.RunBackend(spec, *backend)
+		rec, err := golden.Run(ctx, spec, *backend)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", spec, err)
 			failed++
@@ -75,7 +77,7 @@ func main() {
 			spec, rec.Epsilon, rec.K, rec.Clusters, rec.Precision, rec.Recall, rec.FScore, rec.Coverage)
 	}
 	if *formatRun {
-		failed += checkFormats(*dir, *update, tol)
+		failed += checkFormats(ctx, *dir, *update, tol)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "golden check failed for %d trace(s)\n", failed)
@@ -86,10 +88,10 @@ func main() {
 // checkFormats runs the cross-trace recognition set (train on one
 // seed, recognize another) against its golden records, returning the
 // failure count.
-func checkFormats(dir string, update bool, tol golden.Tolerance) int {
+func checkFormats(ctx context.Context, dir string, update bool, tol golden.Tolerance) int {
 	failed := 0
 	for _, spec := range golden.DefaultFormatTraces() {
-		rec, err := golden.RunFormat(spec)
+		rec, err := golden.RunFormat(ctx, spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", spec, err)
 			failed++

@@ -160,7 +160,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	if *msgTypes {
-		mt, err := protoclust.ClusterMessageTypes(tr, opts)
+		mt, err := protoclust.ClusterMessageTypes(ctx, tr, opts)
 		if err != nil {
 			return err
 		}

@@ -9,9 +9,9 @@ import (
 	"protoclust"
 )
 
-// ExampleAnalyze shows the minimal end-to-end analysis: generate a
+// ExampleAnalyzeContext_minimal shows the minimal end-to-end analysis: generate a
 // trace, cluster its field data types, and inspect the result.
-func ExampleAnalyze() {
+func ExampleAnalyzeContext_minimal() {
 	tr, err := protoclust.GenerateTrace("ntp", 200, 1)
 	if err != nil {
 		fmt.Println("generate:", err)
@@ -19,7 +19,7 @@ func ExampleAnalyze() {
 	}
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterTruth
-	analysis, err := protoclust.Analyze(tr, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		fmt.Println("analyze:", err)
 		return
@@ -107,7 +107,7 @@ func ExamplePseudoType_TrainValueModel() {
 	tr, _ := protoclust.GenerateTrace("ntp", 150, 1)
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterTruth
-	analysis, err := protoclust.Analyze(tr, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		fmt.Println("analyze:", err)
 		return

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -45,7 +46,7 @@ func run() error {
 
 	// Pseudo data type clustering on heuristic segments.
 	opts := protoclust.DefaultOptions()
-	analysis, err := protoclust.Analyze(tr, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		return err
 	}

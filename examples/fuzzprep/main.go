@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -47,7 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	analysis, err := protoclust.Analyze(tr, protoclust.DefaultOptions())
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, protoclust.DefaultOptions())
 	if err != nil {
 		return err
 	}

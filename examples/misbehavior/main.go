@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -35,7 +36,7 @@ func run() error {
 	}
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterTruth
-	analysis, err := protoclust.Analyze(clean, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), clean, opts)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -34,7 +35,7 @@ func run() error {
 
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterTruth // perfect boundaries, as in Table I
-	analysis, err := protoclust.Analyze(tr, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		return err
 	}

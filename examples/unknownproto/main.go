@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -42,7 +43,7 @@ func run() error {
 
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterNEMESYS
-	analysis, err := protoclust.Analyze(tr, opts)
+	analysis, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		return err
 	}

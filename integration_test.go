@@ -2,6 +2,7 @@ package protoclust_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net"
@@ -39,7 +40,7 @@ func TestIntegrationGrid(t *testing.T) {
 				}
 				o := protoclust.DefaultOptions()
 				o.Segmenter = seg
-				a, err := protoclust.Analyze(tr, o)
+				a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 				if errors.Is(err, protoclust.ErrBudgetExceeded) {
 					t.Skipf("segmenter budget exceeded (accepted outcome): %v", err)
 				}
@@ -63,7 +64,7 @@ func TestIntegrationGrid(t *testing.T) {
 				}
 
 				// Determinism.
-				b, err := protoclust.Analyze(tr, o)
+				b, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 				if err != nil {
 					t.Fatalf("second Analyze: %v", err)
 				}
@@ -113,7 +114,7 @@ func TestIntegrationPCAPRoundTrip(t *testing.T) {
 		}
 	}
 
-	a, err := protoclust.Analyze(got, protoclust.DefaultOptions())
+	a, err := protoclust.AnalyzeContext(context.Background(), got, protoclust.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Analyze on recovered trace: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestIntegrationMessageTypeThenFieldType(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	mt, err := protoclust.ClusterMessageTypes(tr, o)
+	mt, err := protoclust.ClusterMessageTypes(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestIntegrationMessageTypeThenFieldType(t *testing.T) {
 			continue
 		}
 		sub := &protoclust.Trace{Protocol: "dns", Messages: group}
-		a, err := protoclust.Analyze(sub, o)
+		a, err := protoclust.AnalyzeContext(context.Background(), sub, o)
 		if err != nil {
 			t.Errorf("per-type analysis: %v", err)
 			continue
@@ -168,7 +169,7 @@ func TestIntegrationSemanticsAndValueModels(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestIntegrationTruthSidecar(t *testing.T) {
 
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(loaded, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), loaded, o)
 	if err != nil {
 		t.Fatalf("Analyze on reconstructed trace: %v", err)
 	}

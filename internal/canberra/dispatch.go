@@ -24,9 +24,6 @@ import (
 // kernelImpl is one full implementation of the kernel inner loops.
 type kernelImpl struct {
 	name string
-	// dist returns the raw (un-normalized) Canberra distance between two
-	// equal-length non-empty views.
-	dist func(x, y View) float64
 	// minWindow returns the minimum normalized window distance of s slid
 	// over t (0 < |s| < |t|), equivalent to minWindowScalar.
 	minWindow func(s, t View) float64
@@ -50,7 +47,6 @@ var kernels = []*kernelImpl{scalarKernel}
 
 var scalarKernel = &kernelImpl{
 	name:      "scalar",
-	dist:      distScalar,
 	minWindow: minWindowScalar,
 	lanes:     lanesScalar,
 }

@@ -269,7 +269,10 @@ func dissimViews(k *kernelImpl, s, t View, pf float64) float64 {
 	ls, lt := len(s), len(t)
 	fls := float64(ls)
 	if ls == lt {
-		return k.dist(s, t) / fls
+		// The matrix sends every equal-length run to the kernel's run
+		// entry, which reproduces distScalar's bits, so only DissimViews
+		// reaches this pair path and it needs no kernel of its own.
+		return distScalar(s, t) / fls
 	}
 	flt := float64(lt)
 

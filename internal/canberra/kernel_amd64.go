@@ -8,13 +8,10 @@ import "protoclust/internal/vecmath"
 // 4-lane (float64) vector code in kernel_amd64.s. The translation is
 // bit-exact, not merely close — see the accumulation-order contract on
 // distScalar — so dispatching to this kernel cannot move any stored
-// distance, cluster label, or golden trace:
+// distance, cluster label, or golden trace. Its terms are the same
+// fused |a−b|·recipSum[a+b] that term() computes: VFMADD231PD performs
+// the one rounding math.FMA performs.
 //
-//   - canberraDistAVX2 keeps the same four accumulation chains as
-//     distScalar (chain = lane), reduces them as (s0+s2)+(s1+s3), and
-//     runs the identical sequential tail. Its terms are the same
-//     fused |a−b|·recipSum[a+b] that term() computes: VFMADD231PD
-//     performs the one rounding math.FMA performs.
 //   - canberraAbandon4AVX2 scans four adjacent sliding windows, one
 //     per lane. Each window is a single accumulation chain in element
 //     order, exactly like abandonScalar, so a window that completes
@@ -75,14 +72,6 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// canberraDistBatchAVX2 fills out[j] with the raw Canberra distance
-// between x and ys[j] divided by fls; every ys[j] must have exactly
-// n = len(x) elements, and fls = 1 yields the raw distance. distAVX2
-// calls it with a single partner.
-//
-//go:noescape
-func canberraDistBatchAVX2(x *float64, n int, ys []View, out *float64, fls float64)
-
 // canberraAbandon4AVX2 accumulates the four sliding windows at offsets
 // t[0:], t[1:], t[2:], t[3:] (t is pre-offset by the caller) against s,
 // abandoning only when all four partial sums have reached bound. sums
@@ -119,13 +108,6 @@ func lanesAVX2(s View, run *laneRun, from, lo int, c float64, out []float32) {
 	g := from &^ 3
 	canberraLanesAVX2(&s[0], &run.lanes[g*l], l, &run.idx[g], from-g, len(run.idx)-g, lo, &out[0],
 		short, long-short+1, sStep, tStep, float64(short), float64(long), c)
-}
-
-func distAVX2(x, y View) float64 {
-	ys := [1]View{y}
-	var out [1]float64
-	canberraDistBatchAVX2(&x[0], len(x), ys[:], &out[0], 1)
-	return out[0]
 }
 
 // minWindowAVX2 mirrors minWindowScalar with four windows per step.
@@ -171,7 +153,6 @@ func minWindowAVX2(s, t View) float64 {
 func init() {
 	register(&kernelImpl{
 		name:      "avx2",
-		dist:      distAVX2,
 		minWindow: minWindowAVX2,
 		lanes:     lanesAVX2,
 		available: haveAVX2,

@@ -4,7 +4,7 @@
 
 // AVX2 Canberra kernels. Bit-exact translations of the scalar kernels
 // in kernel.go — see kernel_amd64.go for the accumulation-order
-// contract. The per-pair kernels and the partner-lane run entry
+// contract. The sliding-window kernel and the partner-lane run entry
 // (canberraLanesAVX2, which reads a lane-interleaved run and finishes
 // each group to float32 in registers) share these register
 // conventions:
@@ -21,6 +21,10 @@
 //   X8 = int32(a+b) & 511
 //   Y10 = recipSum[X8] (VGATHERDPD)
 //   Y0 += Y7·Y10       (VFMADD231PD — the one rounding math.FMA does)
+//
+// VEX-encoded throughout, scalar steps included: one legacy-SSE
+// instruction with the ymm uppers dirty forces an SSE/AVX state
+// transition on every call (measured ~20× slowdown).
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -39,197 +43,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func canberraDistBatchAVX2(x *float64, n int, ys []View, out *float64, fls float64)
-//
-// out[j] = (raw Canberra distance between x[0:n] and ys[j][0:n]) / fls
-// for every j; callers wanting the raw sum pass fls = 1 (division by
-// one is exact). distAVX2 passes one pair; with more, pairs are
-// processed two at a time — both pairs share the x load and their
-// gather/FMA chains are independent. Per pair: main loop of 4 elements per iteration into 4
-// accumulator lanes, reduce (s0+s2)+(s1+s3), then a sequential scalar
-// tail over the n&3 remainder — the exact shape of distScalar.
-//
-// VEX-encoded throughout, including the scalar reduce/tail: one
-// legacy-SSE instruction here, with the ymm uppers dirty, forces an
-// SSE/AVX state transition on every pair (measured ~20× slowdown).
-TEXT ·canberraDistBatchAVX2(SB), NOSPLIT, $0-56
-	MOVQ x+0(FP), R15
-	MOVQ n+8(FP), R11
-	MOVQ ys_base+16(FP), R12
-	MOVQ ys_len+24(FP), R13
-	MOVQ out+40(FP), R14
-	VMOVSD fls+48(FP), X15
-
-	LEAQ ·recipSum(SB), BX
-	VPCMPEQQ Y1, Y1, Y1
-	VPSRLQ $1, Y1, Y1
-	VPCMPEQD X2, X2, X2
-	VPSRLD $23, X2, X2
-
-pairloop2:
-	CMPQ R13, $2
-	JB pairloop1
-	MOVQ (R12), DX   // ys[j] data pointer (slice header word 0)
-	MOVQ 24(R12), DI // ys[j+1] data pointer
-	MOVQ R15, SI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y3, Y3, Y3
-	MOVQ R11, CX
-	SHRQ $2, CX
-	JE reduce2
-
-vecloop2:
-	VMOVUPD (SI), Y4
-	VMOVUPD (DX), Y5
-	VMOVUPD (DI), Y6
-
-	VSUBPD Y5, Y4, Y7
-	VANDPD Y1, Y7, Y7
-	VADDPD Y5, Y4, Y8
-	VCVTTPD2DQY Y8, X8
-	VPAND X2, X8, X8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPD Y9, (BX)(X8*8), Y10
-	VFMADD231PD Y10, Y7, Y0
-
-	VSUBPD Y6, Y4, Y7
-	VANDPD Y1, Y7, Y7
-	VADDPD Y6, Y4, Y8
-	VCVTTPD2DQY Y8, X8
-	VPAND X2, X8, X8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPD Y9, (BX)(X8*8), Y10
-	VFMADD231PD Y10, Y7, Y3
-
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, DI
-	DECQ CX
-	JNE vecloop2
-
-reduce2:
-	// sum = (s0+s2) + (s1+s3) per pair, the distScalar reduce order.
-	VEXTRACTF128 $1, Y0, X11
-	VADDPD X11, X0, X12
-	VUNPCKHPD X12, X12, X13
-	VADDSD X13, X12, X12
-	VEXTRACTF128 $1, Y3, X11
-	VADDPD X11, X3, X14
-	VUNPCKHPD X14, X14, X13
-	VADDSD X13, X14, X14
-
-	MOVQ R11, R10
-	ANDQ $3, R10
-	JE store2
-	MOVQ SI, R9 // tail start within x, shared by both pairs
-
-tailloop2a:
-	VMOVSD (SI), X4
-	VMOVSD (DX), X5
-	VSUBSD X5, X4, X7
-	VANDPD X1, X7, X7
-	VADDSD X5, X4, X8
-	VCVTTSD2SIQ X8, AX
-	ANDQ $511, AX
-	VMOVSD (BX)(AX*8), X10
-	VFMADD231SD X10, X7, X12
-	ADDQ $8, SI
-	ADDQ $8, DX
-	DECQ R10
-	JNE tailloop2a
-
-	MOVQ R9, SI
-	MOVQ R11, R10
-	ANDQ $3, R10
-
-tailloop2b:
-	VMOVSD (SI), X4
-	VMOVSD (DI), X5
-	VSUBSD X5, X4, X7
-	VANDPD X1, X7, X7
-	VADDSD X5, X4, X8
-	VCVTTSD2SIQ X8, AX
-	ANDQ $511, AX
-	VMOVSD (BX)(AX*8), X10
-	VFMADD231SD X10, X7, X14
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ R10
-	JNE tailloop2b
-
-store2:
-	VDIVSD X15, X12, X12
-	VDIVSD X15, X14, X14
-	VMOVSD X12, (R14)
-	VMOVSD X14, 8(R14)
-	ADDQ $48, R12 // two slice headers (ptr+len+cap each)
-	ADDQ $16, R14
-	SUBQ $2, R13
-	JMP pairloop2
-
-pairloop1:
-	TESTQ R13, R13
-	JE done
-	MOVQ (R12), DX
-	MOVQ R15, SI
-	VXORPD Y0, Y0, Y0
-	MOVQ R11, CX
-	SHRQ $2, CX
-	JE reduce1
-
-vecloop1:
-	VMOVUPD (SI), Y4
-	VMOVUPD (DX), Y5
-	VSUBPD Y5, Y4, Y7
-	VANDPD Y1, Y7, Y7
-	VADDPD Y5, Y4, Y8
-	VCVTTPD2DQY Y8, X8
-	VPAND X2, X8, X8
-	VPCMPEQD Y9, Y9, Y9
-	VGATHERDPD Y9, (BX)(X8*8), Y10
-	VFMADD231PD Y10, Y7, Y0
-	ADDQ $32, SI
-	ADDQ $32, DX
-	DECQ CX
-	JNE vecloop1
-
-reduce1:
-	VEXTRACTF128 $1, Y0, X11
-	VADDPD X11, X0, X12
-	VUNPCKHPD X12, X12, X13
-	VADDSD X13, X12, X12
-
-	MOVQ R11, R10
-	ANDQ $3, R10
-	JE store1
-
-tailloop1:
-	VMOVSD (SI), X4
-	VMOVSD (DX), X5
-	VSUBSD X5, X4, X7
-	VANDPD X1, X7, X7
-	VADDSD X5, X4, X8
-	VCVTTSD2SIQ X8, AX
-	ANDQ $511, AX
-	VMOVSD (BX)(AX*8), X10
-	VFMADD231SD X10, X7, X12
-	ADDQ $8, SI
-	ADDQ $8, DX
-	DECQ R10
-	JNE tailloop1
-
-store1:
-	VDIVSD X15, X12, X12
-	VMOVSD X12, (R14)
-	ADDQ $24, R12
-	ADDQ $8, R14
-	DECQ R13
-	JMP pairloop1
-
-done:
-	VZEROUPPER
 	RET
 
 // func canberraAbandon4AVX2(s *float64, n int, t *float64, bound float64, sums *[4]float64)

@@ -18,12 +18,10 @@ import "protoclust/internal/vecmath"
 //   - There is no float64 vector gather, so the two recipSum lookups
 //     per vector are scalar indexed loads re-inserted into lanes.
 //
-// Four accumulation chains = two 2-lane vectors: V-low holds chains
-// 0-1, V-high chains 2-3, reduced as (s0+s2)+(s1+s3) exactly like
-// distScalar. The sliding-window kernel scans two adjacent windows as
-// the two lanes, abandoning when both have reached the bound, exactly
-// like abandonScalar2. The partner-lane run entry behind
-// LengthBlock.Row is the scalar kernel's Go body, lanesScalar.
+// The sliding-window kernel scans two adjacent windows as the two
+// lanes, abandoning when both have reached the bound, exactly like
+// abandonScalar2. The partner-lane run entry behind LengthBlock.Row is
+// the scalar kernel's Go body, lanesScalar.
 //
 // Validation status: this file and the package's tests cross-compile
 // in CI (GOARCH=arm64 go build ./..., go test -c) and are fuzzed via
@@ -34,14 +32,6 @@ import "protoclust/internal/vecmath"
 // translation drifts) or set PROTOCLUST_KERNEL=noasm to sidestep the
 // asm entirely.
 
-// canberraDistBatchNEON fills out[j] with the raw Canberra distance
-// between x and ys[j] divided by fls; every ys[j] must have exactly
-// n = len(x) elements, and fls = 1 yields the raw distance. distNEON
-// calls it with a single partner.
-//
-//go:noescape
-func canberraDistBatchNEON(x *float64, n int, ys []View, out *float64, fls float64)
-
 // canberraAbandon2NEON accumulates the two sliding windows at offsets
 // t[0:] and t[1:] (t pre-offset by the caller) against s, abandoning
 // only when both partial sums have reached bound. sums receives the
@@ -50,13 +40,6 @@ func canberraDistBatchNEON(x *float64, n int, ys []View, out *float64, fls float
 //
 //go:noescape
 func canberraAbandon2NEON(s *float64, n int, t *float64, bound float64, sums *[2]float64)
-
-func distNEON(x, y View) float64 {
-	ys := [1]View{y}
-	var out [1]float64
-	canberraDistBatchNEON(&x[0], len(x), ys[:], &out[0], 1)
-	return out[0]
-}
 
 // minWindowNEON mirrors minWindowScalar exactly — same two-window
 // steps, same bound updates — with the lane pair scanned in assembly.
@@ -94,7 +77,6 @@ func minWindowNEON(s, t View) float64 {
 func init() {
 	register(&kernelImpl{
 		name:      "neon",
-		dist:      distNEON,
 		minWindow: minWindowNEON,
 		lanes:     lanesScalar,
 	})

@@ -2,15 +2,14 @@
 
 #include "textflag.h"
 
-// NEON Canberra kernels. See kernel_arm64.go for the translation
-// contract. Shared register conventions:
+// NEON Canberra kernel. See kernel_arm64.go for the translation
+// contract. Register conventions:
 //
 //   R3  = &recipSum[0]
 //   V2  = float64 abs mask (sign bit cleared) ×2
 //   V3  = 1.0 ×2 — VFMLA/VFMLS against it synthesize exact vector
 //         add/subtract (the assembler has no vector FADD/FSUB)
-//   V0  = low accumulator (chains 0-1 / both windows)
-//   V1  = high accumulator (chains 2-3)
+//   V0  = accumulator (both windows)
 //
 // One Canberra term per lane pair:
 //   V16 = |a−b|   (copy a, VFMLS 1.0·b, VAND mask)
@@ -19,106 +18,6 @@
 //         low lane via FMOVD — which zeroes the upper lane — then the
 //         high lane re-inserted with VMOV)
 //   acc += V16·V18 (VFMLA — the one rounding math.FMA does)
-
-// func canberraDistBatchNEON(x *float64, n int, ys []View, out *float64, fls float64)
-TEXT ·canberraDistBatchNEON(SB), NOSPLIT, $0-56
-	MOVD x+0(FP), R12
-	MOVD n+8(FP), R2
-	MOVD ys_base+16(FP), R4
-	MOVD ys_len+24(FP), R5
-	MOVD out+40(FP), R9
-	FMOVD fls+48(FP), F29
-
-	MOVD $·recipSum(SB), R3
-	MOVD $0x7FFFFFFFFFFFFFFF, R6
-	VMOV R6, V2.D[0]
-	VMOV R6, V2.D[1]
-	FMOVD $1.0, F3
-	VDUP V3.D[0], V3.D2
-
-pairloop:
-	CBZ R5, done
-	MOVD (R4), R1 // ys[j] data pointer (slice header word 0)
-	MOVD R12, R0
-	VEOR V0.B16, V0.B16, V0.B16
-	VEOR V1.B16, V1.B16, V1.B16
-	LSR $2, R2, R10
-	CBZ R10, reduce
-
-quadloop:
-	VLD1.P 32(R0), [V4.D2, V5.D2]
-	VLD1.P 32(R1), [V6.D2, V7.D2]
-
-	// chains 0-1: elements i, i+1
-	VORR V4.B16, V4.B16, V16.B16
-	VFMLS V6.D2, V3.D2, V16.D2 // a − 1.0·b
-	VAND V2.B16, V16.B16, V16.B16
-	VORR V4.B16, V4.B16, V17.B16
-	VFMLA V6.D2, V3.D2, V17.D2 // a + 1.0·b
-	FCVTZSD F17, R6
-	AND $511, R6
-	FMOVD (R3)(R6<<3), F18
-	VDUP V17.D[1], V19.D2
-	FCVTZSD F19, R7
-	AND $511, R7
-	MOVD (R3)(R7<<3), R8
-	VMOV R8, V18.D[1]
-	VFMLA V18.D2, V16.D2, V0.D2
-
-	// chains 2-3: elements i+2, i+3
-	VORR V5.B16, V5.B16, V16.B16
-	VFMLS V7.D2, V3.D2, V16.D2
-	VAND V2.B16, V16.B16, V16.B16
-	VORR V5.B16, V5.B16, V17.B16
-	VFMLA V7.D2, V3.D2, V17.D2
-	FCVTZSD F17, R6
-	AND $511, R6
-	FMOVD (R3)(R6<<3), F18
-	VDUP V17.D[1], V19.D2
-	FCVTZSD F19, R7
-	AND $511, R7
-	MOVD (R3)(R7<<3), R8
-	VMOV R8, V18.D[1]
-	VFMLA V18.D2, V16.D2, V1.D2
-
-	SUBS $1, R10
-	BNE quadloop
-
-reduce:
-	// sum = (s0+s2) + (s1+s3), the distScalar reduce order. V0 += 1.0·V1
-	// is the exact lane-wise add; the final cross-lane add is scalar.
-	VFMLA V1.D2, V3.D2, V0.D2
-	VDUP V0.D[1], V20.D2
-	FADDD F20, F0, F22 // F22 = (s0+s2)+(s1+s3)
-
-	AND $3, R2, R11
-	CBZ R11, store
-
-tailloop:
-	FMOVD (R0), F4
-	FMOVD (R1), F5
-	FSUBD F5, F4, F16 // a − b
-	FABSD F16, F16
-	FADDD F5, F4, F17 // a + b
-	FCVTZSD F17, R6
-	AND $511, R6
-	FMOVD (R3)(R6<<3), F18
-	FMADDD F18, F22, F16, F22 // F22 += F16·F18, fused
-	ADD $8, R0
-	ADD $8, R1
-	SUBS $1, R11
-	BNE tailloop
-
-store:
-	FDIVD F29, F22, F22
-	FMOVD F22, (R9)
-	ADD $24, R4 // next slice header (ptr+len+cap)
-	ADD $8, R9
-	SUB $1, R5
-	B pairloop
-
-done:
-	RET
 
 // func canberraAbandon2NEON(s *float64, n int, t *float64, bound float64, sums *[2]float64)
 //

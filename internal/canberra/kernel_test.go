@@ -274,9 +274,11 @@ func TestDissimViewsSaturatingPenalty(t *testing.T) {
 	}
 }
 
-// BenchmarkDissimilarityKernel measures the kernel on its two extreme
-// shapes: equal length (best case, fast path) and maximal length
-// mismatch (worst case, full sliding window with early abandoning).
+// BenchmarkDissimilarityKernel measures the per-pair path on its two
+// extreme shapes: equal length (distScalar, which every kernel shares)
+// and maximal length mismatch (the full sliding window with early
+// abandoning). The sliding shape runs on each host kernel, since
+// minWindow is the per-pair entry that keeps its asm.
 func BenchmarkDissimilarityKernel(b *testing.B) {
 	equalA := make([]byte, 8)
 	equalB := make([]byte, 8)
@@ -290,19 +292,21 @@ func BenchmarkDissimilarityKernel(b *testing.B) {
 	for i := range long {
 		long[i] = byte(i * 7)
 	}
-	cases := []struct {
+	type benchCase struct {
 		name string
+		k    *kernelImpl
 		s, t View
-	}{
-		{"EqualLength8", NewView(equalA), NewView(equalB)},
-		{"MaxMismatch2x64", NewView(short), NewView(long)},
+	}
+	cases := []benchCase{{"EqualLength8", scalarKernel, NewView(equalA), NewView(equalB)}}
+	for _, k := range hostKernels(b) {
+		cases = append(cases, benchCase{"MaxMismatch2x64/" + k.name, k, NewView(short), NewView(long)})
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				sink += DissimViews(c.s, c.t, DefaultPenalty)
+				sink += dissimViews(c.k, c.s, c.t, DefaultPenalty)
 			}
 			benchSink = sink
 		})

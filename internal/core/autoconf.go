@@ -71,13 +71,8 @@ const fallbackQuantile = 0.6
 // the sparse ECDF tail would otherwise masquerade as the rightmost knee.
 const kneeProminenceShare = 0.33
 
-// Configure runs the ε auto-configuration of Algorithm 1 on the full
-// dissimilarity population.
-func Configure(m *dissim.Matrix, p Params) (*AutoConfig, error) {
-	return ConfigureContext(context.Background(), m, p)
-}
-
-// ConfigureContext is Configure with a cancellation checkpoint per
+// ConfigureContext runs the ε auto-configuration of Algorithm 1 on the
+// full dissimilarity population, with a cancellation checkpoint per
 // candidate k — each iteration sorts, smooths, and knee-detects one
 // ECDF, so a cancelled context aborts within one curve's work.
 func ConfigureContext(ctx context.Context, m *dissim.Matrix, p Params) (*AutoConfig, error) {

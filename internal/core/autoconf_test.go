@@ -22,7 +22,7 @@ func poolFromValues(t *testing.T, values [][]byte) (*dissim.Pool, *dissim.Matrix
 		segs = append(segs, netmsg.Segment{Msg: m, Offset: 0, Length: len(v)})
 	}
 	pool := dissim.NewPool(segs)
-	matrix, err := dissim.Compute(pool, canberra.DefaultPenalty)
+	matrix, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func bimodalValues(rng *rand.Rand, perMode int) [][]byte {
 
 func TestConfigureTooFewSegments(t *testing.T) {
 	_, m := poolFromValues(t, [][]byte{{1, 2}, {3, 4}})
-	if _, err := Configure(m, DefaultParams()); !errors.Is(err, ErrTooFewSegments) {
+	if _, err := ConfigureContext(context.Background(), m, DefaultParams()); !errors.Is(err, ErrTooFewSegments) {
 		t.Errorf("err = %v, want ErrTooFewSegments", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestConfigureTooFewSegments(t *testing.T) {
 func TestConfigureFindsSeparatingEpsilon(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	_, m := poolFromValues(t, bimodalValues(rng, 60))
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestConfigureFindsSeparatingEpsilon(t *testing.T) {
 func TestConfigureCurveSeriesConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	_, m := poolFromValues(t, bimodalValues(rng, 40))
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestConfigureCollapsesDuplicateDistances(t *testing.T) {
 		}
 	}
 	_, m := poolFromValues(t, values)
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestConfigureTrimmedYieldsSmallerEpsilon(t *testing.T) {
 	}
 	_, m := poolFromValues(t, values)
 	p := DefaultParams()
-	cfg, err := Configure(m, p)
+	cfg, err := ConfigureContext(context.Background(), m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestConfigureFallbackOnUniformDistances(t *testing.T) {
 		values = append(values, []byte{byte(i * 6), byte(255 - i*6), byte(i * 3), byte(i)})
 	}
 	_, m := poolFromValues(t, values)
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestConfigureFallbackOnUniformDistances(t *testing.T) {
 func TestMinSamplesScalesWithLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	_, m := poolFromValues(t, bimodalValues(rng, 80))
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMinSamplesScalesWithLog(t *testing.T) {
 func TestConfigureKInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	_, m := poolFromValues(t, bimodalValues(rng, 60))
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestConfigureFixedKPins(t *testing.T) {
 	for _, k := range []int{2, 3, kMax(m.Len())} {
 		p := DefaultParams()
 		p.FixedK = k
-		cfg, err := Configure(m, p)
+		cfg, err := ConfigureContext(context.Background(), m, p)
 		if err != nil {
 			t.Fatalf("FixedK=%d: %v", k, err)
 		}
@@ -261,7 +261,7 @@ func TestConfigureFixedKOutOfRange(t *testing.T) {
 	for _, k := range []int{-1, 1, kMax(m.Len()) + 1} {
 		p := DefaultParams()
 		p.FixedK = k
-		if _, err := Configure(m, p); !errors.Is(err, ErrKOutOfRange) {
+		if _, err := ConfigureContext(context.Background(), m, p); !errors.Is(err, ErrKOutOfRange) {
 			t.Errorf("FixedK=%d: err = %v, want ErrKOutOfRange", k, err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestConfigureEpsQuantileBounds(t *testing.T) {
 	for _, q := range []float64{-0.1, 1.0, 1.5} {
 		p := DefaultParams()
 		p.EpsQuantile = q
-		if _, err := Configure(m, p); !errors.Is(err, ErrBadQuantile) {
+		if _, err := ConfigureContext(context.Background(), m, p); !errors.Is(err, ErrBadQuantile) {
 			t.Errorf("EpsQuantile=%g: err = %v, want ErrBadQuantile", q, err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestConfigureEpsQuantileMonotone(t *testing.T) {
 	for i, q := range []float64{0.2, 0.5, 0.9} {
 		p := DefaultParams()
 		p.EpsQuantile = q
-		cfg, err := Configure(m, p)
+		cfg, err := ConfigureContext(context.Background(), m, p)
 		if err != nil {
 			t.Fatalf("EpsQuantile=%g: %v", q, err)
 		}

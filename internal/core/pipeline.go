@@ -74,22 +74,6 @@ func runClusterer(m dbscan.Matrix, eps float64, minPts int, p Params) (*dbscan.R
 	}
 }
 
-// ClusterSegments runs the entire pipeline of Section III on a set of
-// segments: dedup → dissimilarity matrix → ε auto-configuration →
-// DBSCAN → 60 %-guard → refinement.
-func ClusterSegments(segs []netmsg.Segment, p Params) (*Result, error) {
-	return ClusterSegmentsContext(context.Background(), segs, p)
-}
-
-// ClusterSegmentsContext is ClusterSegments with cancellation threaded
-// through the hot stages: the matrix build aborts per tile, the ε
-// auto-configuration per candidate k, and refinement between cluster
-// pairs. A cancelled or expired context surfaces as an error wrapping
-// ctx.Err().
-func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params) (*Result, error) {
-	return ClusterSegmentsBuildContext(ctx, segs, p, nil)
-}
-
 // MatrixBuilder computes the dissimilarity matrix for a pool. It exists
 // so a caller can substitute the local kernel build with another source
 // of the same bits — the distributed coordinator assembles the matrix
@@ -97,11 +81,16 @@ func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params
 // function fields); the builder rides alongside it instead.
 type MatrixBuilder func(ctx context.Context, pool *dissim.Pool) (*dissim.Matrix, error)
 
-// ClusterSegmentsBuildContext is ClusterSegmentsContext with the matrix
-// build injected. A nil build computes locally through
-// dissim.ComputeMatrixContext, exactly as ClusterSegmentsContext does;
-// everything downstream of the matrix is identical either way.
-func ClusterSegmentsBuildContext(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (*Result, error) {
+// ClusterSegmentsContext runs the entire pipeline of Section III on a
+// set of segments: dedup → dissimilarity matrix → ε auto-configuration
+// → DBSCAN → 60 %-guard → refinement. A nil build computes the matrix
+// locally through dissim.ComputeMatrixContext; everything downstream
+// of the matrix is identical either way. Cancellation is threaded
+// through the hot stages: the matrix build aborts per tile, the ε
+// auto-configuration per candidate k, and refinement between cluster
+// pairs. A cancelled or expired context surfaces as an error wrapping
+// ctx.Err().
+func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (*Result, error) {
 	pool := dissim.NewPool(segs)
 	if pool.Size() < 3 {
 		return nil, fmt.Errorf("%w (pool has %d)", ErrTooFewSegments, pool.Size())
@@ -123,14 +112,10 @@ func ClusterSegmentsBuildContext(ctx context.Context, segs []netmsg.Segment, p P
 	return ClusterPoolContext(ctx, pool, m, p)
 }
 
-// ClusterPool runs the pipeline on an already-prepared pool and matrix
-// (used by benchmarks that sweep parameters over one matrix).
-func ClusterPool(pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
-	return ClusterPoolContext(context.Background(), pool, m, p)
-}
-
-// ClusterPoolContext is ClusterPool with cancellation checkpoints
-// between and inside the pipeline stages.
+// ClusterPoolContext runs the pipeline on an already-prepared pool and
+// matrix (the configuration sweep clusters one matrix per
+// configuration), with cancellation checkpoints between and inside the
+// pipeline stages.
 func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
 	var (
 		cfg   *AutoConfig

@@ -49,14 +49,14 @@ func synthSegments(perType int, seed int64) ([]netmsg.Segment, map[string]string
 func TestClusterSegmentsTooFew(t *testing.T) {
 	m := &netmsg.Message{Data: []byte{1, 2, 3, 4}}
 	segs := []netmsg.Segment{{Msg: m, Offset: 0, Length: 2}}
-	if _, err := ClusterSegments(segs, DefaultParams()); !errors.Is(err, ErrTooFewSegments) {
+	if _, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil); !errors.Is(err, ErrTooFewSegments) {
 		t.Errorf("err = %v, want ErrTooFewSegments", err)
 	}
 }
 
 func TestClusterSegmentsSeparatesTypes(t *testing.T) {
 	segs, truth := synthSegments(40, 1)
-	res, err := ClusterSegments(segs, DefaultParams())
+	res, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatalf("ClusterSegments: %v", err)
 	}
@@ -90,11 +90,11 @@ func TestClusterSegmentsSeparatesTypes(t *testing.T) {
 
 func TestClusterSegmentsDeterministic(t *testing.T) {
 	segs, _ := synthSegments(20, 2)
-	a, err := ClusterSegments(segs, DefaultParams())
+	a, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClusterSegments(segs, DefaultParams())
+	b, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestClusterSegmentsFixedEpsilon(t *testing.T) {
 	segs, _ := synthSegments(20, 3)
 	p := DefaultParams()
 	p.FixedEpsilon = 0.05
-	res, err := ClusterSegments(segs, p)
+	res, err := ClusterSegmentsContext(context.Background(), segs, p, nil)
 	if err != nil {
 		t.Fatalf("ClusterSegments: %v", err)
 	}
@@ -132,11 +132,11 @@ func TestClusterSegmentsRefinementToggle(t *testing.T) {
 	on := DefaultParams()
 	off := DefaultParams()
 	off.DisableRefinement = true
-	rOn, err := ClusterSegments(segs, on)
+	rOn, err := ClusterSegmentsContext(context.Background(), segs, on, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOff, err := ClusterSegments(segs, off)
+	rOff, err := ClusterSegmentsContext(context.Background(), segs, off, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestResultAccountsForAllSegments(t *testing.T) {
 		netmsg.Segment{Msg: m, Offset: 1, Length: 1},
 		netmsg.Segment{Msg: m, Offset: 2, Length: 1},
 	)
-	res, err := ClusterSegments(segs, DefaultParams())
+	res, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCoveredBytes(t *testing.T) {
 		netmsg.Segment{Msg: m, Offset: 1, Length: 1}, // 0x42, recurs
 		netmsg.Segment{Msg: m, Offset: 2, Length: 1}, // 0x99, unique
 	)
-	res, err := ClusterSegments(segs, DefaultParams())
+	res, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestCoveredBytes(t *testing.T) {
 func TestConfigureProducesUsableEpsilon(t *testing.T) {
 	segs, _ := synthSegments(40, 7)
 	pool := dissim.NewPool(segs)
-	m, err := dissim.Compute(pool, DefaultParams().Penalty)
+	m, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: DefaultParams().Penalty})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Configure(m, DefaultParams())
+	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestConfigureIdenticalSegmentsFails(t *testing.T) {
 		segs = append(segs, netmsg.Segment{Msg: m, Offset: 0, Length: 3})
 	}
 	// All identical values dedup to a single unique segment.
-	if _, err := ClusterSegments(segs, DefaultParams()); err == nil {
+	if _, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil); err == nil {
 		t.Error("identical-value trace should fail (nothing to cluster)")
 	}
 }
@@ -257,7 +257,7 @@ func TestLargeClusterGuard(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		add([]byte{byte(0x80 + rng.Intn(120)), byte(rng.Intn(255)), byte(i), byte(rng.Intn(255))})
 	}
-	res, err := ClusterSegments(segs, DefaultParams())
+	res, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatalf("ClusterSegments: %v", err)
 	}
@@ -271,15 +271,15 @@ func TestPipelineOnManySeeds(t *testing.T) {
 	// The pipeline must never panic or error across varied populations.
 	for seed := int64(10); seed < 20; seed++ {
 		segs, _ := synthSegments(15+int(seed), seed)
-		if _, err := ClusterSegments(segs, DefaultParams()); err != nil {
+		if _, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-func ExampleClusterSegments() {
+func ExampleClusterSegmentsContext() {
 	segs, _ := synthSegments(30, 42)
-	res, err := ClusterSegments(segs, DefaultParams())
+	res, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -292,7 +292,7 @@ func TestClusterSegmentsWithOPTICS(t *testing.T) {
 	segs, truth := synthSegments(30, 21)
 	p := DefaultParams()
 	p.Clusterer = "optics"
-	res, err := ClusterSegments(segs, p)
+	res, err := ClusterSegmentsContext(context.Background(), segs, p, nil)
 	if err != nil {
 		t.Fatalf("OPTICS pipeline: %v", err)
 	}
@@ -328,13 +328,13 @@ func TestClusterSegmentsWithOPTICS(t *testing.T) {
 func TestOPTICSAndDBSCANPipelinesComparable(t *testing.T) {
 	segs, _ := synthSegments(25, 22)
 	pd := DefaultParams()
-	rd, err := ClusterSegments(segs, pd)
+	rd, err := ClusterSegmentsContext(context.Background(), segs, pd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	po := DefaultParams()
 	po.Clusterer = "optics"
-	ro, err := ClusterSegments(segs, po)
+	ro, err := ClusterSegmentsContext(context.Background(), segs, po, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestClusterSegmentsWithHDBSCAN(t *testing.T) {
 	segs, truth := synthSegments(30, 23)
 	p := DefaultParams()
 	p.Clusterer = "hdbscan"
-	res, err := ClusterSegments(segs, p)
+	res, err := ClusterSegmentsContext(context.Background(), segs, p, nil)
 	if err != nil {
 		t.Fatalf("HDBSCAN pipeline: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestClusterSegmentsUnknownClusterer(t *testing.T) {
 	segs, _ := synthSegments(10, 24)
 	p := DefaultParams()
 	p.Clusterer = "kmeans"
-	if _, err := ClusterSegments(segs, p); err == nil {
+	if _, err := ClusterSegmentsContext(context.Background(), segs, p, nil); err == nil {
 		t.Error("unknown clusterer should error")
 	}
 }
@@ -392,18 +392,22 @@ func TestClusterSegmentsContextCanceled(t *testing.T) {
 	segs, _ := synthSegments(40, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ClusterSegmentsContext(ctx, segs, DefaultParams()); !errors.Is(err, context.Canceled) {
+	if _, err := ClusterSegmentsContext(ctx, segs, DefaultParams(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestClusterSegmentsContextUncancelledMatches checks that a live,
+// cancellable ctx clusters as a background one does.
 func TestClusterSegmentsContextUncancelledMatches(t *testing.T) {
 	segs, _ := synthSegments(30, 2)
-	want, err := ClusterSegments(segs, DefaultParams())
+	want, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClusterSegmentsContext(context.Background(), segs, DefaultParams())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := ClusterSegmentsContext(ctx, segs, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +451,7 @@ func TestClusterPoolCancelledAtEveryCheckpoint(t *testing.T) {
 	p := DefaultParams()
 	p.LargeClusterShare = 0 // every clustering triggers the guard
 	p.DisableRefinement = true
-	want, err := ClusterPool(pool, m, p)
+	want, err := ClusterPoolContext(context.Background(), pool, m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +559,7 @@ func TestGuardNoteOnPipeline(t *testing.T) {
 	pool, m := poolFromValues(t, values)
 	p := DefaultParams()
 	p.LargeClusterShare = 0 // every clustering triggers the guard
-	res, err := ClusterPool(pool, m, p)
+	res, err := ClusterPoolContext(context.Background(), pool, m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +567,7 @@ func TestGuardNoteOnPipeline(t *testing.T) {
 		t.Fatalf("forced guard: reconfigured %v, note %q; want an adopted re-run", res.Reconfigured, res.GuardNote)
 	}
 	p.LargeClusterShare = 1 // no cluster holds more than every segment
-	res, err = ClusterPool(pool, m, p)
+	res, err = ClusterPoolContext(context.Background(), pool, m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +578,7 @@ func TestGuardNoteOnPipeline(t *testing.T) {
 	// no distance below its cut, so its auto-configuration fails.
 	p.LargeClusterShare = -1 // fires even when every segment is noise
 	p.EpsQuantile = 1e-9
-	res, err = ClusterPool(pool, m, p)
+	res, err = ClusterPoolContext(context.Background(), pool, m, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestComputeStatsBitExactAcrossBackends(t *testing.T) {
 		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendCondensed},
 		{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendTiled, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
 	} {
-		m, err := dissim.ComputeMatrix(pool, cfg)
+		m, err := dissim.ComputeMatrixContext(context.Background(), pool, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestConfigureStableUnderShuffle(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	values := bimodalValues(rng, 40)
 	_, m := poolFromValues(t, values)
-	base, err := Configure(m, DefaultParams())
+	base, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestConfigureStableUnderShuffle(t *testing.T) {
 		shuffled := append([][]byte(nil), values...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		_, m2 := poolFromValues(t, shuffled)
-		got, err := Configure(m2, DefaultParams())
+		got, err := ConfigureContext(context.Background(), m2, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"protoclust/internal/canberra"
 	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/vecmath"
@@ -34,7 +33,6 @@ type Assembler struct {
 	set       *dbscan.CondensedMatrix
 	st        store
 	tiles     *tilestore.Store
-	views     []canberra.View
 	seen      []bool
 	remaining int
 	done      bool
@@ -71,7 +69,6 @@ func NewAssembler(ctx context.Context, pool *Pool, cfg Config, tile int) (*Assem
 		ts:      tile,
 		nb:      (n + tile - 1) / tile,
 		backend: backend,
-		views:   pool.Views(),
 	}
 	a.remaining = vecmath.CheckedTriNum(a.nb + 1)
 	a.seen = make([]bool, a.remaining)
@@ -90,7 +87,7 @@ func NewAssembler(ctx context.Context, pool *Pool, cfg Config, tile int) (*Assem
 			return nil, fmt.Errorf("dissim: tiled assembly requires tile size %d, got %d",
 				tilestore.DefaultTileSize, tile)
 		}
-		ts, err := tilestore.New(ctx, a.views, tilestore.Config{
+		ts, err := tilestore.New(ctx, pool.Views(), tilestore.Config{
 			BudgetBytes: budget,
 			SpillDir:    cfg.SpillDir,
 			Penalty:     cfg.Penalty,
@@ -163,7 +160,7 @@ func (a *Assembler) Matrix() (*Matrix, error) {
 		return nil, fmt.Errorf("dissim: assemble: %d of %d tiles missing", a.remaining, len(a.seen))
 	}
 	a.done = true
-	return &Matrix{store: a.st, views: a.views, backend: a.backend}, nil
+	return &Matrix{store: a.st, backend: a.backend}, nil
 }
 
 // Close releases the backend of an assembly abandoned before Matrix

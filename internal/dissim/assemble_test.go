@@ -79,9 +79,9 @@ func requireIdentical(t *testing.T, got, want *Matrix) {
 func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 	pool := assemblePool(t, 150)
 	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
-	local, err := ComputeMatrix(pool, cfg)
+	local, err := ComputeMatrixContext(context.Background(), pool, cfg)
 	if err != nil {
-		t.Fatalf("ComputeMatrix: %v", err)
+		t.Fatalf("ComputeMatrixContext: %v", err)
 	}
 	defer func() { _ = local.Close() }()
 	assembled := assembleVia(t, pool, cfg, tilestore.DefaultTileSize)
@@ -92,9 +92,9 @@ func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 func TestAssemblerTiledBackendViaIngest(t *testing.T) {
 	pool := assemblePool(t, 150)
 	cfg := Config{Penalty: 1.5, Backend: BackendTiled, SpillDir: t.TempDir()}
-	local, err := ComputeMatrix(pool, Config{Penalty: 1.5, Backend: BackendCondensed})
+	local, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: 1.5, Backend: BackendCondensed})
 	if err != nil {
-		t.Fatalf("ComputeMatrix: %v", err)
+		t.Fatalf("ComputeMatrixContext: %v", err)
 	}
 	defer func() { _ = local.Close() }()
 	assembled := assembleVia(t, pool, cfg, tilestore.DefaultTileSize)
@@ -137,9 +137,9 @@ func TestAssemblerSmallTileSizeOnResidentBackend(t *testing.T) {
 	// condensed backend accepts any grid.
 	pool := assemblePool(t, 50)
 	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
-	local, err := ComputeMatrix(pool, cfg)
+	local, err := ComputeMatrixContext(context.Background(), pool, cfg)
 	if err != nil {
-		t.Fatalf("ComputeMatrix: %v", err)
+		t.Fatalf("ComputeMatrixContext: %v", err)
 	}
 	defer func() { _ = local.Close() }()
 	assembled := assembleVia(t, pool, cfg, 8)

@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,9 +27,9 @@ func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 			SpillDir:     t.TempDir(),
 		}},
 	} {
-		m, err := ComputeMatrix(pool, c.cfg)
+		m, err := ComputeMatrixContext(context.Background(), pool, c.cfg)
 		if err != nil {
-			t.Fatalf("ComputeMatrix(%s): %v", c.name, err)
+			t.Fatalf("ComputeMatrixContext(%s): %v", c.name, err)
 		}
 		if got := m.Backend(); got != c.cfg.Backend {
 			t.Fatalf("Backend() = %q, want %q", got, c.cfg.Backend)

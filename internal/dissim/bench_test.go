@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,7 @@ func histogramLengths(h [][2]int) []int {
 
 func benchMatrix(b *testing.B, n int, lens []int) *Matrix {
 	b.Helper()
-	m, err := Compute(randomPool(b, n, lens, 1), canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), randomPool(b, n, lens, 1), Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func BenchmarkComputeMatrix(b *testing.B) {
 		b.Run(s.name+"/optimized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Compute(pool, canberra.DefaultPenalty); err != nil {
+				if _, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,10 +83,18 @@ func BenchmarkComputeMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkKNNTable measures the k-NN table on a resident matrix
+// ("heap", and its pre-heap reference "sort") and, under "tiled", the
+// whole lazy pass on the tiled backend: build, k-NN table, Close, since
+// the tiled backend computes its tiles during the table walk.
 func BenchmarkKNNTable(b *testing.B) {
 	const kmax = 8 // ≈ ln 2000, Algorithm 1's kMax regime
 	for _, n := range []int{500, 2000} {
-		m := benchMatrix(b, n, []int{2, 3, 4, 6, 8, 12, 16})
+		pool := randomPool(b, n, []int{2, 3, 4, 6, 8, 12, 16}, 1)
+		m, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("n=%d/heap", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -98,6 +107,21 @@ func BenchmarkKNNTable(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.KNNTableSort(kmax); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/tiled", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tm, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tm.KNNTable(kmax); err != nil {
+					b.Fatal(err)
+				}
+				if err := tm.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -176,12 +176,9 @@ type Config struct {
 }
 
 // Matrix stores the pairwise Canberra dissimilarities between the
-// pool's unique segments, plus the float views they were computed from
-// so downstream stages (refinement, reporting) can reuse them without
-// reconverting bytes.
+// pool's unique segments.
 type Matrix struct {
 	store   store
-	views   []canberra.View
 	backend string
 }
 
@@ -222,32 +219,14 @@ const (
 // up. Test instrumentation only (cancellation promptness).
 var computeTileHook func()
 
-// Compute fills the dissimilarity matrix for the pool using the given
-// Canberra length-mismatch penalty factor (canberra.DefaultPenalty for
-// the paper's configuration) and the automatic backend selection.
-func Compute(pool *Pool, penalty float64) (*Matrix, error) {
-	return ComputeContext(context.Background(), pool, penalty)
-}
-
-// ComputeContext is Compute with cancellation: eager builds re-check
-// ctx per scheduling tile; the tiled backend checks it per lazily
-// computed tile and surfaces it through Matrix.Err. The returned error
-// wraps ctx's cause, so errors.Is(err, context.Canceled) (or
-// DeadlineExceeded) holds.
-func ComputeContext(ctx context.Context, pool *Pool, penalty float64) (*Matrix, error) {
-	return ComputeMatrixContext(ctx, pool, Config{Penalty: penalty})
-}
-
-// ComputeMatrix is ComputeMatrixContext without cancellation.
-func ComputeMatrix(pool *Pool, cfg Config) (*Matrix, error) {
-	return ComputeMatrixContext(context.Background(), pool, cfg)
-}
-
 // ComputeMatrixContext builds the dissimilarity matrix on the backend
 // cfg selects. The condensed backend is computed eagerly in balanced
-// upper-triangle tiles; the tiled backend returns
-// immediately and computes 64×64 tiles on first touch within
-// cfg.MemoryBudget resident bytes.
+// upper-triangle tiles, re-checking ctx per tile; the tiled backend
+// returns immediately and computes 64×64 tiles on first touch within
+// cfg.MemoryBudget resident bytes, checking ctx per tile and surfacing
+// a cancellation through Matrix.Err. A returned error wraps ctx's
+// cause, so errors.Is(err, context.Canceled) (or DeadlineExceeded)
+// holds.
 func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
 	n := pool.Size()
 	if n == 0 {
@@ -294,7 +273,7 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 	default: // only a name CheckBackend rejects gets here
 		return nil, CheckBackend(cfg.Backend)
 	}
-	return &Matrix{store: st, views: views, backend: backend}, nil
+	return &Matrix{store: st, backend: backend}, nil
 }
 
 // newCondensed allocates an empty condensed matrix, enforcing the memory
@@ -471,10 +450,6 @@ func (m *Matrix) ResidentBytes() int64 {
 	}
 	return 0
 }
-
-// Views returns the precomputed float views the matrix was built from,
-// indexed like the pool's unique segments. Callers must not mutate them.
-func (m *Matrix) Views() []canberra.View { return m.views }
 
 // MinPositive returns the smallest strictly positive dissimilarity in
 // the matrix, or +Inf when every pair is identical — the ε fallback of

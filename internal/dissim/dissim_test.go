@@ -56,7 +56,7 @@ func TestNewPoolEmpty(t *testing.T) {
 	if p.Size() != 0 {
 		t.Errorf("empty pool Size = %d", p.Size())
 	}
-	if _, err := Compute(p, canberra.DefaultPenalty); !errors.Is(err, ErrEmptyPool) {
+	if _, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty}); !errors.Is(err, ErrEmptyPool) {
 		t.Errorf("Compute on empty pool err = %v, want ErrEmptyPool", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestNewPoolEmpty(t *testing.T) {
 func TestComputeMatrixValues(t *testing.T) {
 	segs := segsFromValues([]byte{10, 20}, []byte{10, 20, 30}, []byte{200, 200})
 	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestComputeMatrixValues(t *testing.T) {
 	}
 
 	// A single segment is a 1×1 matrix: its only row has no suffix.
-	one, err := Compute(NewPool(segsFromValues([]byte{1, 2})), canberra.DefaultPenalty)
+	one, err := ComputeMatrixContext(context.Background(), NewPool(segsFromValues([]byte{1, 2})), Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestKNNDistances(t *testing.T) {
 		[]byte{1, 255},
 	)
 	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestKNNDistancesOrderedInK(t *testing.T) {
 		[]byte{1, 1}, []byte{2, 2}, []byte{3, 3}, []byte{4, 4}, []byte{5, 5},
 	)
 	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestKNNDistancesOrderedInK(t *testing.T) {
 func TestKNNDistancesRange(t *testing.T) {
 	segs := segsFromValues([]byte{1, 2}, []byte{3, 4})
 	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestKNNSubsetProperty(t *testing.T) {
 		if p.Size() < 3 {
 			return true
 		}
-		mtx, err := Compute(p, canberra.DefaultPenalty)
+		mtx, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})
 		if err != nil {
 			return false
 		}
@@ -257,7 +257,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 	// explicit condensed backend must refuse with ErrPoolTooLarge (and
 	// name the segment count) instead of allocating.
 	pool := NewPool(genSegments(64, 11))
-	_, err := ComputeMatrix(pool, Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed, MemoryBudget: 1 << 10})
+	_, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed, MemoryBudget: 1 << 10})
 	if !errors.Is(err, ErrPoolTooLarge) {
 		t.Errorf("err = %v, want ErrPoolTooLarge", err)
 	}
@@ -267,7 +267,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 
 	// The auto backend under the same budget falls through to tiled and
 	// still completes, bit-identical to the unconstrained default.
-	got, err := ComputeMatrix(pool, Config{Penalty: canberra.DefaultPenalty, MemoryBudget: 1 << 10, SpillDir: t.TempDir()})
+	got, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty, MemoryBudget: 1 << 10, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("auto backend under tiny budget: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 	if got.Backend() != BackendTiled {
 		t.Fatalf("Backend = %q, want %q", got.Backend(), BackendTiled)
 	}
-	want, err := Compute(pool, canberra.DefaultPenalty)
+	want, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 func TestComputeRejectsNaNPenalty(t *testing.T) {
 	pool := NewPool(genSegments(64, 3))
 	for _, backend := range []string{BackendAuto, BackendCondensed, BackendTiled} {
-		m, err := ComputeMatrix(pool, Config{Penalty: math.NaN(), Backend: backend})
+		m, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: math.NaN(), Backend: backend})
 		if !errors.Is(err, canberra.ErrBadPenalty) {
 			t.Errorf("%s: err = %v, want canberra.ErrBadPenalty", backend, err)
 		}
@@ -323,8 +323,8 @@ func TestCheckBackend(t *testing.T) {
 		if want == nil {
 			t.Fatalf("CheckBackend(%q) accepted it", name)
 		}
-		if _, err := ComputeMatrix(pool, Config{Penalty: 1, Backend: name}); err == nil || err.Error() != want.Error() {
-			t.Errorf("ComputeMatrix(%q): err = %v, want %v", name, err, want)
+		if _, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: 1, Backend: name}); err == nil || err.Error() != want.Error() {
+			t.Errorf("ComputeMatrixContext(%q): err = %v, want %v", name, err, want)
 		}
 		if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: name}, 64); err == nil || err.Error() != want.Error() {
 			t.Errorf("NewAssembler(%q): err = %v, want %v", name, err, want)
@@ -332,8 +332,8 @@ func TestCheckBackend(t *testing.T) {
 	}
 }
 
-// genSegments builds n distinct pseudo-random segments, mimicking the
-// benchperf harness shapes (mixed short lengths, deterministic seed).
+// genSegments builds n distinct pseudo-random segments of mixed short
+// lengths, from a deterministic seed.
 func genSegments(n int, seed int64) []netmsg.Segment {
 	lens := []int{2, 3, 4, 6, 8, 12, 16}
 	rng := rand.New(rand.NewSource(seed))
@@ -359,7 +359,7 @@ func TestComputeContextCanceledUpFront(t *testing.T) {
 	pool := NewPool(genSegments(64, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeContext(ctx, pool, canberra.DefaultPenalty); !errors.Is(err, context.Canceled) {
+	if _, err := ComputeMatrixContext(ctx, pool, Config{Penalty: canberra.DefaultPenalty}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -380,7 +380,7 @@ func TestComputeContextCancelBoundedTiles(t *testing.T) {
 	}
 	defer func() { computeTileHook = nil }()
 
-	_, err := ComputeContext(ctx, pool, canberra.DefaultPenalty)
+	_, err := ComputeMatrixContext(ctx, pool, Config{Penalty: canberra.DefaultPenalty})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -390,13 +390,18 @@ func TestComputeContextCancelBoundedTiles(t *testing.T) {
 	}
 }
 
+// TestComputeContextUncancelledMatchesCompute checks that a live,
+// cancellable ctx builds the matrix a background one does: the
+// per-tile checkpoints do not perturb the fill.
 func TestComputeContextUncancelledMatchesCompute(t *testing.T) {
 	pool := NewPool(genSegments(100, 3))
-	want, err := Compute(pool, canberra.DefaultPenalty)
+	want, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ComputeContext(context.Background(), pool, canberra.DefaultPenalty)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := ComputeMatrixContext(ctx, pool, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}

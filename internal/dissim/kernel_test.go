@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -53,7 +54,7 @@ func TestComputeMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := randomPool(t, 120, tc.lens, 7)
-			got, err := Compute(pool, canberra.DefaultPenalty)
+			got, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +155,7 @@ func cutsInPaddedGroup(views []canberra.View, lo, hi int) int {
 // original full-sort construction, including tie handling.
 func TestKNNTableMatchesSort(t *testing.T) {
 	pool := randomPool(t, 150, []int{2, 4, 4, 8}, 11)
-	m, err := Compute(pool, canberra.DefaultPenalty)
+	m, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func emptySegmentPool(n int) *Pool {
 }
 
 func TestComputeEmptySegmentError(t *testing.T) {
-	if _, err := Compute(emptySegmentPool(8), canberra.DefaultPenalty); !errors.Is(err, canberra.ErrEmpty) {
+	if _, err := ComputeMatrixContext(context.Background(), emptySegmentPool(8), Config{Penalty: canberra.DefaultPenalty}); !errors.Is(err, canberra.ErrEmpty) {
 		t.Fatalf("err = %v, want canberra.ErrEmpty", err)
 	}
 }
@@ -221,7 +222,7 @@ func TestComputeCancellationStopsWorkers(t *testing.T) {
 	computeTileHook = func() { tiles.Add(1) }
 	defer func() { computeTileHook = nil }()
 
-	if _, err := Compute(pool, canberra.DefaultPenalty); !errors.Is(err, canberra.ErrEmpty) {
+	if _, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty}); !errors.Is(err, canberra.ErrEmpty) {
 		t.Fatalf("err = %v, want canberra.ErrEmpty", err)
 	}
 	total := int64(len(fillGrid(n)))
@@ -233,13 +234,9 @@ func TestComputeCancellationStopsWorkers(t *testing.T) {
 	}
 }
 
-func TestMatrixViews(t *testing.T) {
+func TestPoolViews(t *testing.T) {
 	pool := randomPool(t, 10, []int{2, 4}, 5)
-	m, err := Compute(pool, canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := m.Views()
+	views := pool.Views()
 	if len(views) != pool.Size() {
 		t.Fatalf("Views len = %d, want %d", len(views), pool.Size())
 	}

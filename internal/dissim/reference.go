@@ -21,7 +21,7 @@ import (
 // (canberra.DissimilarityPenalty), storing each pair through the
 // condensed matrix's per-pair Set. Row i carries n−i−1 pairs, so late
 // rows are nearly free while early rows dominate — the imbalance
-// Compute's tiles remove.
+// ComputeMatrixContext's tiles remove.
 func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
 	n := pool.Size()
 	if n == 0 {
@@ -74,7 +74,7 @@ func ComputeReference(pool *Pool, penalty float64) (*Matrix, error) {
 	if firstEr != nil {
 		return nil, firstEr
 	}
-	return &Matrix{store: m, views: pool.Views(), backend: BackendCondensed}, nil
+	return &Matrix{store: m, backend: BackendCondensed}, nil
 }
 
 // KNNTableSort is the original k-NN table construction: one full

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func buildResult(t *testing.T) (*core.Result, *netmsg.Trace) {
 			netmsg.Segment{Msg: m, Offset: 4, Length: 4},
 		)
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(context.Background(), segs, core.DefaultParams(), nil)
 	if err != nil {
 		t.Fatalf("ClusterSegments: %v", err)
 	}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -45,10 +46,10 @@ type Table1Row struct {
 }
 
 // Table1 regenerates Table I for all paper traces.
-func Table1() ([]Table1Row, error) {
+func Table1(ctx context.Context) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, len(protocols.PaperTraces()))
 	for _, spec := range protocols.PaperTraces() {
-		row, err := Table1Row1(spec.Protocol, spec.Messages)
+		row, err := Table1Row1(ctx, spec.Protocol, spec.Messages)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 1 %s: %w", spec, err)
 		}
@@ -58,17 +59,17 @@ func Table1() ([]Table1Row, error) {
 }
 
 // Table1Row1 computes a single Table I row.
-func Table1Row1(protocol string, messages int) (Table1Row, error) {
+func Table1Row1(ctx context.Context, protocol string, messages int) (Table1Row, error) {
 	tr, err := protocols.Generate(protocol, messages, Seed)
 	if err != nil {
 		return Table1Row{}, err
 	}
 	dd := tr.Deduplicate()
-	segs, err := segment.GroundTruth{}.Segment(dd)
+	segs, err := segment.GroundTruth{}.Segment(ctx, dd)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(ctx, segs, core.DefaultParams(), nil)
 	if err != nil {
 		return Table1Row{}, err
 	}
@@ -111,11 +112,11 @@ func Segmenters() []segment.Segmenter {
 
 // Table2 regenerates Table II for all paper traces and all three
 // heuristic segmenters.
-func Table2() ([]Table2Row, error) {
+func Table2(ctx context.Context) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range protocols.PaperTraces() {
 		for _, seg := range Segmenters() {
-			row, err := Table2Row1(spec.Protocol, spec.Messages, seg)
+			row, err := Table2Row1(ctx, spec.Protocol, spec.Messages, seg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table 2 %s/%s: %w", spec, seg.Name(), err)
 			}
@@ -127,14 +128,14 @@ func Table2() ([]Table2Row, error) {
 
 // Table2Row1 computes a single Table II cell group (one protocol × one
 // segmenter). Budget exhaustion is reported via Failed, not an error.
-func Table2Row1(protocol string, messages int, seg segment.Segmenter) (Table2Row, error) {
+func Table2Row1(ctx context.Context, protocol string, messages int, seg segment.Segmenter) (Table2Row, error) {
 	tr, err := protocols.Generate(protocol, messages, Seed)
 	if err != nil {
 		return Table2Row{}, err
 	}
 	dd := tr.Deduplicate()
 	row := Table2Row{Protocol: protocol, Messages: messages, Segmenter: seg.Name()}
-	segs, err := seg.Segment(dd)
+	segs, err := seg.Segment(ctx, dd)
 	if err != nil {
 		if errors.Is(err, segment.ErrBudgetExceeded) {
 			row.Failed = true
@@ -142,7 +143,7 @@ func Table2Row1(protocol string, messages int, seg segment.Segmenter) (Table2Row
 		}
 		return Table2Row{}, err
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(ctx, segs, core.DefaultParams(), nil)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -169,22 +170,22 @@ type Figure2Data struct {
 }
 
 // Figure2 regenerates the Figure 2 series (NTP, 1000 messages).
-func Figure2() (*Figure2Data, error) {
-	return Figure2For("ntp", 1000)
+func Figure2(ctx context.Context) (*Figure2Data, error) {
+	return Figure2For(ctx, "ntp", 1000)
 }
 
 // Figure2For builds the ECDF/knee series for any generated trace.
-func Figure2For(protocol string, messages int) (*Figure2Data, error) {
+func Figure2For(ctx context.Context, protocol string, messages int) (*Figure2Data, error) {
 	tr, err := protocols.Generate(protocol, messages, Seed)
 	if err != nil {
 		return nil, err
 	}
 	dd := tr.Deduplicate()
-	segs, err := segment.GroundTruth{}.Segment(dd)
+	segs, err := segment.GroundTruth{}.Segment(ctx, dd)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(ctx, segs, core.DefaultParams(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -220,14 +221,14 @@ type Figure3Example struct {
 // Figure3 reproduces the Figure 3 demonstration: NEMESYS segment
 // boundaries cutting into NTP transmit timestamps, whose random
 // low-order bytes cannot be clustered by value (Section IV-C).
-func Figure3(examples int) ([]Figure3Example, error) {
+func Figure3(ctx context.Context, examples int) ([]Figure3Example, error) {
 	tr, err := protocols.Generate("ntp", 100, Seed)
 	if err != nil {
 		return nil, err
 	}
 	dd := tr.Deduplicate()
 	seg := &nemesys.Segmenter{}
-	segs, err := seg.Segment(dd)
+	segs, err := seg.Segment(ctx, dd)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +286,7 @@ type CoverageRow struct {
 
 // CoverageComparison regenerates the Section IV-D comparison over the
 // large traces.
-func CoverageComparison() ([]CoverageRow, error) {
+func CoverageComparison(ctx context.Context) ([]CoverageRow, error) {
 	specs := []protocols.TraceSpec{
 		{Protocol: "dhcp", Messages: 1000},
 		{Protocol: "dns", Messages: 1000},
@@ -304,11 +305,11 @@ func CoverageComparison() ([]CoverageRow, error) {
 		dd := tr.Deduplicate()
 		row := CoverageRow{Protocol: spec.Protocol, Messages: spec.Messages}
 
-		segs, err := (&nemesys.Segmenter{}).Segment(dd)
+		segs, err := (&nemesys.Segmenter{}).Segment(ctx, dd)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: nemesys on %s: %w", spec, err)
 		}
-		res, err := core.ClusterSegments(segs, core.DefaultParams())
+		res, err := core.ClusterSegmentsContext(ctx, segs, core.DefaultParams(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: clustering %s: %w", spec, err)
 		}
@@ -375,7 +376,7 @@ type SeedSweepRow struct {
 
 // SeedSweep runs the Table I configuration for every seed and
 // aggregates the quality statistics.
-func SeedSweep(protocol string, messages int, seeds []int64) (SeedSweepRow, error) {
+func SeedSweep(ctx context.Context, protocol string, messages int, seeds []int64) (SeedSweepRow, error) {
 	row := SeedSweepRow{Protocol: protocol, Messages: messages, Seeds: len(seeds)}
 	if len(seeds) == 0 {
 		return row, errors.New("experiments: no seeds")
@@ -386,11 +387,11 @@ func SeedSweep(protocol string, messages int, seeds []int64) (SeedSweepRow, erro
 		if err != nil {
 			return row, err
 		}
-		segs, err := segment.GroundTruth{}.Segment(tr.Deduplicate())
+		segs, err := segment.GroundTruth{}.Segment(ctx, tr.Deduplicate())
 		if err != nil {
 			return row, err
 		}
-		res, err := core.ClusterSegments(segs, core.DefaultParams())
+		res, err := core.ClusterSegmentsContext(ctx, segs, core.DefaultParams(), nil)
 		if err != nil {
 			return row, fmt.Errorf("experiments: seed %d: %w", seed, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestTable1Row1NTP(t *testing.T) {
-	row, err := Table1Row1("ntp", 100)
+	row, err := Table1Row1(context.Background(), "ntp", 100)
 	if err != nil {
 		t.Fatalf("Table1Row1: %v", err)
 	}
@@ -28,7 +29,7 @@ func TestTable1Row1NTP(t *testing.T) {
 }
 
 func TestTable1Row1UnknownProtocol(t *testing.T) {
-	if _, err := Table1Row1("quic", 10); err == nil {
+	if _, err := Table1Row1(context.Background(), "quic", 10); err == nil {
 		t.Error("unknown protocol should error")
 	}
 }
@@ -36,7 +37,7 @@ func TestTable1Row1UnknownProtocol(t *testing.T) {
 func TestTable2Row1AllSegmenters(t *testing.T) {
 	for _, seg := range Segmenters() {
 		t.Run(seg.Name(), func(t *testing.T) {
-			row, err := Table2Row1("nbns", 100, seg)
+			row, err := Table2Row1(context.Background(), "nbns", 100, seg)
 			if err != nil {
 				t.Fatalf("Table2Row1: %v", err)
 			}
@@ -80,7 +81,7 @@ func TestTable2FailureCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := Table2Row1(c.proto, c.msgs, seg)
+		row, err := Table2Row1(context.Background(), c.proto, c.msgs, seg)
 		if err != nil {
 			t.Fatalf("%s-%d/%s: %v", c.proto, c.msgs, c.segmenter, err)
 		}
@@ -91,7 +92,7 @@ func TestTable2FailureCells(t *testing.T) {
 }
 
 func TestFigure2For(t *testing.T) {
-	d, err := Figure2For("ntp", 100)
+	d, err := Figure2For(context.Background(), "ntp", 100)
 	if err != nil {
 		t.Fatalf("Figure2For: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestFigure2For(t *testing.T) {
 }
 
 func TestFigure3(t *testing.T) {
-	examples, err := Figure3(3)
+	examples, err := Figure3(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestCoverageComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full 1000-message suite")
 	}
-	rows, err := CoverageComparison()
+	rows, err := CoverageComparison(context.Background())
 	if err != nil {
 		t.Fatalf("CoverageComparison: %v", err)
 	}
@@ -244,7 +245,7 @@ func TestTable1Pinned(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("%s-%d", c.proto, c.msgs), func(t *testing.T) {
 			t.Parallel()
-			row, err := Table1Row1(c.proto, c.msgs)
+			row, err := Table1Row1(context.Background(), c.proto, c.msgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +269,7 @@ func TestTable1SMBWorstCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 1000-message traces")
 	}
-	row, err := Table1Row1("smb", 1000)
+	row, err := Table1Row1(context.Background(), "smb", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestTable1SMBWorstCase(t *testing.T) {
 }
 
 func TestSeedSweep(t *testing.T) {
-	row, err := SeedSweep("ntp", 100, []int64{1, 2, 3})
+	row, err := SeedSweep(context.Background(), "ntp", 100, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatalf("SeedSweep: %v", err)
 	}
@@ -297,7 +298,7 @@ func TestSeedSweep(t *testing.T) {
 }
 
 func TestSeedSweepNoSeeds(t *testing.T) {
-	if _, err := SeedSweep("ntp", 50, nil); err == nil {
+	if _, err := SeedSweep(context.Background(), "ntp", 50, nil); err == nil {
 		t.Error("empty seed list should error")
 	}
 }

@@ -2,6 +2,7 @@ package format
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,17 +22,17 @@ func clusterTrace(t *testing.T, protocol string, n int, seed int64) (*core.Resul
 		t.Fatalf("generate %s: %v", protocol, err)
 	}
 	dd := tr.Deduplicate()
-	segs, err := segment.GroundTruth{}.Segment(dd)
+	segs, err := segment.GroundTruth{}.Segment(context.Background(), dd)
 	if err != nil {
 		t.Fatalf("segment %s: %v", protocol, err)
 	}
 	pool := dissim.NewPool(segs)
 	p := core.DefaultParams()
-	m, err := dissim.ComputeMatrix(pool, dissim.Config{Penalty: p.Penalty})
+	m, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: p.Penalty})
 	if err != nil {
 		t.Fatalf("matrix %s: %v", protocol, err)
 	}
-	res, err := core.ClusterPool(pool, m, p)
+	res, err := core.ClusterPoolContext(context.Background(), pool, m, p)
 	if err != nil {
 		t.Fatalf("cluster %s: %v", protocol, err)
 	}

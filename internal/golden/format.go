@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -59,27 +60,27 @@ func DefaultFormatTraces() []FormatSpec {
 	}
 }
 
-// clusterTrace runs the pipeline prefix shared by RunBackend and
-// RunFormat — generate, deduplicate, ground-truth segment,
-// dissimilarity matrix, auto-configured clustering — and returns the
-// result alongside the deduplicated trace it was computed from.
-func clusterTrace(protocol string, messages int, seed int64) (*core.Result, *netmsg.Trace, error) {
+// clusterTrace runs the pipeline prefix shared by Run and RunFormat —
+// generate, deduplicate, ground-truth segment, dissimilarity matrix on
+// backend, auto-configured clustering — and returns the result
+// alongside the deduplicated trace it was computed from.
+func clusterTrace(ctx context.Context, protocol string, messages int, seed int64, backend string) (*core.Result, *netmsg.Trace, error) {
 	tr, err := protocols.Generate(protocol, messages, seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: generate %s: %w", protocol, err)
 	}
 	dd := tr.Deduplicate()
-	segs, err := segment.GroundTruth{}.Segment(dd)
+	segs, err := segment.GroundTruth{}.Segment(ctx, dd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: segment %s: %w", protocol, err)
 	}
 	pool := dissim.NewPool(segs)
 	p := core.DefaultParams()
-	m, err := dissim.ComputeMatrix(pool, dissim.Config{Penalty: p.Penalty})
+	m, err := dissim.ComputeMatrixContext(ctx, pool, dissim.Config{Penalty: p.Penalty, Backend: backend})
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: dissimilarities %s: %w", protocol, err)
 	}
-	res, err := core.ClusterPool(pool, m, p)
+	res, err := core.ClusterPoolContext(ctx, pool, m, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: cluster %s: %w", protocol, err)
 	}
@@ -89,8 +90,8 @@ func clusterTrace(protocol string, messages int, seed int64) (*core.Result, *net
 // RunFormat executes one golden recognition: cluster the training
 // trace, learn templates, cluster the recognition trace, classify its
 // clusters against the templates, and evaluate against ground truth.
-func RunFormat(s FormatSpec) (*FormatRecord, error) {
-	trainRes, trainDD, err := clusterTrace(s.Protocol, s.Messages, s.TrainSeed)
+func RunFormat(ctx context.Context, s FormatSpec) (*FormatRecord, error) {
+	trainRes, trainDD, err := clusterTrace(ctx, s.Protocol, s.Messages, s.TrainSeed, "")
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func RunFormat(s FormatSpec) (*FormatRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("golden: learn templates %s: %w", s, err)
 	}
-	recRes, recDD, err := clusterTrace(s.Protocol, s.Messages, s.RecognizeSeed)
+	recRes, recDD, err := clusterTrace(ctx, s.Protocol, s.Messages, s.RecognizeSeed, "")
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,11 +11,11 @@ import (
 // so two runs of the same spec must produce bit-identical records.
 func TestRunFormatDeterministic(t *testing.T) {
 	spec := FormatSpec{Protocol: "ntp", Messages: 100, TrainSeed: 1, RecognizeSeed: 2}
-	a, err := RunFormat(spec)
+	a, err := RunFormat(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFormat(spec)
+	b, err := RunFormat(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

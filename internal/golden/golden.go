@@ -12,17 +12,14 @@
 package golden
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 
-	"protoclust/internal/core"
-	"protoclust/internal/dissim"
 	"protoclust/internal/eval"
-	"protoclust/internal/protocols"
-	"protoclust/internal/segment"
 )
 
 // Spec identifies one golden trace: a registered protocol generator, a
@@ -94,35 +91,15 @@ func DefaultTraces() []Spec {
 
 // Run executes the full pipeline — generate, deduplicate, ground-truth
 // segment, dissimilarity matrix, auto-configured DBSCAN, refinement,
-// evaluation — for one spec and returns its record.
-func Run(s Spec) (*Record, error) {
-	return RunBackend(s, "")
-}
-
-// RunBackend is Run with an explicit dissimilarity-matrix backend
-// ("auto", "condensed", "tiled"; "" = automatic). Every backend stores
-// identically quantized values, so the records must come out identical
-// — `make golden-check` exercises the default and the tiled path
-// against the same golden files.
-func RunBackend(s Spec, backend string) (*Record, error) {
-	tr, err := protocols.Generate(s.Protocol, s.Messages, s.Seed)
+// evaluation — for one spec and returns its record. backend selects the
+// dissimilarity-matrix backend ("auto", "condensed", "tiled"; "" =
+// automatic). Every backend stores identically quantized values, so the
+// records must come out identical — `make golden-check` exercises the
+// default and the tiled path against the same golden files.
+func Run(ctx context.Context, s Spec, backend string) (*Record, error) {
+	res, dd, err := clusterTrace(ctx, s.Protocol, s.Messages, s.Seed, backend)
 	if err != nil {
-		return nil, fmt.Errorf("golden: generate %s: %w", s, err)
-	}
-	dd := tr.Deduplicate()
-	segs, err := segment.GroundTruth{}.Segment(dd)
-	if err != nil {
-		return nil, fmt.Errorf("golden: segment %s: %w", s, err)
-	}
-	pool := dissim.NewPool(segs)
-	p := core.DefaultParams()
-	m, err := dissim.ComputeMatrix(pool, dissim.Config{Penalty: p.Penalty, Backend: backend})
-	if err != nil {
-		return nil, fmt.Errorf("golden: dissimilarities %s: %w", s, err)
-	}
-	res, err := core.ClusterPool(pool, m, p)
-	if err != nil {
-		return nil, fmt.Errorf("golden: cluster %s: %w", s, err)
+		return nil, err
 	}
 	met := eval.EvaluateResult(res)
 	rec := &Record{
@@ -131,7 +108,7 @@ func RunBackend(s Spec, backend string) (*Record, error) {
 		K:              res.Config.K,
 		MinSamples:     res.Config.MinSamples,
 		FromKnee:       res.Config.FromKnee,
-		UniqueSegments: pool.Size(),
+		UniqueSegments: res.Pool.Size(),
 		Clusters:       len(res.Clusters),
 		NoiseSegments:  len(res.Noise),
 		Precision:      met.Precision,

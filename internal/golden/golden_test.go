@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,11 +12,11 @@ import (
 // the golden harness trustworthy).
 func TestRunDeterministic(t *testing.T) {
 	spec := Spec{Protocol: "ntp", Messages: 100, Seed: 1}
-	a, err := Run(spec)
+	a, err := Run(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := Run(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCheckedInRecordAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(spec)
+	got, err := Run(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,29 +5,25 @@ import (
 	"go/types"
 )
 
-// CtxFlow enforces the context-propagation discipline PR 2 threaded
-// through the pipeline: cancellation must reach every stage, so a
-// function that receives a context.Context has to hand it on.
+// CtxFlow enforces the context-propagation discipline: cancellation
+// must reach every stage, so every library entry point that does
+// cancellable work takes a ctx first and hands it on.
 //
-// Three rules, in non-main packages and outside tests:
+// Two rules, in non-main packages and outside tests:
 //
 //  1. A function that has a ctx parameter must never manufacture
 //     context.Background() or context.TODO() — pass the ctx it was
 //     given.
-//  2. Elsewhere, context.Background() is allowed only in the
-//     single-statement compatibility wrappers of the established
-//     X / XContext pairing (func X(...) { return XContext(
-//     context.Background(), ...) }). context.TODO() is never allowed.
-//  3. A function holding a ctx must not call the context-free variant
-//     X of a pair when XContext exists (same package scope or method
-//     set) and takes a context as its first parameter — doing so cuts
-//     the cancellation chain exactly the way ComputeContext/
-//     SegmentContext were built to prevent.
+//  2. Elsewhere, context.Background() is reported too: a library
+//     function without a ctx severs cancellation for everything below
+//     it, so it takes one. context.TODO() is never allowed. A root
+//     context that outlives every caller (a service's lifetime
+//     context) is the one legitimate exception and carries a
+//     //lint:ignore with its reason.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "require received contexts to be threaded onward: no context.Background()/TODO() outside " +
-		"single-statement compatibility wrappers, and no calling X when XContext exists and ctx is in scope",
-	Run: runCtxFlow,
+	Doc:  "require received contexts to be threaded onward: no context.Background()/TODO() outside main packages and tests",
+	Run:  runCtxFlow,
 }
 
 func runCtxFlow(pass *Pass) {
@@ -36,31 +32,19 @@ func runCtxFlow(pass *Pass) {
 	}
 	funcDecls(pass.Files, func(decl *ast.FuncDecl) {
 		hasCtx := declHasContextParam(pass, decl)
-		wrapper := !hasCtx && isDelegationWrapper(pass, decl)
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeOf(pass.Info, call)
-			if fn == nil {
-				return true
-			}
-			if isPkgFunc(fn, "context", "TODO") {
-				pass.Reportf(call.Pos(), "context.TODO() in %s: decide the real context (thread a ctx parameter or use a wrapper over the Context variant)", decl.Name.Name)
-				return true
-			}
-			if isPkgFunc(fn, "context", "Background") {
-				switch {
-				case hasCtx:
-					pass.Reportf(call.Pos(), "%s already receives a ctx; pass it instead of context.Background()", decl.Name.Name)
-				case !wrapper:
-					pass.Reportf(call.Pos(), "context.Background() outside a single-statement compatibility wrapper severs cancellation; thread a ctx parameter")
-				}
-				return true
-			}
-			if hasCtx {
-				reportContextSibling(pass, decl, call, fn)
+			switch {
+			case isPkgFunc(fn, "context", "TODO"):
+				pass.Reportf(call.Pos(), "context.TODO() in %s: decide the real context (thread a ctx parameter)", decl.Name.Name)
+			case isPkgFunc(fn, "context", "Background") && hasCtx:
+				pass.Reportf(call.Pos(), "%s already receives a ctx; pass it instead of context.Background()", decl.Name.Name)
+			case isPkgFunc(fn, "context", "Background"):
+				pass.Reportf(call.Pos(), "context.Background() in %s severs cancellation; thread a ctx parameter", decl.Name.Name)
 			}
 			return true
 		})
@@ -76,59 +60,4 @@ func declHasContextParam(pass *Pass, decl *ast.FuncDecl) bool {
 	}
 	sig, ok := obj.Type().(*types.Signature)
 	return ok && hasContextParam(sig)
-}
-
-// isDelegationWrapper recognizes the sanctioned compatibility shape: a
-// body consisting of exactly one statement whose call receives the
-// manufactured context directly as an argument.
-func isDelegationWrapper(pass *Pass, decl *ast.FuncDecl) bool {
-	if len(decl.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch stmt := decl.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(stmt.Results) != 1 {
-			return false
-		}
-		call, _ = ast.Unparen(stmt.Results[0]).(*ast.CallExpr)
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(stmt.X).(*ast.CallExpr)
-	}
-	if call == nil {
-		return false
-	}
-	for _, arg := range call.Args {
-		if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-			if fn := calleeOf(pass.Info, inner); isPkgFunc(fn, "context", "Background") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// reportContextSibling flags a call to F from a ctx-holding function
-// when FContext exists and accepts a leading context.
-func reportContextSibling(pass *Pass, decl *ast.FuncDecl, call *ast.CallExpr, fn *types.Func) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || hasContextParam(sig) || fn.Pkg() == nil {
-		return
-	}
-	var sibling types.Object
-	if recv := sig.Recv(); recv != nil {
-		obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), fn.Name()+"Context")
-		sibling = obj
-	} else {
-		sibling = fn.Pkg().Scope().Lookup(fn.Name() + "Context")
-	}
-	sfn, ok := sibling.(*types.Func)
-	if !ok {
-		return
-	}
-	ssig, ok := sfn.Type().(*types.Signature)
-	if !ok || !firstParamIsContext(ssig) {
-		return
-	}
-	pass.Reportf(call.Pos(), "%s holds a ctx but calls %s; call %sContext and pass it so cancellation propagates", decl.Name.Name, fn.Name(), fn.Name())
 }

@@ -62,12 +62,6 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// firstParamIsContext reports whether the signature's first parameter
-// is a context.Context.
-func firstParamIsContext(sig *types.Signature) bool {
-	return sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
-}
-
 // hasContextParam reports whether any parameter of the signature is a
 // context.Context.
 func hasContextParam(sig *types.Signature) bool {

@@ -3,43 +3,38 @@ package fixture
 
 import "context"
 
-// ComputeContext is the context-threading variant of Compute.
-func ComputeContext(ctx context.Context, n int) int {
+// Compute is a ctx-first entry point: it threads the context it is
+// given, which is the one shape ctxflow accepts.
+func Compute(ctx context.Context, n int) int {
 	_ = ctx
 	return n
 }
 
-// Compute is the sanctioned single-statement compatibility wrapper:
-// context.Background() passed directly to the Context variant.
-func Compute(n int) int {
-	return ComputeContext(context.Background(), n)
-}
-
 // Analyze manufactures a fresh context despite holding one.
 func Analyze(ctx context.Context, n int) int {
-	return ComputeContext(context.Background(), n) // want `already receives a ctx`
+	return Compute(context.Background(), n) // want `already receives a ctx`
 }
 
-// Fanout cuts the cancellation chain by calling the context-free
-// variant of an X/XContext pair while holding a ctx.
-func Fanout(ctx context.Context, n int) int {
-	return Compute(n) // want `holds a ctx but calls Compute`
+// Wrapper is the old single-statement compatibility shape; without a
+// ctx of its own it still severs cancellation for its callers.
+func Wrapper(n int) int {
+	return Compute(context.Background(), n) // want `context\.Background\(\) in Wrapper severs cancellation`
 }
 
 // Todo defers the context decision, which is never allowed.
 func Todo(n int) int {
-	return ComputeContext(context.TODO(), n) // want `context\.TODO\(\)`
+	return Compute(context.TODO(), n) // want `context\.TODO\(\)`
 }
 
-// Bare manufactures a root context outside a compatibility wrapper.
+// Bare manufactures a root context in a library function.
 func Bare(n int) int {
-	c := context.Background() // want `outside a single-statement compatibility wrapper`
-	return ComputeContext(c, n)
+	c := context.Background() // want `context\.Background\(\) in Bare severs cancellation`
+	return Compute(c, n)
 }
 
 // Suppressed keeps a root context with a documented reason.
 func Suppressed(n int) int {
 	//lint:ignore ctxflow fixture: deliberate suppressed example
 	root := context.Background()
-	return ComputeContext(root, n)
+	return Compute(root, n)
 }

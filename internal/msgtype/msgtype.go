@@ -15,6 +15,7 @@
 package msgtype
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -50,8 +51,9 @@ type Result struct {
 var ErrTooFewMessages = errors.New("msgtype: need at least three messages")
 
 // Cluster groups the trace's messages into message types using the
-// given segmenter for the per-message segment sequences.
-func Cluster(tr *netmsg.Trace, seg segment.Segmenter, p Params) (*Result, error) {
+// given segmenter, run under ctx, for the per-message segment
+// sequences.
+func Cluster(ctx context.Context, tr *netmsg.Trace, seg segment.Segmenter, p Params) (*Result, error) {
 	msgs := tr.Messages
 	if len(msgs) < 3 {
 		return nil, fmt.Errorf("%w (have %d)", ErrTooFewMessages, len(msgs))
@@ -60,7 +62,7 @@ func Cluster(tr *netmsg.Trace, seg segment.Segmenter, p Params) (*Result, error)
 		p.Penalty = canberra.DefaultPenalty
 	}
 
-	segs, err := seg.Segment(tr)
+	segs, err := seg.Segment(ctx, tr)
 	if err != nil {
 		return nil, fmt.Errorf("msgtype: segmentation: %w", err)
 	}

@@ -1,6 +1,7 @@
 package msgtype
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestClusterTooFew(t *testing.T) {
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{{Data: []byte{1, 2}}}}
-	if _, err := Cluster(tr, &nemesys.Segmenter{}, Params{}); !errors.Is(err, ErrTooFewMessages) {
+	if _, err := Cluster(context.Background(), tr, &nemesys.Segmenter{}, Params{}); !errors.Is(err, ErrTooFewMessages) {
 		t.Errorf("err = %v, want ErrTooFewMessages", err)
 	}
 }
@@ -49,7 +50,7 @@ func twoTypeTrace(n int) *netmsg.Trace {
 
 func TestClusterSeparatesFormats(t *testing.T) {
 	tr := twoTypeTrace(40)
-	res, err := Cluster(tr, segment.GroundTruth{}, Params{})
+	res, err := Cluster(context.Background(), tr, segment.GroundTruth{}, Params{})
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestClusterSeparatesFormats(t *testing.T) {
 
 func TestClusterAccountsForAllMessages(t *testing.T) {
 	tr := twoTypeTrace(30)
-	res, err := Cluster(tr, segment.GroundTruth{}, Params{})
+	res, err := Cluster(context.Background(), tr, segment.GroundTruth{}, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestClusterAccountsForAllMessages(t *testing.T) {
 
 func TestClusterFixedEpsilon(t *testing.T) {
 	tr := twoTypeTrace(20)
-	res, err := Cluster(tr, segment.GroundTruth{}, Params{Epsilon: 0.9, MinSamples: 2})
+	res, err := Cluster(context.Background(), tr, segment.GroundTruth{}, Params{Epsilon: 0.9, MinSamples: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestClusterOnRealProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr = tr.Deduplicate()
-	res, err := Cluster(tr, segment.GroundTruth{}, Params{})
+	res, err := Cluster(context.Background(), tr, segment.GroundTruth{}, Params{})
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}

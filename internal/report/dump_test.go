@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,11 +17,11 @@ func dumpResult(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := segment.GroundTruth{}.Segment(tr.Deduplicate())
+	segs, err := segment.GroundTruth{}.Segment(context.Background(), tr.Deduplicate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(context.Background(), segs, core.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestWriteClusterDumpNoiseTag(t *testing.T) {
 	}
 	p := core.DefaultParams()
 	p.FixedEpsilon = 1e-9
-	res, err := core.ClusterSegments(segs, p)
+	res, err := core.ClusterSegmentsContext(context.Background(), segs, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestWriteFigure2SVGNoKnee(t *testing.T) {
 }
 
 func TestWriteFigure2SVGRealData(t *testing.T) {
-	d, err := experiments.Figure2For("ntp", 100)
+	d, err := experiments.Figure2For(context.Background(), "ntp", 100)
 	if err != nil {
 		t.Fatal(err)
 	}

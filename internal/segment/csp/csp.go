@@ -52,21 +52,16 @@ type Segmenter struct {
 	Budget int
 }
 
-var _ segment.ContextSegmenter = (*Segmenter)(nil)
+var _ segment.Segmenter = (*Segmenter)(nil)
 
 // Name returns "csp".
 func (*Segmenter) Name() string { return "csp" }
 
 // Segment mines frequent contiguous patterns and splits every message
-// at the match boundaries.
-func (s *Segmenter) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	return s.SegmentContext(context.Background(), tr)
-}
-
-// SegmentContext is Segment with cooperative cancellation, checked once
-// per message during both pattern mining and match splitting (one
-// message scan is the bounded unit of work).
-func (s *Segmenter) SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+// at the match boundaries. ctx is checked once per message during both
+// pattern mining and match splitting (one message scan is the bounded
+// unit of work).
+func (s *Segmenter) Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
 	maxLen := s.MaxPatternLength
 	if maxLen <= 0 {
 		maxLen = DefaultMaxPatternLength
@@ -100,14 +95,9 @@ func (s *Segmenter) SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]net
 
 // PatternCount mines with an unlimited budget and returns the number of
 // distinct frequent patterns the trace produces — the quantity the work
-// budget caps. Exposed for calibration and diagnostics.
-func PatternCount(tr *netmsg.Trace, maxPatternLength, minCount int) (int, error) {
-	return PatternCountContext(context.Background(), tr, maxPatternLength, minCount)
-}
-
-// PatternCountContext is PatternCount with cancellation: the context is
-// checked between per-length mining rounds.
-func PatternCountContext(ctx context.Context, tr *netmsg.Trace, maxPatternLength, minCount int) (int, error) {
+// budget caps. Exposed for calibration and diagnostics. ctx is checked
+// once per message scan of each mining round.
+func PatternCount(ctx context.Context, tr *netmsg.Trace, maxPatternLength, minCount int) (int, error) {
 	if maxPatternLength <= 0 {
 		maxPatternLength = DefaultMaxPatternLength
 	}

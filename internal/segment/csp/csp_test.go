@@ -35,7 +35,7 @@ func TestName(t *testing.T) {
 func TestFrequentPatternBecomesSegment(t *testing.T) {
 	tr := repeatedPatternTrace(60)
 	s := &Segmenter{MinCount: 30}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -73,14 +73,14 @@ func TestMinePatternsAprioriExtension(t *testing.T) {
 func TestBudgetExceeded(t *testing.T) {
 	tr := repeatedPatternTrace(60)
 	s := &Segmenter{MinCount: 30, Budget: 2}
-	if _, err := s.Segment(tr); !errors.Is(err, segment.ErrBudgetExceeded) {
+	if _, err := s.Segment(context.Background(), tr); !errors.Is(err, segment.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
 func TestPatternCount(t *testing.T) {
 	tr := repeatedPatternTrace(60)
-	n, err := PatternCount(tr, 16, 30)
+	n, err := PatternCount(context.Background(), tr, 16, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestNoFrequentPatterns(t *testing.T) {
 		})
 	}
 	s := &Segmenter{MinCount: 9}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSegmentTilesNTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestGreedyLongestMatch(t *testing.T) {
 		})
 	}
 	s := &Segmenter{MinCount: 20}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGreedyLongestMatch(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	segs, err := (&Segmenter{}).Segment(&netmsg.Trace{})
+	segs, err := (&Segmenter{}).Segment(context.Background(), &netmsg.Trace{})
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -166,11 +166,11 @@ func TestEmptyTrace(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	tr := repeatedPatternTrace(50)
 	s := &Segmenter{MinCount: 25}
-	a, err := s.Segment(tr)
+	a, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Segment(tr)
+	b, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSegmentContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &Segmenter{}
-	if _, err := s.SegmentContext(ctx, &netmsg.Trace{Messages: msgs}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Segment(ctx, &netmsg.Trace{Messages: msgs}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"context"
 	"testing"
 
 	"protoclust/internal/netmsg"
@@ -17,7 +18,7 @@ func FuzzSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		tr := &netmsg.Trace{Messages: []*netmsg.Message{{Data: a}, {Data: b}}}
 		s := &Segmenter{MinCount: 2, Budget: 1 << 16}
-		segs, err := s.Segment(tr)
+		segs, err := s.Segment(context.Background(), tr)
 		if err != nil {
 			return // budget exhaustion is acceptable
 		}

@@ -1,6 +1,7 @@
 package nemesys
 
 import (
+	"context"
 	"testing"
 
 	"protoclust/internal/netmsg"
@@ -19,7 +20,7 @@ func FuzzSegmentMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := &netmsg.Message{Data: data}
 		tr := &netmsg.Trace{Messages: []*netmsg.Message{m}}
-		segs, err := (&Segmenter{}).Segment(tr)
+		segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 		if err != nil {
 			t.Fatalf("Segment errored on %x: %v", data, err)
 		}

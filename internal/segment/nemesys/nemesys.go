@@ -33,21 +33,16 @@ type Segmenter struct {
 	MinCharRun int
 }
 
-var _ segment.ContextSegmenter = (*Segmenter)(nil)
+var _ segment.Segmenter = (*Segmenter)(nil)
 
 // Name returns "nemesys".
 func (*Segmenter) Name() string { return "nemesys" }
 
 // Segment splits every message at the inferred boundaries. NEMESYS
-// operates per message and never fails on trace size.
-func (s *Segmenter) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	return s.SegmentContext(context.Background(), tr)
-}
-
-// SegmentContext is Segment with cooperative cancellation, checked once
-// per message (one message is one bounded unit of smoothing and
+// operates per message and never fails on trace size; ctx is checked
+// once per message (one message is one bounded unit of smoothing and
 // boundary-extraction work).
-func (s *Segmenter) SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+func (s *Segmenter) Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
 	sigma := s.Sigma
 	if sigma <= 0 {
 		sigma = 0.6

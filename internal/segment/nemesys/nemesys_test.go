@@ -25,7 +25,7 @@ func TestSegmentTilesMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Segmenter{}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -40,11 +40,11 @@ func TestSegmentDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Segmenter{}
-	a, err := s.Segment(tr)
+	a, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Segment(tr)
+	b, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestShortMessages(t *testing.T) {
 		{Data: []byte{1, 2}},
 	}}
 	s := &Segmenter{}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestBoundaryAtContentTransition(t *testing.T) {
 	}
 	m := &netmsg.Message{Data: data}
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{m}}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCharRunMerging(t *testing.T) {
 	data := append([]byte{0x01, 0x80, 0x03, 0xfc}, []byte("workstation-17.local")...)
 	m := &netmsg.Message{Data: data}
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{m}}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestHighEntropySplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSegmentTilesProperty(t *testing.T) {
 		for _, p := range payloads {
 			tr.Messages = append(tr.Messages, &netmsg.Message{Data: p})
 		}
-		segs, err := (&Segmenter{}).Segment(tr)
+		segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 		if err != nil {
 			return false
 		}
@@ -230,21 +230,26 @@ func TestSegmentContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &Segmenter{}
-	if _, err := s.SegmentContext(ctx, tr); !errors.Is(err, context.Canceled) {
+	if _, err := s.Segment(ctx, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestSegmentContextMatchesSegment checks that a live, cancellable ctx
+// segments exactly as a background one: the per-message checkpoints
+// do not perturb the result.
 func TestSegmentContextMatchesSegment(t *testing.T) {
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{
 		{Data: []byte{0, 0, 1, 2, 3, 0xff, 0xfe, 'a', 'b', 'c', 'd', 'e', 1}},
 	}}
 	s := &Segmenter{}
-	want, err := s.Segment(tr)
+	want, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SegmentContext(context.Background(), tr)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := s.Segment(ctx, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +290,7 @@ func TestSegmentContextBoundedWorkAfterCancel(t *testing.T) {
 	}
 	ctx := &countdownCtx{Context: context.Background(), n: allowed}
 	s := &Segmenter{}
-	_, err := s.SegmentContext(ctx, &netmsg.Trace{Messages: msgs})
+	_, err := s.Segment(ctx, &netmsg.Trace{Messages: msgs})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package netzob
 
 import (
+	"context"
 	"testing"
 
 	"protoclust/internal/netmsg"
@@ -29,7 +30,7 @@ func FuzzSegment(f *testing.F) {
 			return
 		}
 		tr := &netmsg.Trace{Messages: msgs}
-		segs, err := (&Segmenter{Budget: 1 << 20}).Segment(tr)
+		segs, err := (&Segmenter{Budget: 1 << 20}).Segment(context.Background(), tr)
 		if err != nil {
 			return
 		}

@@ -52,21 +52,19 @@ type Segmenter struct {
 	Budget int64
 }
 
-var _ segment.ContextSegmenter = (*Segmenter)(nil)
+var _ segment.Segmenter = (*Segmenter)(nil)
 
 // Name returns "netzob".
 func (*Segmenter) Name() string { return "netzob" }
 
 // Segment aligns all messages and derives boundaries from conservation
-// changes across alignment columns.
-func (s *Segmenter) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	return s.SegmentContext(context.Background(), tr)
-}
-
-// SegmentContext is Segment with cooperative cancellation, checked
-// before every pairwise alignment (one Needleman-Wunsch matrix is the
-// bounded unit of work).
-func (s *Segmenter) SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+// changes across alignment columns. ctx is checked up front and before
+// every pairwise alignment (one Needleman-Wunsch matrix is the bounded
+// unit of work).
+func (s *Segmenter) Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("netzob: %w", err)
+	}
 	budget := s.Budget
 	if budget <= 0 {
 		budget = DefaultBudget

@@ -17,7 +17,7 @@ func TestName(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	segs, err := (&Segmenter{}).Segment(&netmsg.Trace{})
+	segs, err := (&Segmenter{}).Segment(context.Background(), &netmsg.Trace{})
 	if err != nil || segs != nil {
 		t.Errorf("empty trace: segs=%v err=%v", segs, err)
 	}
@@ -28,7 +28,7 @@ func TestSegmentTilesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestStaticDynamicBoundary(t *testing.T) {
 		data := []byte{0xAA, 0xBB, 0xCC, 0xDD, byte(i * 13), byte(i * 7), byte(i * 29), byte(i)}
 		tr.Messages = append(tr.Messages, &netmsg.Message{Data: data})
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestIdenticalMessagesSingleSegment(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Messages = append(tr.Messages, &netmsg.Message{Data: []byte{1, 2, 3, 4, 5}})
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestVariableLengthAlignment(t *testing.T) {
 		data = append(data, 0x77, 0x88)
 		tr.Messages = append(tr.Messages, &netmsg.Message{Data: data})
 	}
-	segs, err := (&Segmenter{}).Segment(tr)
+	segs, err := (&Segmenter{}).Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestBudgetPreflight(t *testing.T) {
 		tr.Messages = append(tr.Messages, &netmsg.Message{Data: data})
 	}
 	s := &Segmenter{Budget: 1_000_000}
-	if _, err := s.Segment(tr); !errors.Is(err, segment.ErrBudgetExceeded) {
+	if _, err := s.Segment(context.Background(), tr); !errors.Is(err, segment.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestBudgetSpentMidway(t *testing.T) {
 		tr.Messages = append(tr.Messages, &netmsg.Message{Data: data})
 	}
 	s := &Segmenter{Budget: 30 * 40 * 40}
-	segs, err := s.Segment(tr)
+	segs, err := s.Segment(context.Background(), tr)
 	if err != nil {
 		if !errors.Is(err, segment.ErrBudgetExceeded) {
 			t.Fatalf("unexpected error: %v", err)
@@ -253,7 +253,7 @@ func TestSegmentContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &Segmenter{}
-	if _, err := s.SegmentContext(ctx, &netmsg.Trace{Messages: msgs}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Segment(ctx, &netmsg.Trace{Messages: msgs}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -24,7 +24,7 @@ func requireMatchesOracle(t *testing.T, name string, msgs []*netmsg.Message, bud
 	}
 	wantB, wantSpent, wantErr := oracle.NetzobBoundaries(data, budget)
 
-	segs, err := (&Segmenter{Budget: budget}).Segment(&netmsg.Trace{Messages: msgs})
+	segs, err := (&Segmenter{Budget: budget}).Segment(context.Background(), &netmsg.Trace{Messages: msgs})
 	if err != nil && !errors.Is(err, segment.ErrBudgetExceeded) {
 		t.Fatalf("%s: Segment: %v", name, err)
 	}
@@ -111,16 +111,16 @@ func TestBudgetSemantics(t *testing.T) {
 			t.Errorf("%s-%d: alignment with %d cells: err = %v, want ErrBudgetExceeded", tc.proto, tc.n, spent-1, err)
 		}
 		need := max(spent, int64(len(data))*int64(maxLen)*int64(maxLen))
-		if _, err := (&Segmenter{Budget: need}).Segment(tr); err != nil {
+		if _, err := (&Segmenter{Budget: need}).Segment(context.Background(), tr); err != nil {
 			t.Errorf("%s-%d: budget %d (spend %d): %v", tc.proto, tc.n, need, spent, err)
 		}
-		if _, err := (&Segmenter{Budget: need - 1}).Segment(tr); !errors.Is(err, segment.ErrBudgetExceeded) {
+		if _, err := (&Segmenter{Budget: need - 1}).Segment(context.Background(), tr); !errors.Is(err, segment.ErrBudgetExceeded) {
 			t.Errorf("%s-%d: budget %d: err = %v, want ErrBudgetExceeded", tc.proto, tc.n, need-1, err)
 		}
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := dedupTrace(t, "dhcp", 300, seed)
-		if _, err := (&Segmenter{}).Segment(tr); !errors.Is(err, segment.ErrBudgetExceeded) {
+		if _, err := (&Segmenter{}).Segment(context.Background(), tr); !errors.Is(err, segment.ErrBudgetExceeded) {
 			t.Errorf("dhcp-300 seed %d: err = %v, want ErrBudgetExceeded", seed, err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkSegmentContext(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SegmentContext(context.Background(), tr); err != nil {
+		if _, err := s.Segment(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 	}

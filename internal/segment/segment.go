@@ -20,30 +20,17 @@ type Segmenter interface {
 	Name() string
 	// Segment returns all segments of all messages of the trace. The
 	// segments of one message must tile it: sorted, gap-free, covering
-	// every byte.
-	Segment(tr *netmsg.Trace) ([]netmsg.Segment, error)
+	// every byte. Segment checks ctx before each unit of work (one
+	// message, one alignment, one mining scan), so a done ctx fails it
+	// with an error wrapping ctx.Err() before any message is segmented,
+	// and a later cancellation within one unit.
+	Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error)
 }
 
-// ContextSegmenter is implemented by segmenters that support
-// cancellation. SegmentContext must abort with an error wrapping
-// ctx.Err() within a bounded number of work units (one message, one
-// alignment, one mining level) of the context being cancelled.
-type ContextSegmenter interface {
-	Segmenter
-	SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error)
-}
-
-// Run segments the trace under the context: segmenters implementing
-// ContextSegmenter are cancelled cooperatively, others run to
-// completion after one up-front context check.
+// Run segments the trace with s under ctx; it is the segmentation
+// entry of the pipeline and the configuration sweep.
 func Run(ctx context.Context, s Segmenter, tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("segment: %s: %w", s.Name(), err)
-	}
-	if cs, ok := s.(ContextSegmenter); ok {
-		return cs.SegmentContext(ctx, tr)
-	}
-	return s.Segment(tr)
+	return s.Segment(ctx, tr)
 }
 
 // ErrBudgetExceeded is returned by heuristic segmenters whose work
@@ -64,8 +51,12 @@ func (GroundTruth) Name() string { return "truth" }
 
 // Segment returns the ground-truth fields of every message as segments.
 // Messages without a dissection are an error: ground truth was
-// requested but is unavailable.
-func (GroundTruth) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
+// requested but is unavailable. The work is one pass over the trace, so
+// ctx is checked once, up front.
+func (GroundTruth) Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("segment: truth: %w", err)
+	}
 	for i, m := range tr.Messages {
 		if m.Fields == nil {
 			return nil, fmt.Errorf("segment: message %d has no ground-truth dissection", i)

@@ -21,7 +21,7 @@ func twoFieldMessage() *netmsg.Message {
 
 func TestGroundTruthSegment(t *testing.T) {
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{twoFieldMessage()}}
-	segs, err := GroundTruth{}.Segment(tr)
+	segs, err := GroundTruth{}.Segment(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("Segment: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestGroundTruthSegment(t *testing.T) {
 
 func TestGroundTruthRequiresDissection(t *testing.T) {
 	tr := &netmsg.Trace{Messages: []*netmsg.Message{{Data: []byte{1}}}}
-	if _, err := (GroundTruth{}).Segment(tr); err == nil {
+	if _, err := (GroundTruth{}).Segment(context.Background(), tr); err == nil {
 		t.Error("missing dissection should error")
 	}
 }
@@ -118,27 +118,17 @@ func TestFromBoundariesTilesProperty(t *testing.T) {
 	}
 }
 
-// plainSegmenter implements only Segmenter (no context support).
-type plainSegmenter struct{ calls int }
-
-func (p *plainSegmenter) Name() string { return "plain" }
-func (p *plainSegmenter) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	p.calls++
-	return nil, nil
-}
-
 // ctxSegmenter records the context Run hands it.
 type ctxSegmenter struct{ got context.Context }
 
 func (c *ctxSegmenter) Name() string { return "ctx" }
-func (c *ctxSegmenter) Segment(tr *netmsg.Trace) ([]netmsg.Segment, error) {
-	return nil, errors.New("Segment must not be called when SegmentContext exists")
-}
-func (c *ctxSegmenter) SegmentContext(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
+func (c *ctxSegmenter) Segment(ctx context.Context, tr *netmsg.Trace) ([]netmsg.Segment, error) {
 	c.got = ctx
 	return nil, nil
 }
 
+// TestRunPrefersContextSegmenter checks that Run hands the caller's own
+// context to the segmenter's ctx-first Segment, not a replacement.
 func TestRunPrefersContextSegmenter(t *testing.T) {
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
@@ -151,24 +141,18 @@ func TestRunPrefersContextSegmenter(t *testing.T) {
 	}
 }
 
-func TestRunFallsBackToPlainSegmenter(t *testing.T) {
-	ps := &plainSegmenter{}
-	if _, err := Run(context.Background(), ps, &netmsg.Trace{}); err != nil {
-		t.Fatal(err)
-	}
-	if ps.calls != 1 {
-		t.Errorf("Segment called %d times, want 1", ps.calls)
-	}
-}
-
+// TestRunCanceledBeforePlainSegmenter checks the one-pass ground-truth
+// segmenter: a cancelled ctx fails it with context.Canceled before the
+// trace is read, so the missing dissection is never reported.
 func TestRunCanceledBeforePlainSegmenter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ps := &plainSegmenter{}
-	if _, err := Run(ctx, ps, &netmsg.Trace{}); !errors.Is(err, context.Canceled) {
+	tr := &netmsg.Trace{Messages: []*netmsg.Message{{Data: []byte{1, 2}}}}
+	segs, err := Run(ctx, GroundTruth{}, tr)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ps.calls != 0 {
-		t.Error("plain segmenter ran despite cancelled context")
+	if segs != nil {
+		t.Errorf("segments = %v, want none", segs)
 	}
 }

@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -208,11 +209,11 @@ func TestDeduceAllOnRealPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := segment.GroundTruth{}.Segment(tr.Deduplicate())
+	segs, err := segment.GroundTruth{}.Segment(context.Background(), tr.Deduplicate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.ClusterSegments(segs, core.DefaultParams())
+	res, err := core.ClusterSegmentsContext(context.Background(), segs, core.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

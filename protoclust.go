@@ -14,8 +14,9 @@
 //
 // Quick start:
 //
+//	ctx := context.Background() // or one with a deadline
 //	tr, _ := protoclust.GenerateTrace("ntp", 1000, 1)
-//	analysis, err := protoclust.Analyze(tr, protoclust.DefaultOptions())
+//	analysis, err := protoclust.AnalyzeContext(ctx, tr, protoclust.DefaultOptions())
 //	if err != nil { ... }
 //	for _, pt := range analysis.PseudoTypes() {
 //		fmt.Println(pt.ID, len(pt.Segments), pt.SampleValues(3))
@@ -131,7 +132,7 @@ func (p *PseudoType) SampleValues(n int) []string {
 	return out
 }
 
-// Analysis is the outcome of Analyze.
+// Analysis is the outcome of AnalyzeContext.
 type Analysis struct {
 	result  *core.Result
 	trace   *Trace
@@ -147,17 +148,13 @@ type StageTiming struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// Analyze runs the full pipeline of the paper on a trace.
-func Analyze(tr *Trace, o Options) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), tr, o)
-}
-
-// AnalyzeContext is Analyze with cancellation and deadlines: the
-// context is threaded through the heuristic segmenters, the O(n²)
-// dissimilarity matrix build, the ε auto-configuration, and cluster
-// refinement, so a cancelled or expired context aborts the analysis
-// promptly instead of finishing the matrix. The returned error wraps
-// ctx.Err(); test with errors.Is(err, context.Canceled) or
+// AnalyzeContext runs the full pipeline of the paper on a trace, with
+// cancellation and deadlines: the context is threaded through the
+// heuristic segmenters, the O(n²) dissimilarity matrix build, the ε
+// auto-configuration, and cluster refinement, so a cancelled or expired
+// context aborts the analysis promptly instead of finishing the matrix.
+// The returned error wraps ctx.Err(); test with
+// errors.Is(err, context.Canceled) or
 // errors.Is(err, context.DeadlineExceeded).
 func AnalyzeContext(ctx context.Context, tr *Trace, o Options) (*Analysis, error) {
 	return AnalyzeWithMatrixBuilder(ctx, tr, o, nil)
@@ -204,7 +201,7 @@ func AnalyzeWithMatrixBuilder(ctx context.Context, tr *Trace, o Options, build c
 	}
 	stage("segment", start)
 	start = time.Now()
-	res, err := core.ClusterSegmentsBuildContext(ctx, segs, o.Params, build)
+	res, err := core.ClusterSegmentsContext(ctx, segs, o.Params, build)
 	if err != nil {
 		return nil, fmt.Errorf("protoclust: clustering: %w", err)
 	}
@@ -497,13 +494,15 @@ type MessageTypes struct {
 // prior work (Section II). Splitting a trace by message type before
 // field-type clustering sharpens per-type value distributions:
 //
-//	mt, _ := protoclust.ClusterMessageTypes(tr, opts)
+//	mt, _ := protoclust.ClusterMessageTypes(ctx, tr, opts)
 //	for _, group := range mt.Types {
 //		sub := &protoclust.Trace{Protocol: tr.Protocol, Messages: group}
-//		analysis, _ := protoclust.Analyze(sub, opts)
+//		analysis, _ := protoclust.AnalyzeContext(ctx, sub, opts)
 //		...
 //	}
-func ClusterMessageTypes(tr *Trace, o Options) (*MessageTypes, error) {
+//
+// ctx cancels the segmentation the message types are built from.
+func ClusterMessageTypes(ctx context.Context, tr *Trace, o Options) (*MessageTypes, error) {
 	if tr == nil || len(tr.Messages) == 0 {
 		return nil, errors.New("protoclust: empty trace")
 	}
@@ -517,7 +516,7 @@ func ClusterMessageTypes(tr *Trace, o Options) (*MessageTypes, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := msgtype.Cluster(tr, seg, msgtype.Params{Penalty: o.Params.Penalty})
+	res, err := msgtype.Cluster(ctx, tr, seg, msgtype.Params{Penalty: o.Params.Penalty})
 	if err != nil {
 		return nil, err
 	}

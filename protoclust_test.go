@@ -27,10 +27,10 @@ func TestGenerateTraceUnknown(t *testing.T) {
 }
 
 func TestAnalyzeEmptyTrace(t *testing.T) {
-	if _, err := protoclust.Analyze(&protoclust.Trace{}, protoclust.DefaultOptions()); err == nil {
+	if _, err := protoclust.AnalyzeContext(context.Background(), &protoclust.Trace{}, protoclust.DefaultOptions()); err == nil {
 		t.Error("empty trace should error")
 	}
-	if _, err := protoclust.Analyze(nil, protoclust.DefaultOptions()); err == nil {
+	if _, err := protoclust.AnalyzeContext(context.Background(), nil, protoclust.DefaultOptions()); err == nil {
 		t.Error("nil trace should error")
 	}
 }
@@ -42,7 +42,7 @@ func TestAnalyzeUnknownSegmenter(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = "wireshark"
-	if _, err := protoclust.Analyze(tr, o); err == nil {
+	if _, err := protoclust.AnalyzeContext(context.Background(), tr, o); err == nil {
 		t.Error("unknown segmenter should error")
 	}
 }
@@ -52,7 +52,7 @@ func TestAnalyzeZeroOptionsGetDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := protoclust.Analyze(tr, protoclust.Options{})
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, protoclust.Options{})
 	if err != nil {
 		t.Fatalf("Analyze with zero options: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestAnalyzeTruthNTP(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAnalyzeHeuristicSegmenters(t *testing.T) {
 		t.Run(seg, func(t *testing.T) {
 			o := protoclust.DefaultOptions()
 			o.Segmenter = seg
-			a, err := protoclust.Analyze(tr, o)
+			a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -119,7 +119,7 @@ func TestAnalyzeBudgetErrorSurfaces(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterNetzob
-	_, err = protoclust.Analyze(tr, o)
+	_, err = protoclust.AnalyzeContext(context.Background(), tr, o)
 	if !errors.Is(err, protoclust.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -132,7 +132,7 @@ func TestPseudoTypeSampleValues(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestECDFCurveAccessor(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCoverageExceedsFieldHunter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := protoclust.Analyze(tr, protoclust.DefaultOptions())
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, protoclust.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestDeduceSemantics(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTrainValueModel(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestSegmentsAccessor(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestClusterMessageTypes(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	mt, err := protoclust.ClusterMessageTypes(tr, o)
+	mt, err := protoclust.ClusterMessageTypes(context.Background(), tr, o)
 	if err != nil {
 		t.Fatalf("ClusterMessageTypes: %v", err)
 	}
@@ -371,14 +371,14 @@ func TestClusterMessageTypes(t *testing.T) {
 			continue
 		}
 		sub := &protoclust.Trace{Protocol: tr.Protocol, Messages: group}
-		if _, err := protoclust.Analyze(sub, o); err != nil {
+		if _, err := protoclust.AnalyzeContext(context.Background(), sub, o); err != nil {
 			t.Errorf("per-type analysis failed: %v", err)
 		}
 	}
 }
 
 func TestClusterMessageTypesEmpty(t *testing.T) {
-	if _, err := protoclust.ClusterMessageTypes(&protoclust.Trace{}, protoclust.DefaultOptions()); err == nil {
+	if _, err := protoclust.ClusterMessageTypes(context.Background(), &protoclust.Trace{}, protoclust.DefaultOptions()); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -390,7 +390,7 @@ func TestAnalysisReport(t *testing.T) {
 	}
 	o := protoclust.DefaultOptions()
 	o.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, o)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestAnalyzeRecordsStageTimings(t *testing.T) {
 	}
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = protoclust.SegmenterTruth
-	a, err := protoclust.Analyze(tr, opts)
+	a, err := protoclust.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
