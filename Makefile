@@ -107,8 +107,10 @@ bench-scaling:
 # GOMEMLIMIT that a resident matrix of that size would respect anyway
 # but a leaking tile cache would not (the clustered-5000 case of
 # TestTiledBackendMatchesCondensed; the test's small case runs too).
+# The leak tests then require that clustering, AnalyzeContext and a
+# sweep leave no tiled matrix's spill file open once they return.
 smoke-tiled:
-	GOMEMLIMIT=768MiB $(GO) test -count=1 -run '^TestTiledBackendMatchesCondensed$$' ./internal/core
+	GOMEMLIMIT=768MiB $(GO) test -count=1 -run '^(TestTiledBackendMatchesCondensed|TestClusterSegmentsClosesMatrix|TestSpillFilesReleased)$$' ./internal/core ./internal/sweep
 
 # End-to-end smoke of the distributed coordinator/worker path: builds
 # the protoclustd and protoclust-worker binaries, launches one

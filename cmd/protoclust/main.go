@@ -139,7 +139,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	opts := protoclust.DefaultOptions()
 	opts.Segmenter = *segmenter
-	opts.MemoryBudget = *memBudget
+	opts.Params.MemoryBudget = *memBudget
 	opts.Params.MatrixBackend = *backend
 	opts.Params.MatrixSpillDir = *spillDir
 

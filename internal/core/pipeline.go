@@ -37,8 +37,6 @@ type Result struct {
 	Excluded []netmsg.Segment
 	// Pool is the deduplicated segment population.
 	Pool *dissim.Pool
-	// Matrix is the pairwise dissimilarity matrix over Pool.
-	Matrix *dissim.Matrix
 	// Config records the (final) automatic DBSCAN configuration.
 	Config AutoConfig
 	// Reconfigured reports whether the >60 %-cluster guard re-ran the ε
@@ -74,48 +72,69 @@ func runClusterer(m dbscan.Matrix, eps float64, minPts int, p Params) (*dbscan.R
 	}
 }
 
-// MatrixBuilder computes the dissimilarity matrix for a pool. It exists
-// so a caller can substitute the local kernel build with another source
-// of the same bits — the distributed coordinator assembles the matrix
-// from worker-computed shards. Params stays comparable (it carries no
+// MatrixBuilder computes the dissimilarity matrix for a pool under the
+// configuration core derives from Params. It exists so a caller can
+// substitute the local kernel build with another source of the same
+// bits — the distributed coordinator assembles the matrix from
+// worker-computed shards. A nil MatrixBuilder is
+// dissim.ComputeMatrixContext. Params stays comparable (it carries no
 // function fields); the builder rides alongside it instead.
-type MatrixBuilder func(ctx context.Context, pool *dissim.Pool) (*dissim.Matrix, error)
+type MatrixBuilder func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error)
+
+// BuildMatrix is the pipeline prefix shared by every caller that
+// clusters segments: it deduplicates segs into a pool, requires at
+// least three unique values, and builds the pool's dissimilarity
+// matrix through build (nil: dissim.ComputeMatrixContext) with the
+// penalty, backend, memory budget and spill directory of p. The caller
+// owns the returned matrix and must Close it.
+func BuildMatrix(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (*dissim.Pool, *dissim.Matrix, error) {
+	pool := dissim.NewPool(segs)
+	if pool.Size() < 3 {
+		return nil, nil, fmt.Errorf("%w (pool has %d)", ErrTooFewSegments, pool.Size())
+	}
+	if build == nil {
+		build = dissim.ComputeMatrixContext
+	}
+	m, err := build(ctx, pool, dissim.Config{
+		Penalty:      p.Penalty,
+		Backend:      p.MatrixBackend,
+		MemoryBudget: p.MemoryBudget,
+		SpillDir:     p.MatrixSpillDir,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: dissimilarity matrix: %w", err)
+	}
+	return pool, m, nil
+}
 
 // ClusterSegmentsContext runs the entire pipeline of Section III on a
 // set of segments: dedup → dissimilarity matrix → ε auto-configuration
-// → DBSCAN → 60 %-guard → refinement. A nil build computes the matrix
-// locally through dissim.ComputeMatrixContext; everything downstream
-// of the matrix is identical either way. Cancellation is threaded
-// through the hot stages: the matrix build aborts per tile, the ε
-// auto-configuration per candidate k, and refinement between cluster
-// pairs. A cancelled or expired context surfaces as an error wrapping
-// ctx.Err().
-func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (*Result, error) {
-	pool := dissim.NewPool(segs)
-	if pool.Size() < 3 {
-		return nil, fmt.Errorf("%w (pool has %d)", ErrTooFewSegments, pool.Size())
-	}
-	if build == nil {
-		build = func(ctx context.Context, pool *dissim.Pool) (*dissim.Matrix, error) {
-			return dissim.ComputeMatrixContext(ctx, pool, dissim.Config{
-				Penalty:      p.Penalty,
-				Backend:      p.MatrixBackend,
-				MemoryBudget: p.MemoryBudget,
-				SpillDir:     p.MatrixSpillDir,
-			})
-		}
-	}
-	m, err := build(ctx, pool)
+// → DBSCAN → 60 %-guard → refinement. It is BuildMatrix followed by
+// ClusterPoolContext, and it closes the matrix it built on every path;
+// a Close error is joined to the result's. Everything downstream of the
+// matrix is identical whichever builder produced it. Cancellation is
+// threaded through the hot stages: the matrix build aborts per tile,
+// the ε auto-configuration per candidate k, and refinement between
+// cluster pairs. A cancelled or expired context surfaces as an error
+// wrapping ctx.Err().
+func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (res *Result, err error) {
+	pool, m, err := BuildMatrix(ctx, segs, p, build)
 	if err != nil {
-		return nil, fmt.Errorf("core: dissimilarity matrix: %w", err)
+		return nil, err
 	}
+	defer func() {
+		if cerr := m.Close(); cerr != nil {
+			res, err = nil, errors.Join(err, fmt.Errorf("core: close matrix: %w", cerr))
+		}
+	}()
 	return ClusterPoolContext(ctx, pool, m, p)
 }
 
 // ClusterPoolContext runs the pipeline on an already-prepared pool and
 // matrix (the configuration sweep clusters one matrix per
 // configuration), with cancellation checkpoints between and inside the
-// pipeline stages.
+// pipeline stages. It never closes m: the caller that built the matrix
+// may cluster it again.
 func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
 	var (
 		cfg   *AutoConfig
@@ -183,7 +202,6 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 
 	out := &Result{
 		Pool:         pool,
-		Matrix:       m,
 		Config:       *cfg,
 		Reconfigured: reconfigured,
 		GuardNote:    guardNote,

@@ -37,19 +37,22 @@ func TestTiledBackendMatchesCondensed(t *testing.T) {
 			pt.MatrixBackend = dissim.BackendTiled
 			pt.MemoryBudget = c.budget
 			pt.MatrixSpillDir = t.TempDir()
-			tiled, err := ClusterSegmentsContext(context.Background(), c.segs, pt, nil)
+			// The pipeline closes its matrix; a wrapping builder captures
+			// it to check where it lived.
+			var tm *dissim.Matrix
+			capture := func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
+				m, err := dissim.ComputeMatrixContext(ctx, pool, cfg)
+				tm = m
+				return m, err
+			}
+			tiled, err := ClusterSegmentsContext(context.Background(), c.segs, pt, capture)
 			if err != nil {
 				t.Fatalf("tiled ClusterSegmentsContext: %v", err)
 			}
-			defer func() {
-				if err := tiled.Matrix.Close(); err != nil {
-					t.Errorf("tiled Close: %v", err)
-				}
-			}()
-			if got := tiled.Matrix.Backend(); got != dissim.BackendTiled {
+			if got := tm.Backend(); got != dissim.BackendTiled {
 				t.Fatalf("backend = %q, want %q", got, dissim.BackendTiled)
 			}
-			if got := tiled.Matrix.ResidentBytes(); got > c.budget {
+			if got := tm.ResidentBytes(); got > c.budget {
 				t.Fatalf("tiled ResidentBytes = %d exceeds the %d-byte budget", got, c.budget)
 			}
 
@@ -59,11 +62,6 @@ func TestTiledBackendMatchesCondensed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("condensed ClusterSegmentsContext: %v", err)
 			}
-			defer func() {
-				if err := ref.Matrix.Close(); err != nil {
-					t.Errorf("condensed Close: %v", err)
-				}
-			}()
 
 			if math.Float64bits(tiled.Config.Epsilon) != math.Float64bits(ref.Config.Epsilon) {
 				t.Fatalf("epsilon: tiled %v, condensed %v", tiled.Config.Epsilon, ref.Config.Epsilon)

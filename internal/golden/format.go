@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 
 	"protoclust/internal/core"
-	"protoclust/internal/dissim"
 	"protoclust/internal/format"
 	"protoclust/internal/netmsg"
 	"protoclust/internal/protocols"
@@ -74,13 +73,9 @@ func clusterTrace(ctx context.Context, protocol string, messages int, seed int64
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: segment %s: %w", protocol, err)
 	}
-	pool := dissim.NewPool(segs)
 	p := core.DefaultParams()
-	m, err := dissim.ComputeMatrixContext(ctx, pool, dissim.Config{Penalty: p.Penalty, Backend: backend})
-	if err != nil {
-		return nil, nil, fmt.Errorf("golden: dissimilarities %s: %w", protocol, err)
-	}
-	res, err := core.ClusterPoolContext(ctx, pool, m, p)
+	p.MatrixBackend = backend
+	res, err := core.ClusterSegmentsContext(ctx, segs, p, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden: cluster %s: %w", protocol, err)
 	}

@@ -57,7 +57,6 @@ func cacheKey(tr *protoclust.Trace, o protoclust.Options, suffix string) string 
 var canonicalCoverage = map[string]string{
 	"Segmenter":     "hashed",
 	"NoDeduplicate": "hashed",
-	"MemoryBudget":  "neutral",
 
 	"Params.Penalty":                  "hashed",
 	"Params.KneedleSensitivity":       "hashed",

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"protoclust"
 	"protoclust/internal/core"
 	"protoclust/internal/dissim"
 	"protoclust/internal/shard"
@@ -103,39 +102,16 @@ func (c *coordinator) expiryLoop(ctx context.Context) {
 	}
 }
 
-// dissimConfig maps analysis options to the matrix build configuration,
-// mirroring what core.ClusterSegmentsContext would pass locally.
-func dissimConfig(opts protoclust.Options, spillDir string) dissim.Config {
-	p := opts.Params
-	if p == (core.Params{}) {
-		p = core.DefaultParams()
-	}
-	budget := p.MemoryBudget
-	if budget == 0 {
-		budget = opts.MemoryBudget
-	}
-	if p.MatrixSpillDir == "" {
-		p.MatrixSpillDir = spillDir
-	}
-	return dissim.Config{
-		Penalty:      p.Penalty,
-		Backend:      p.MatrixBackend,
-		MemoryBudget: budget,
-		SpillDir:     p.MatrixSpillDir,
-	}
-}
-
 // matrixBuilder returns the builder injected into the job's analysis:
 // nil (local compute) when distributed mode is off, otherwise a closure
-// that shards the build — falling back to local compute for pools below
-// the distribution threshold, where shard round-trips cost more than
-// the matrix.
-func (s *Service) matrixBuilder(j *job, opts protoclust.Options) core.MatrixBuilder {
+// that shards the build under the configuration core hands it —
+// falling back to local compute for pools below the distribution
+// threshold, where shard round-trips cost more than the matrix.
+func (s *Service) matrixBuilder(j *job) core.MatrixBuilder {
 	if s.dist == nil {
 		return nil
 	}
-	cfg := dissimConfig(opts, s.cfg.SpillDir)
-	return func(ctx context.Context, pool *dissim.Pool) (*dissim.Matrix, error) {
+	return func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
 		if pool.Size() < s.dist.distributeMin {
 			return dissim.ComputeMatrixContext(ctx, pool, cfg)
 		}

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"protoclust"
+	"protoclust/internal/dissim"
 	"protoclust/internal/jobstore"
 	"protoclust/internal/shard"
 )
@@ -92,6 +95,95 @@ func TestDistributedRunMatchesLocal(t *testing.T) {
 	if m.LeasesGranted.Load() < m.ShardsCompleted.Load() {
 		t.Errorf("leases granted (%d) < shards completed (%d)",
 			m.LeasesGranted.Load(), m.ShardsCompleted.Load())
+	}
+}
+
+// backendLog is a slog handler that records the backend of every
+// sharded matrix build the coordinator logs.
+type backendLog struct {
+	mu       sync.Mutex
+	backends []string
+}
+
+func (h *backendLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *backendLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *backendLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *backendLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "matrix build sharded" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "backend" {
+			h.mu.Lock()
+			h.backends = append(h.backends, a.Value.String())
+			h.mu.Unlock()
+		}
+		return true
+	})
+	return nil
+}
+
+// TestDistributedBudgetAssemblesTiled: the distributed builder forwards
+// the matrix configuration core derives from the job, so a
+// memory_budget_bytes below the pool's condensed size (335 unique
+// segments: 223,780 bytes) assembles the shards on the tiled backend,
+// and the report is byte-identical to the local run of the same job.
+func TestDistributedBudgetAssemblesTiled(t *testing.T) {
+	spec := distSpec
+	spec.MemoryBudget = 64 << 10
+	logged := &backendLog{}
+	dist := newTestService(t, Config{
+		Workers:       1,
+		Distributed:   true,
+		TilesPerShard: 2,
+		SpillDir:      t.TempDir(), // a tiled assembly spills
+		Logger:        slog.New(logged),
+	})
+	srv := httptest.NewServer(dist.Handler())
+	t.Cleanup(srv.Close)
+	startWorkers(t, srv.URL, 2)
+
+	id, err := dist.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := pollTerminal(t, dist, id, 60*time.Second); st.State != StateDone {
+		t.Fatalf("distributed job state = %q (err %q), want done", st.State, st.Error)
+	}
+	logged.mu.Lock()
+	backends := append([]string(nil), logged.backends...)
+	logged.mu.Unlock()
+	if len(backends) != 1 || backends[0] != dissim.BackendTiled {
+		t.Fatalf("sharded builds on backends %q, want one on %q", backends, dissim.BackendTiled)
+	}
+	distReport, err := dist.Result(id)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+
+	local := newTestService(t, Config{Workers: 1})
+	lid, err := local.Submit(spec)
+	if err != nil {
+		t.Fatalf("local Submit: %v", err)
+	}
+	if st := pollTerminal(t, local, lid, 60*time.Second); st.State != StateDone {
+		t.Fatalf("local job state = %q (err %q)", st.State, st.Error)
+	}
+	localReport, err := local.Result(lid)
+	if err != nil {
+		t.Fatalf("local Result: %v", err)
+	}
+	dj, err := json.Marshal(distReport)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	lj, err := json.Marshal(localReport)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if !bytes.Equal(dj, lj) {
+		t.Errorf("distributed report differs from local:\ndistributed: %s\nlocal:       %s", dj, lj)
 	}
 }
 

@@ -138,7 +138,7 @@ func (s *Service) run(ctx context.Context, j *job) {
 // analyze is the plain-analysis compute: the paper's pipeline, with the
 // matrix build sharded over the worker fleet in distributed mode.
 func (s *Service) analyze(ctx context.Context, j *job, tr *protoclust.Trace, opts protoclust.Options) (any, []protoclust.StageTiming, error) {
-	analysis, err := protoclust.AnalyzeWithMatrixBuilder(ctx, tr, opts, s.matrixBuilder(j, opts))
+	analysis, err := protoclust.AnalyzeWithMatrixBuilder(ctx, tr, opts, s.matrixBuilder(j))
 	if err != nil {
 		return nil, nil, err
 	}

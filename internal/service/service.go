@@ -648,7 +648,7 @@ func (s *Service) prepare(spec JobSpec) (*protoclust.Trace, protoclust.Options, 
 		opts.Segmenter = spec.Segmenter
 	}
 	opts.NoDeduplicate = spec.NoDeduplicate
-	opts.MemoryBudget = spec.MemoryBudget
+	opts.Params.MemoryBudget = spec.MemoryBudget
 	opts.Params.MatrixBackend = spec.MatrixBackend
 	opts.Params.MatrixSpillDir = s.cfg.SpillDir
 	if _, err := protoclust.NewSegmenter(opts.Segmenter); err != nil {

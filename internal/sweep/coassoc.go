@@ -25,157 +25,50 @@ const ensembleEpsilon = 0.5
 const ensembleMinPts = 2
 
 // coassocMatrix is the co-association dissimilarity over one segmenter
-// group's pool: entry (i, j) is 1 − votes(i,j)/total, where votes
-// counts the member configurations that placed i and j in the same
-// cluster. It stores the strict upper triangle as uint16 vote counts —
-// n(n−1)/2 × 2 bytes, half the resident footprint of a condensed
-// float32 matrix — and serves the dbscan.Matrix and dbscan.RowStreamer
-// (row and row-suffix) contracts, routing every value through
-// dbscan.Quantize so the final DBSCAN cut sees the same bits a
-// materialized backend would.
-type coassocMatrix struct {
+// group's pool: entry (i, j) is 1 − votes(i,j)/total, where votes sums
+// the weights of the member configurations that placed i and j in the
+// same cluster. It stores the strict upper triangle of vote sums: uint16
+// counts for equal votes — n(n−1)/2 × 2 bytes, half the resident
+// footprint of a condensed float32 matrix — or float64 masses for
+// score-weighted votes, whose weights are fractional. It serves Dist and
+// the storage-order row suffixes dbscan.Cluster reads, routing every
+// value through dbscan.Quantize so the final DBSCAN cut sees the same
+// bits a materialized backend would.
+type coassocMatrix[V uint16 | float64] struct {
 	n     int
-	total uint16
-	votes []uint16
+	total V
+	votes []V
 }
 
 var (
-	_ dbscan.Matrix      = (*coassocMatrix)(nil)
-	_ dbscan.RowStreamer = (*coassocMatrix)(nil)
+	_ dbscan.Matrix         = (*coassocMatrix[uint16])(nil)
+	_ dbscan.SuffixStreamer = (*coassocMatrix[uint16])(nil)
 )
 
 // newCoassocMatrix allocates the vote triangle, honoring the memory
 // budget the dissimilarity matrix obeys (≤ 0 means unbounded here; the
 // shared matrix build has already vetted the pool size).
-func newCoassocMatrix(n int, budget int64) (*coassocMatrix, error) {
+func newCoassocMatrix[V uint16 | float64](n int, budget int64) (*coassocMatrix[V], error) {
 	bytes, err := dbscan.CondensedBytes(n)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: co-association: %w", err)
 	}
-	bytes /= 2 // uint16 votes vs float32 entries
+	bytes = bytes / 4 * int64(binary.Size(V(0))) // V votes vs float32 entries
 	if budget > 0 && bytes > budget {
 		return nil, fmt.Errorf("%w: co-association triangle needs %d bytes, budget is %d",
 			dissim.ErrPoolTooLarge, bytes, budget)
 	}
-	return &coassocMatrix{n: n, votes: make([]uint16, vecmath.CheckedTriNum(n))}, nil
-}
-
-// accumulate adds one member labeling's votes: every intra-cluster pair
-// gains one vote. Labels use dbscan.Noise for unclustered entries,
-// which never vote.
-func (c *coassocMatrix) accumulate(labels []int) {
-	c.total++
-	// i stops at n-2: the last row has no j > i partner, and off(i, i+1)
-	// is undefined there.
-	for i := 0; i < c.n-1; i++ {
-		li := labels[i]
-		if li == dbscan.Noise {
-			continue
-		}
-		base := vecmath.CheckedCondensedOff(i, i+1, c.n) - i - 1 // off(i, j) - j
-		for j := i + 1; j < c.n; j++ {
-			if labels[j] == li {
-				c.votes[base+j]++
-			}
-		}
-	}
-}
-
-// Len returns the number of points.
-func (c *coassocMatrix) Len() int { return c.n }
-
-// dist converts a vote count to the quantized dissimilarity.
-func (c *coassocMatrix) dist(votes uint16) float32 {
-	return dbscan.Quantize(1 - float64(votes)/float64(c.total))
-}
-
-// Dist returns the co-association dissimilarity between i and j.
-func (c *coassocMatrix) Dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	if i > j {
-		i, j = j, i
-	}
-	return float64(c.dist(c.votes[vecmath.CheckedCondensedOff(i, j, c.n)]))
-}
-
-// coassocChunk bounds StreamRow span lengths (see CondensedMatrix).
-const coassocChunk = 256
-
-// StreamRow yields row i as quantized float32 spans per the
-// dbscan.RowStreamer contract: consecutive spans covering [0, n)
-// exactly once, including the zero diagonal, in ascending column order.
-func (c *coassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	buf := make([]float32, min(coassocChunk, c.n))
-	// Prefix columns j < i: entry (j, i) strides by n−j−2 per step.
-	if i > 0 {
-		o := i - 1 // off(0, i)
-		j := 0
-		for lo := 0; lo < i; lo += coassocChunk {
-			hi := min(lo+coassocChunk, i)
-			for ; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[o])
-				o += c.n - j - 2
-			}
-			fn(lo, buf[:hi-lo])
-		}
-	}
-	buf[0] = 0
-	fn(i, buf[:1])
-	c.suffix(i, buf, fn)
-}
-
-// StreamSuffix yields row i's columns j > i — contiguous in the
-// triangle — as quantized float32 chunks (see dbscan.SuffixStreamer).
-func (c *coassocMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
-	if i+1 < c.n {
-		c.suffix(i, make([]float32, min(coassocChunk, c.n-i-1)), fn)
-	}
-}
-
-// suffix streams row i's columns j > i through buf, which holds
-// min(coassocChunk, n−i−1) values or more.
-func (c *coassocMatrix) suffix(i int, buf []float32, fn func(lo int, vals []float32)) {
-	if i+1 >= c.n {
-		return
-	}
-	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
-	for lo := i + 1; lo < c.n; lo += coassocChunk {
-		hi := min(lo+coassocChunk, c.n)
-		for j := lo; j < hi; j++ {
-			buf[j-lo] = c.dist(c.votes[start+j-i-1])
-		}
-		fn(lo, buf[:hi-lo])
-	}
-}
-
-// weightedCoassocMatrix is the score-weighted variant of coassocMatrix:
-// each member configuration's votes count with its sweep score (F-score
-// under ground truth, silhouette otherwise) instead of equally, so a
-// strong configuration outvotes a weak one. It keeps the same condensed
-// upper-triangle layout and dbscan.Quantize routing; votes are float64
-// because weights are fractional.
-type weightedCoassocMatrix struct {
-	n     int
-	total float64
-	votes []float64
-}
-
-var (
-	_ dbscan.Matrix      = (*weightedCoassocMatrix)(nil)
-	_ dbscan.RowStreamer = (*weightedCoassocMatrix)(nil)
-)
-
-func newWeightedCoassocMatrix(n int) *weightedCoassocMatrix {
-	return &weightedCoassocMatrix{n: n, votes: make([]float64, vecmath.CheckedTriNum(n))}
+	return &coassocMatrix[V]{n: n, votes: make([]V, vecmath.CheckedTriNum(n))}, nil
 }
 
 // accumulate adds one member labeling with weight w: every
-// intra-cluster pair gains w votes. Accumulation happens sequentially
-// in grid order, so the float sums are bit-stable across runs.
-func (c *weightedCoassocMatrix) accumulate(labels []int, w float64) {
+// intra-cluster pair gains w votes. Labels use dbscan.Noise for
+// unclustered entries, which never vote. Accumulation happens
+// sequentially in grid order, so float sums are bit-stable across runs.
+func (c *coassocMatrix[V]) accumulate(labels []int, w V) {
 	c.total += w
+	// i stops at n-2: the last row has no j > i partner, and off(i, i+1)
+	// is undefined there.
 	for i := 0; i < c.n-1; i++ {
 		li := labels[i]
 		if li == dbscan.Noise {
@@ -191,15 +84,15 @@ func (c *weightedCoassocMatrix) accumulate(labels []int, w float64) {
 }
 
 // Len returns the number of points.
-func (c *weightedCoassocMatrix) Len() int { return c.n }
+func (c *coassocMatrix[V]) Len() int { return c.n }
 
-// dist converts a weighted vote mass to the quantized dissimilarity.
-func (c *weightedCoassocMatrix) dist(votes float64) float32 {
-	return dbscan.Quantize(1 - votes/c.total)
+// dist converts a vote sum to the quantized dissimilarity.
+func (c *coassocMatrix[V]) dist(votes V) float32 {
+	return dbscan.Quantize(1 - float64(votes)/float64(c.total))
 }
 
 // Dist returns the co-association dissimilarity between i and j.
-func (c *weightedCoassocMatrix) Dist(i, j int) float64 {
+func (c *coassocMatrix[V]) Dist(i, j int) float64 {
 	if i == j {
 		return 0
 	}
@@ -209,41 +102,16 @@ func (c *weightedCoassocMatrix) Dist(i, j int) float64 {
 	return float64(c.dist(c.votes[vecmath.CheckedCondensedOff(i, j, c.n)]))
 }
 
-// StreamRow yields row i as quantized float32 spans, mirroring
-// coassocMatrix.StreamRow.
-func (c *weightedCoassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	buf := make([]float32, min(coassocChunk, c.n))
-	if i > 0 {
-		o := i - 1 // off(0, i)
-		j := 0
-		for lo := 0; lo < i; lo += coassocChunk {
-			hi := min(lo+coassocChunk, i)
-			for ; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[o])
-				o += c.n - j - 2
-			}
-			fn(lo, buf[:hi-lo])
-		}
-	}
-	buf[0] = 0
-	fn(i, buf[:1])
-	c.suffix(i, buf, fn)
-}
+// coassocChunk bounds StreamSuffix span lengths (see CondensedMatrix).
+const coassocChunk = 256
 
-// StreamSuffix yields row i's suffix, mirroring
-// coassocMatrix.StreamSuffix.
-func (c *weightedCoassocMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
-	if i+1 < c.n {
-		c.suffix(i, make([]float32, min(coassocChunk, c.n-i-1)), fn)
-	}
-}
-
-// suffix streams row i's suffix through buf, mirroring
-// coassocMatrix.suffix.
-func (c *weightedCoassocMatrix) suffix(i int, buf []float32, fn func(lo int, vals []float32)) {
+// StreamSuffix yields row i's columns j > i — contiguous in the
+// triangle — as quantized float32 chunks (see dbscan.SuffixStreamer).
+func (c *coassocMatrix[V]) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	if i+1 >= c.n {
 		return
 	}
+	buf := make([]float32, min(coassocChunk, c.n-i-1))
 	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
 	for lo := i + 1; lo < c.n; lo += coassocChunk {
 		hi := min(lo+coassocChunk, c.n)
@@ -325,7 +193,10 @@ func ensembleGroup(ctx context.Context, segmenter string, g *group, results []Co
 	}
 	var votes dbscan.Matrix
 	if weighted {
-		wm := newWeightedCoassocMatrix(g.pool.Size())
+		wm, err := newCoassocMatrix[float64](g.pool.Size(), 0)
+		if err != nil {
+			return nil, err
+		}
 		totalW := 0.0
 		for _, i := range members {
 			totalW += memberWeight(&results[i], truth)
@@ -342,7 +213,7 @@ func ensembleGroup(ctx context.Context, segmenter string, g *group, results []Co
 		}
 		votes = wm
 	} else {
-		cm, err := newCoassocMatrix(g.pool.Size(), 0)
+		cm, err := newCoassocMatrix[uint16](g.pool.Size(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -350,7 +221,7 @@ func ensembleGroup(ctx context.Context, segmenter string, g *group, results []Co
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cm.accumulate(results[i].labels)
+			cm.accumulate(results[i].labels, 1)
 		}
 		votes = cm
 	}

@@ -319,7 +319,7 @@ type group struct {
 // Run executes the sweep. The context aborts every fan-out branch: a
 // cancelled context fails the whole run (it is the only error class
 // that does — per-configuration errors become skipped/failed entries).
-func Run(ctx context.Context, tr *protoclust.Trace, o Options) (*Report, error) {
+func Run(ctx context.Context, tr *protoclust.Trace, o Options) (rep *Report, err error) {
 	if tr == nil || len(tr.Messages) == 0 {
 		return nil, errors.New("sweep: empty trace")
 	}
@@ -327,9 +327,6 @@ func Run(ctx context.Context, tr *protoclust.Trace, o Options) (*Report, error) 
 	base := o.Base
 	if base.Params == (core.Params{}) {
 		base.Params = core.DefaultParams()
-	}
-	if base.Params.MemoryBudget == 0 {
-		base.Params.MemoryBudget = base.MemoryBudget
 	}
 	samples := o.SampleValues
 	if samples <= 0 {
@@ -348,7 +345,7 @@ func Run(ctx context.Context, tr *protoclust.Trace, o Options) (*Report, error) 
 	}
 	truth := hasTruth(tr)
 
-	rep := &Report{
+	rep = &Report{
 		Trace:      tr.Protocol,
 		Truth:      truth,
 		Total:      len(configs),
@@ -367,6 +364,17 @@ func Run(ctx context.Context, tr *protoclust.Trace, o Options) (*Report, error) 
 			segOrder = append(segOrder, c.Segmenter)
 		}
 	}
+	// Run owns every group matrix: each is closed on every return path,
+	// after the ensembles have read it.
+	defer func() {
+		for _, name := range segOrder {
+			if g := groups[name]; g != nil && g.m != nil {
+				if cerr := g.m.Close(); cerr != nil {
+					rep, err = nil, errors.Join(err, fmt.Errorf("sweep: segmenter %s: close matrix: %w", name, cerr))
+				}
+			}
+		}
+	}()
 	for _, name := range segOrder {
 		g, err := buildGroup(ctx, tr, name, base.Params)
 		if err != nil {
@@ -451,7 +459,8 @@ func Run(ctx context.Context, tr *protoclust.Trace, o Options) (*Report, error) 
 	return rep, nil
 }
 
-// buildGroup computes one segmenter's shared prefix.
+// buildGroup computes one segmenter's shared prefix. Run owns the
+// group's matrix and closes it.
 func buildGroup(ctx context.Context, tr *protoclust.Trace, segmenter string, p core.Params) (*group, error) {
 	seg, err := protoclust.NewSegmenter(segmenter)
 	if err != nil {
@@ -461,16 +470,7 @@ func buildGroup(ctx context.Context, tr *protoclust.Trace, segmenter string, p c
 	if err != nil {
 		return nil, err
 	}
-	pool := dissim.NewPool(segs)
-	if pool.Size() < 3 {
-		return nil, fmt.Errorf("%w (pool has %d)", core.ErrTooFewSegments, pool.Size())
-	}
-	m, err := dissim.ComputeMatrixContext(ctx, pool, dissim.Config{
-		Penalty:      p.Penalty,
-		Backend:      p.MatrixBackend,
-		MemoryBudget: p.MemoryBudget,
-		SpillDir:     p.MatrixSpillDir,
-	})
+	pool, m, err := core.BuildMatrix(ctx, segs, p, nil)
 	if err != nil {
 		return nil, err
 	}

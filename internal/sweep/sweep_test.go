@@ -330,13 +330,16 @@ func TestWeightedCoassocMatchesEqualUnderUniformWeights(t *testing.T) {
 		{0, 0, 0, 1, 1, 1},
 	}
 	n := 6
-	cm, err := newCoassocMatrix(n, 0)
+	cm, err := newCoassocMatrix[uint16](n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := newWeightedCoassocMatrix(n)
+	wm, err := newCoassocMatrix[float64](n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range labelings {
-		cm.accumulate(l)
+		cm.accumulate(l, 1)
 		wm.accumulate(l, 1)
 	}
 	for i := 0; i < n; i++ {
@@ -346,14 +349,14 @@ func TestWeightedCoassocMatchesEqualUnderUniformWeights(t *testing.T) {
 			}
 		}
 		var eq, wt []float32
-		cm.StreamRow(i, func(lo int, vals []float32) { eq = append(eq, vals...) })
-		wm.StreamRow(i, func(lo int, vals []float32) { wt = append(wt, vals...) })
-		if len(eq) != n || len(wt) != n {
-			t.Fatalf("row %d: stream lengths %d, %d, want %d", i, len(eq), len(wt), n)
+		cm.StreamSuffix(i, func(lo int, vals []float32) { eq = append(eq, vals...) })
+		wm.StreamSuffix(i, func(lo int, vals []float32) { wt = append(wt, vals...) })
+		if len(eq) != n-i-1 || len(wt) != n-i-1 {
+			t.Fatalf("row %d: suffix lengths %d, %d, want %d", i, len(eq), len(wt), n-i-1)
 		}
 		for j := range eq {
 			if eq[j] != wt[j] {
-				t.Errorf("StreamRow(%d)[%d]: equal %v, weighted %v", i, j, eq[j], wt[j])
+				t.Errorf("StreamSuffix(%d)[%d]: equal %v, weighted %v", i, j, eq[j], wt[j])
 			}
 		}
 	}
@@ -362,13 +365,19 @@ func TestWeightedCoassocMatchesEqualUnderUniformWeights(t *testing.T) {
 // TestWeightedCoassocFavorsHeavyVoter: a dominant-weight member decides
 // pairs the light members disagree on.
 func TestWeightedCoassocFavorsHeavyVoter(t *testing.T) {
-	wm := newWeightedCoassocMatrix(2)
+	wm, err := newCoassocMatrix[float64](2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wm.accumulate([]int{0, 0}, 0.9) // strong member: together
 	wm.accumulate([]int{0, 1}, 0.1) // weak member: apart
 	if d := wm.Dist(0, 1); d >= ensembleEpsilon {
 		t.Errorf("Dist = %v, want < %v (heavy voter said together)", d, ensembleEpsilon)
 	}
-	wm2 := newWeightedCoassocMatrix(2)
+	wm2, err := newCoassocMatrix[float64](2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wm2.accumulate([]int{0, 0}, 0.1)
 	wm2.accumulate([]int{0, 1}, 0.9)
 	if d := wm2.Dist(0, 1); d < ensembleEpsilon {
@@ -458,11 +467,11 @@ func TestParetoDominance(t *testing.T) {
 }
 
 // TestCoassocContract: the co-association matrix honors the Matrix and
-// RowStreamer contracts — StreamRow spans reproduce Dist exactly, cover
-// [0, n) in order, and values are float32-quantized.
+// SuffixStreamer contracts — StreamSuffix spans reproduce Dist exactly,
+// cover (i, n) in order, and values are float32-quantized.
 func TestCoassocContract(t *testing.T) {
-	const n = 37
-	cm, err := newCoassocMatrix(n, 0)
+	const n = 300 // more than one coassocChunk per early row
+	cm, err := newCoassocMatrix[uint16](n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +486,11 @@ func TestCoassocContract(t *testing.T) {
 				labels[i] = (i + round) % 4
 			}
 		}
-		cm.accumulate(labels)
+		cm.accumulate(labels, 1)
 	}
 	for i := 0; i < n; i++ {
-		next := 0
-		cm.StreamRow(i, func(lo int, vals []float32) {
+		next := i + 1
+		cm.StreamSuffix(i, func(lo int, vals []float32) {
 			if lo != next {
 				t.Fatalf("row %d: span starts at %d, want %d", i, lo, next)
 			}
@@ -490,14 +499,16 @@ func TestCoassocContract(t *testing.T) {
 				if d := cm.Dist(i, j); float64(v) != d {
 					t.Fatalf("row %d col %d: stream %v != Dist %v", i, j, v, d)
 				}
-				if i == j && v != 0 {
-					t.Fatalf("diagonal (%d) = %v, want 0", i, v)
-				}
 			}
 			next += len(vals)
 		})
 		if next != n {
-			t.Fatalf("row %d: spans cover %d columns, want %d", i, next, n)
+			t.Fatalf("row %d: spans end at column %d, want %d", i, next, n)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if d := cm.Dist(i, i); d != 0 {
+			t.Fatalf("diagonal (%d) = %v, want 0", i, d)
 		}
 	}
 	// Symmetry and range.
@@ -512,10 +523,10 @@ func TestCoassocContract(t *testing.T) {
 }
 
 func TestCoassocBudget(t *testing.T) {
-	if _, err := newCoassocMatrix(1000, 64); err == nil {
+	if _, err := newCoassocMatrix[uint16](1000, 64); err == nil {
 		t.Fatal("budget-exceeding co-association matrix allocated")
 	}
-	if _, err := newCoassocMatrix(100, 0); err != nil {
+	if _, err := newCoassocMatrix[uint16](100, 0); err != nil {
 		t.Fatalf("unbounded allocation failed: %v", err)
 	}
 }

@@ -89,13 +89,6 @@ type Options struct {
 	// Deduplicate drops duplicate payloads before analysis (Section
 	// III-A). Default: true (disable only for experiments).
 	NoDeduplicate bool
-	// MemoryBudget bounds the resident bytes of the dissimilarity
-	// matrix; ≤ 0 keeps the 2 GiB default. Pools whose condensed matrix
-	// exceeds the budget switch to the bounded-memory tiled backend
-	// automatically. Shorthand for Params.MemoryBudget, which wins when
-	// both are set. The budget never changes cluster labels — only where
-	// the matrix lives.
-	MemoryBudget int64
 	// Params exposes every pipeline tunable; zero fields fall back to
 	// the paper's configuration.
 	Params core.Params
@@ -161,7 +154,8 @@ func AnalyzeContext(ctx context.Context, tr *Trace, o Options) (*Analysis, error
 }
 
 // AnalyzeWithMatrixBuilder is AnalyzeContext with the dissimilarity
-// matrix build injected: a non-nil build replaces the local kernel
+// matrix build injected: a non-nil build, handed the matrix
+// configuration core derives from o.Params, replaces the local kernel
 // computation with another source of the same bits — the distributed
 // coordinator assembles the matrix from worker-computed shards. A nil
 // build is exactly AnalyzeContext. Every stage around the matrix
@@ -177,9 +171,6 @@ func AnalyzeWithMatrixBuilder(ctx context.Context, tr *Trace, o Options, build c
 	}
 	if o.Params == (core.Params{}) {
 		o.Params = core.DefaultParams()
-	}
-	if o.Params.MemoryBudget == 0 {
-		o.Params.MemoryBudget = o.MemoryBudget
 	}
 	var timings []StageTiming
 	stage := func(name string, start time.Time) {
