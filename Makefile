@@ -157,6 +157,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFind -fuzztime 10s ./internal/kneedle/
 	$(GO) test -run XXX -fuzz FuzzSmoothMatchesOracle -fuzztime 10s ./internal/spline/
 	$(GO) test -run XXX -fuzz FuzzClusterMatchesOracle -fuzztime 10s ./internal/dbscan/
+	$(GO) test -run XXX -fuzz FuzzDecodePool -fuzztime 10s ./internal/shard/
+	$(GO) test -run XXX -fuzz FuzzDecodeTiles -fuzztime 10s ./internal/dissim/tilestore/
 
 clean:
 	$(GO) clean ./...

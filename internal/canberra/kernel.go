@@ -94,6 +94,29 @@ func NewView(b []byte) View {
 	return v
 }
 
+// NewViews converts byte segments into kernel views that share one
+// contiguous backing array in segment order, so a block of adjacent
+// indices reads mostly-adjacent memory and the batched kernel streams
+// rather than pointer-chases.
+func NewViews(segments [][]byte) []View {
+	total := 0
+	for _, s := range segments {
+		total += len(s)
+	}
+	backing := make([]float64, total)
+	views := make([]View, len(segments))
+	off := 0
+	for i, s := range segments {
+		v := backing[off : off+len(s) : off+len(s)]
+		for j, c := range s {
+			v[j] = float64(c)
+		}
+		views[i] = v
+		off += len(s)
+	}
+	return views
+}
+
 // recipSum[v] is 1/v for every possible byte-pair sum a+b ∈ [0, 510]
 // (4 KB, lives in L1). The per-term division d/(a+b) — the single most
 // expensive operation of the whole pipeline — becomes a table load and a

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestNewView(t *testing.T) {
@@ -16,6 +17,37 @@ func TestNewView(t *testing.T) {
 		// A nil input yields an empty, non-nil view; callers only ever
 		// index it, so either would do — pin the current contract.
 		t.Log("NewView(nil) is nil")
+	}
+}
+
+// TestNewViews checks that the batch conversion equals NewView per
+// segment, lays the views out back to back in segment order, and caps
+// each view at its length so no view can grow into its neighbour.
+func TestNewViews(t *testing.T) {
+	segments := [][]byte{{0, 1}, {}, {255, 7, 9}, {42}}
+	views := NewViews(segments)
+	if len(views) != len(segments) {
+		t.Fatalf("NewViews returned %d views, want %d", len(views), len(segments))
+	}
+	for i, s := range segments {
+		want := NewView(s)
+		if len(views[i]) != len(want) || cap(views[i]) != len(want) {
+			t.Fatalf("view %d has len %d cap %d, want %d", i, len(views[i]), cap(views[i]), len(want))
+		}
+		for j := range want {
+			if views[i][j] != want[j] {
+				t.Fatalf("view %d[%d] = %v, want %v", i, j, views[i][j], want[j])
+			}
+		}
+	}
+	// Offsets from the first view's start, in float64s: 2 for view 2
+	// (view 1 is empty) and 2+3 for view 3.
+	base := uintptr(unsafe.Pointer(&views[0][0]))
+	for _, c := range []struct{ i, off uintptr }{{2, 2}, {3, 5}} {
+		i, off := c.i, c.off
+		if got := uintptr(unsafe.Pointer(&views[i][0])) - base; got != off*8 {
+			t.Fatalf("view %d starts %d bytes after view 0, want %d", i, got, off*8)
+		}
 	}
 }
 

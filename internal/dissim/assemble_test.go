@@ -29,21 +29,19 @@ func assemblePool(t *testing.T, n int) *Pool {
 
 // assembleVia computes every tile externally (through the exported
 // kernel path, as a worker would) and feeds it to the assembler.
-func assembleVia(t *testing.T, pool *Pool, cfg Config, tile int) *Matrix {
+func assembleVia(t *testing.T, pool *Pool, cfg Config) *Matrix {
 	t.Helper()
-	asm, err := NewAssembler(context.Background(), pool, cfg, tile)
+	asm, err := NewAssembler(context.Background(), pool, cfg)
 	if err != nil {
 		t.Fatalf("NewAssembler: %v", err)
 	}
 	views := pool.Views()
-	n := pool.Size()
-	nb := (n + asm.TileSize() - 1) / asm.TileSize()
-	for bi := 0; bi < nb; bi++ {
-		for bj := bi; bj < nb; bj++ {
-			data := tilestore.ComputeTile(views, cfg.Penalty, asm.TileSize(), bi, bj)
-			if err := asm.SetTile(bi, bj, data); err != nil {
-				t.Fatalf("SetTile(%d, %d): %v", bi, bj, err)
-			}
+	g := asm.Grid()
+	for idx := 0; idx < g.Tiles(); idx++ {
+		bi, bj := g.Coords(idx)
+		data := tilestore.ComputeTile(views, cfg.Penalty, g.TileSize, bi, bj)
+		if err := asm.SetTile(bi, bj, data); err != nil {
+			t.Fatalf("SetTile(%d, %d): %v", bi, bj, err)
 		}
 	}
 	if asm.Remaining() != 0 {
@@ -76,6 +74,10 @@ func requireIdentical(t *testing.T, got, want *Matrix) {
 	}
 }
 
+// TestAssemblerMatchesLocalCondensed assembles a 150-segment pool on
+// the 64-wide grid — three blocks, the last one short, so off-diagonal
+// and short tiles land as row spans — and compares it with the local
+// build bit for bit.
 func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 	pool := assemblePool(t, 150)
 	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
@@ -84,7 +86,10 @@ func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 		t.Fatalf("ComputeMatrixContext: %v", err)
 	}
 	defer func() { _ = local.Close() }()
-	assembled := assembleVia(t, pool, cfg, tilestore.DefaultTileSize)
+	if g := tilestore.NewGrid(pool.Size(), tilestore.DefaultTileSize); g.NB != 3 || g.Dim(2) != 22 {
+		t.Fatalf("grid = %+v, want three blocks with a 22-wide last one", g)
+	}
+	assembled := assembleVia(t, pool, cfg)
 	defer func() { _ = assembled.Close() }()
 	requireIdentical(t, assembled, local)
 }
@@ -97,7 +102,7 @@ func TestAssemblerTiledBackendViaIngest(t *testing.T) {
 		t.Fatalf("ComputeMatrixContext: %v", err)
 	}
 	defer func() { _ = local.Close() }()
-	assembled := assembleVia(t, pool, cfg, tilestore.DefaultTileSize)
+	assembled := assembleVia(t, pool, cfg)
 	defer func() { _ = assembled.Close() }()
 	if assembled.Backend() != BackendTiled {
 		t.Fatalf("backend = %s, want tiled", assembled.Backend())
@@ -107,14 +112,14 @@ func TestAssemblerTiledBackendViaIngest(t *testing.T) {
 
 func TestAssemblerTiledRequiresSpillDir(t *testing.T) {
 	pool := assemblePool(t, 30)
-	if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: BackendTiled}, 0); err == nil {
+	if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: BackendTiled}); err == nil {
 		t.Fatal("NewAssembler accepted tiled backend without spill dir")
 	}
 }
 
 func TestAssemblerRejectsBadTiles(t *testing.T) {
 	pool := assemblePool(t, 100)
-	asm, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: BackendCondensed}, 64)
+	asm, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: BackendCondensed})
 	if err != nil {
 		t.Fatalf("NewAssembler: %v", err)
 	}
@@ -130,19 +135,4 @@ func TestAssemblerRejectsBadTiles(t *testing.T) {
 	if _, err := asm.Matrix(); err == nil {
 		t.Error("Matrix succeeded with tiles missing")
 	}
-}
-
-func TestAssemblerSmallTileSizeOnResidentBackend(t *testing.T) {
-	// Small tile sizes exercise multi-shard paths on small pools; the
-	// condensed backend accepts any grid.
-	pool := assemblePool(t, 50)
-	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
-	local, err := ComputeMatrixContext(context.Background(), pool, cfg)
-	if err != nil {
-		t.Fatalf("ComputeMatrixContext: %v", err)
-	}
-	defer func() { _ = local.Close() }()
-	assembled := assembleVia(t, pool, cfg, 8)
-	defer func() { _ = assembled.Close() }()
-	requireIdentical(t, assembled, local)
 }

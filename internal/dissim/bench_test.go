@@ -128,13 +128,3 @@ func BenchmarkKNNTable(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkKNNDistances(b *testing.B) {
-	m := benchMatrix(b, 2000, []int{2, 3, 4, 6, 8, 12, 16})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.KNNDistances(4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

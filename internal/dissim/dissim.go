@@ -96,28 +96,14 @@ func (p *Pool) TotalOccurrences() int {
 	return n
 }
 
-// Views converts every unique segment into a kernel view, once. All
-// views share one contiguous backing array in pool order, so a tile's
-// block of pool indices reads mostly-adjacent memory and the kernel's
-// batched entry point streams rather than pointer-chases.
+// Views converts every unique segment into a kernel view, once, in
+// pool order over one backing array (canberra.NewViews).
 func (p *Pool) Views() []canberra.View {
-	total := 0
-	for _, s := range p.Unique {
-		total += len(s.Bytes())
-	}
-	backing := make([]float64, total)
-	views := make([]canberra.View, len(p.Unique))
-	off := 0
+	segments := make([][]byte, len(p.Unique))
 	for i, s := range p.Unique {
-		b := s.Bytes()
-		v := backing[off : off+len(b) : off+len(b)]
-		for j, c := range b {
-			v[j] = float64(c)
-		}
-		views[i] = v
-		off += len(b)
+		segments[i] = s.Bytes()
 	}
-	return views
+	return canberra.NewViews(segments)
 }
 
 // store is what a matrix backend must provide: O(1) pair access plus
@@ -228,6 +214,25 @@ var computeTileHook func()
 // cause, so errors.Is(err, context.Canceled) (or DeadlineExceeded)
 // holds.
 func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
+	m, err := newMatrix(ctx, pool, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := m.store.(*dbscan.CondensedMatrix); ok {
+		if err := fillMatrix(ctx, c, pool.Views(), cfg.Penalty); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// newMatrix is the one place a pool and a Config become a backend: it
+// rejects an empty pool and a NaN penalty, resolves the memory budget,
+// applies the auto rule (condensed while it fits the budget, tiled
+// otherwise) and allocates the chosen store empty. A condensed matrix
+// waits for fillMatrix or an Assembler; a tiled store computes its
+// tiles on first touch.
+func newMatrix(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
 	n := pool.Size()
 	if n == 0 {
 		return nil, ErrEmptyPool
@@ -247,8 +252,6 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 			backend = BackendTiled
 		}
 	}
-	views := pool.Views()
-
 	var st store
 	switch backend {
 	case BackendCondensed:
@@ -256,12 +259,9 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 		if err != nil {
 			return nil, err
 		}
-		if err := fillMatrix(ctx, m, views, cfg.Penalty); err != nil {
-			return nil, err
-		}
 		st = m
 	case BackendTiled:
-		ts, err := tilestore.New(ctx, views, tilestore.Config{
+		ts, err := tilestore.New(ctx, pool.Views(), tilestore.Config{
 			BudgetBytes: budget,
 			SpillDir:    cfg.SpillDir,
 			Penalty:     cfg.Penalty,

@@ -114,10 +114,11 @@ func TestKNNDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	knn1, err := m.KNNDistances(1)
+	table, err := m.KNNTable(1)
 	if err != nil {
-		t.Fatalf("KNNDistances: %v", err)
+		t.Fatalf("KNNTable: %v", err)
 	}
+	knn1 := table[0]
 	if len(knn1) != 4 {
 		t.Fatalf("len = %d, want 4", len(knn1))
 	}
@@ -145,14 +146,11 @@ func TestKNNDistancesOrderedInK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := m.KNNDistances(1)
+	table, err := m.KNNTable(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k3, err := m.KNNDistances(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1, k3 := table[0], table[2]
 	for i := range k1 {
 		if k1[i] > k3[i] {
 			t.Errorf("segment %d: 1-NN (%v) > 3-NN (%v)", i, k1[i], k3[i])
@@ -167,10 +165,10 @@ func TestKNNDistancesRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.KNNDistances(0); err == nil {
+	if _, err := m.KNNTable(0); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, err := m.KNNDistances(2); err == nil {
+	if _, err := m.KNNTable(2); err == nil {
 		t.Error("k beyond n-1 should error")
 	}
 }
@@ -229,10 +227,11 @@ func TestKNNSubsetProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		knn, err := mtx.KNNDistances(2)
+		table, err := mtx.KNNTable(2)
 		if err != nil {
 			return false
 		}
+		knn := table[1]
 		for i := range knn {
 			var row []float64
 			for j := 0; j < mtx.Len(); j++ {
@@ -326,7 +325,7 @@ func TestCheckBackend(t *testing.T) {
 		if _, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: 1, Backend: name}); err == nil || err.Error() != want.Error() {
 			t.Errorf("ComputeMatrixContext(%q): err = %v, want %v", name, err, want)
 		}
-		if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: name}, 64); err == nil || err.Error() != want.Error() {
+		if _, err := NewAssembler(context.Background(), pool, Config{Penalty: 1, Backend: name}); err == nil || err.Error() != want.Error() {
 			t.Errorf("NewAssembler(%q): err = %v, want %v", name, err, want)
 		}
 	}

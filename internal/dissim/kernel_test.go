@@ -175,18 +175,6 @@ func TestKNNTableMatchesSort(t *testing.T) {
 			}
 		}
 	}
-	// KNNDistances must agree with the corresponding table column.
-	for k := 1; k <= kmax; k++ {
-		col, err := m.KNNDistances(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range col {
-			if col[i] != want[k-1][i] {
-				t.Fatalf("KNNDistances(%d)[%d] = %v, want %v", k, i, col[i], want[k-1][i])
-			}
-		}
-	}
 }
 
 // emptySegmentPool fabricates a pool whose first unique segment is

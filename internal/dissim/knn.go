@@ -138,24 +138,6 @@ func (m *Matrix) checkK(k int) error {
 	return nil
 }
 
-// KNNDistances returns, for every unique segment, the dissimilarity to
-// its k-th nearest neighbor (k ≥ 1, self excluded). This is the sample
-// population for the ECDF Ê_k of Algorithm 1. Only the k-th column is
-// materialized — each row's heap root — not the whole table.
-func (m *Matrix) KNNDistances(k int) ([]float64, error) {
-	if err := m.checkK(k); err != nil {
-		return nil, err
-	}
-	h := m.nearest(k)
-	// A lazily computed backend defers cancellation to here: the rows
-	// it could not compute are zero-filled, so the heaps must not be
-	// used once the sticky error is set.
-	if err := m.Err(); err != nil {
-		return nil, err
-	}
-	return h.top, nil
-}
-
 // KNNTable returns the k-NN dissimilarities for every k in [1, kmax] at
 // once: table[k-1][i] is segment i's distance to its k-th nearest
 // neighbor. One walk fills the bounded heaps that serve all k, which is
@@ -165,6 +147,9 @@ func (m *Matrix) KNNTable(kmax int) ([][]float64, error) {
 		return nil, err
 	}
 	h := m.nearest(kmax)
+	// A lazily computed backend defers cancellation to here: the rows
+	// it could not compute are zero-filled, so the heaps must not be
+	// used once the sticky error is set.
 	if err := m.Err(); err != nil {
 		return nil, err
 	}

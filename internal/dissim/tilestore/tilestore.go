@@ -7,6 +7,11 @@
 // evicted tiles to one pre-allocated slot per tile in a scratch file so
 // a later miss is a pread instead of a recompute.
 //
+// The package owns the tile layout every producer and consumer of tiles
+// shares: the upper-triangle block grid (Grid) and the tile byte format
+// (EncodeTiles), which the spill slots, the distributed shard wire and
+// the coordinator's assembly all use.
+//
 // The store serves the same dbscan.Matrix / dbscan.RowStreamer contract
 // as the condensed backend and stores values through the shared
 // dbscan.Quantize helper, so cluster labels and k-NN tables are
@@ -34,12 +39,95 @@ import (
 // the unit of caching, spill slots and distributed shards.
 const DefaultTileSize = 64
 
+// Grid is the upper-triangle tile decomposition of an n-point matrix:
+// blocks (bi, bj) with bi ≤ bj, linearized row-major over the block
+// upper triangle. The linear index is a tile's spill slot and its
+// position in a distributed shard.
+type Grid struct {
+	// N is the number of points (unique segments).
+	N int
+	// TileSize is the tile edge length.
+	TileSize int
+	// NB is the number of tile blocks per dimension.
+	NB int
+}
+
+// NewGrid returns the grid over n points; tileSize ≤ 0 selects
+// DefaultTileSize.
+func NewGrid(n, tileSize int) Grid {
+	if tileSize <= 0 {
+		tileSize = DefaultTileSize
+	}
+	return Grid{N: n, TileSize: tileSize, NB: (n + tileSize - 1) / tileSize}
+}
+
+// Tiles returns the number of upper-triangle tile blocks.
+func (g Grid) Tiles() int { return vecmath.CheckedTriNum(g.NB + 1) }
+
+// Index linearizes block (bi, bj), bi ≤ bj.
+func (g Grid) Index(bi, bj int) int {
+	return vecmath.CheckedMulAdd(bi, g.NB, bj-bi) - vecmath.CheckedTriNum(bi)
+}
+
+// Coords inverts Index.
+func (g Grid) Coords(idx int) (bi, bj int) {
+	for rowLen := g.NB; idx >= rowLen; rowLen-- {
+		idx -= rowLen
+		bi++
+	}
+	return bi, bi + idx
+}
+
+// Dim returns the edge length of tile block b (short on the last block).
+func (g Grid) Dim(b int) int {
+	return min(g.TileSize, g.N-b*g.TileSize)
+}
+
+// TileLen returns the float32 element count of tile idx. Diagonal tiles
+// are full mirrored squares, as ComputeTile emits them.
+func (g Grid) TileLen(idx int) int {
+	bi, bj := g.Coords(idx)
+	return g.Dim(bi) * g.Dim(bj)
+}
+
+// RangeLen returns the total float32 element count of tiles [lo, hi).
+func (g Grid) RangeLen(lo, hi int) int {
+	total := 0
+	for idx := lo; idx < hi; idx++ {
+		total += g.TileLen(idx)
+	}
+	return total
+}
+
+// EncodeTiles serializes tile data as little-endian float32, one value
+// after another: the layout of a spill slot and of a shard result.
+func EncodeTiles(data []float32) []byte {
+	out := make([]byte, len(data)*4)
+	for i, v := range data {
+		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
+	}
+	return out
+}
+
+// DecodeTiles inverts EncodeTiles, requiring exactly want elements.
+func DecodeTiles(b []byte, want int) ([]float32, error) {
+	// Compared by division: want*4 could overflow into len(b).
+	if len(b)%4 != 0 || len(b)/4 != want {
+		return nil, fmt.Errorf("tilestore: tile payload is %d bytes, want %d float32 values", len(b), want)
+	}
+	data := make([]float32, want)
+	for i := range data {
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+	return data, nil
+}
+
 // Config tunes a Store; zero fields take the documented defaults.
 type Config struct {
 	// TileSize is the tile edge length (default DefaultTileSize).
 	TileSize int
-	// BudgetBytes bounds the resident tile bytes (default 256 MiB,
-	// clamped up to at least one tile).
+	// BudgetBytes bounds the resident tile bytes, clamped up to one
+	// tile.
 	BudgetBytes int64
 	// SpillDir, when non-empty, enables the disk spill: evicted tiles
 	// are written to an unlinked scratch file under this directory and
@@ -51,10 +139,6 @@ type Config struct {
 	// rejects a NaN penalty with canberra.ErrBadPenalty.
 	Penalty float64
 }
-
-// DefaultBudgetBytes is the resident-tile bound when Config leaves
-// BudgetBytes zero.
-const DefaultBudgetBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of the store's traffic counters.
 type Stats struct {
@@ -87,9 +171,7 @@ type tile struct {
 type Store struct {
 	views   []canberra.View
 	penalty float64
-	n       int
-	ts      int // tile edge
-	nb      int // number of tile blocks per dimension
+	grid    Grid
 	budget  int64
 	slot    int64 // spill slot size in bytes (full-tile capacity)
 
@@ -134,31 +216,18 @@ func New(ctx context.Context, views []canberra.View, cfg Config) (*Store, error)
 	if math.IsNaN(cfg.Penalty) {
 		return nil, fmt.Errorf("tilestore: %w", canberra.ErrBadPenalty)
 	}
-	ts := cfg.TileSize
-	if ts <= 0 {
-		ts = DefaultTileSize
-	}
-	budget := cfg.BudgetBytes
-	if budget <= 0 {
-		budget = DefaultBudgetBytes
-	}
-	slot := int64(ts) * int64(ts) * 4
-	if budget < slot {
-		budget = slot
-	}
-	nb := (n + ts - 1) / ts
+	grid := NewGrid(n, cfg.TileSize)
+	slot := int64(grid.TileSize) * int64(grid.TileSize) * 4
 	s := &Store{
 		views:   views,
 		penalty: cfg.Penalty,
-		n:       n,
-		ts:      ts,
-		nb:      nb,
-		budget:  budget,
+		grid:    grid,
+		budget:  max(cfg.BudgetBytes, slot),
 		slot:    slot,
 		ctx:     ctx,
 		tiles:   make(map[int]*tile),
 		lru:     list.New(),
-		spilled: make([]bool, vecmath.CheckedTriNum(nb+1)),
+		spilled: make([]bool, grid.Tiles()),
 	}
 	if cfg.SpillDir != "" {
 		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
@@ -182,7 +251,7 @@ func New(ctx context.Context, views []canberra.View, cfg Config) (*Store, error)
 }
 
 // Len returns the number of points.
-func (s *Store) Len() int { return s.n }
+func (s *Store) Len() int { return s.grid.N }
 
 // Backend identifies the store in diagnostics.
 func (s *Store) Backend() string { return "tiled" }
@@ -227,16 +296,6 @@ func (s *Store) ResidentBytes() int64 {
 	return s.resident
 }
 
-// dim returns the edge length of tile block b (short on the last block).
-func (s *Store) dim(b int) int {
-	return min(s.ts, s.n-b*s.ts)
-}
-
-// tileIndex maps an upper-triangle block pair (bi ≤ bj) to its slot.
-func (s *Store) tileIndex(bi, bj int) int {
-	return vecmath.CheckedMulAdd(bi, s.nb, bj-bi) - vecmath.CheckedTriNum(bi)
-}
-
 // Dist returns the stored dissimilarity between i and j.
 func (s *Store) Dist(i, j int) float64 {
 	if i == j {
@@ -245,12 +304,13 @@ func (s *Store) Dist(i, j int) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	bi, bj := i/s.ts, j/s.ts
+	ts := s.grid.TileSize
+	bi, bj := i/ts, j/ts
 	data := s.acquire(bi, bj)
-	// Hoisted tile-local offsets: r < s.dim(bi) and c < s.dim(bj), so
-	// the product stays within len(data) = dim(bi)*dim(bj).
-	r, c := i-bi*s.ts, j-bj*s.ts
-	row := r * s.dim(bj)
+	// Hoisted tile-local offsets: r < Dim(bi) and c < Dim(bj), so the
+	// product stays within len(data) = Dim(bi)*Dim(bj).
+	r, c := i-bi*ts, j-bj*ts
+	row := r * s.grid.Dim(bj)
 	return float64(data[row+c])
 }
 
@@ -259,28 +319,29 @@ func (s *Store) Dist(i, j int) float64 {
 // slices of the diagonal and right-of-diagonal tiles (which include
 // the zero diagonal entry). See dbscan.RowStreamer for the contract.
 func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
-	bi := i / s.ts
-	r := i - bi*s.ts
+	ts := s.grid.TileSize
+	bi := i / ts
+	r := i - bi*ts
 	var buf []float32
-	for bj := 0; bj < s.nb; bj++ {
+	for bj := 0; bj < s.grid.NB; bj++ {
 		switch {
 		case bj < bi:
 			data := s.acquire(bj, bi)
-			rows, cols := s.dim(bj), s.dim(bi)
+			rows, cols := s.grid.Dim(bj), s.grid.Dim(bi)
 			if buf == nil {
-				buf = make([]float32, s.ts)
+				buf = make([]float32, ts)
 			}
 			off := r // column r of successive tile rows, stride cols
 			for a := 0; a < rows; a++ {
 				buf[a] = data[off]
 				off += cols
 			}
-			fn(bj*s.ts, buf[:rows])
+			fn(bj*ts, buf[:rows])
 		default:
 			data := s.acquire(bi, bj)
-			cols := s.dim(bj)
-			lo := r * cols // hoisted: r < dim(bi), len(data) = dim(bi)*cols
-			fn(bj*s.ts, data[lo:lo+cols])
+			cols := s.grid.Dim(bj)
+			lo := r * cols // hoisted: r < Dim(bi), len(data) = Dim(bi)*cols
+			fn(bj*ts, data[lo:lo+cols])
 		}
 	}
 }
@@ -291,18 +352,19 @@ func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
 // StreamRow call and never gathers; a pass over all rows acquires each
 // tile once per row of it. See dbscan.SuffixStreamer for the contract.
 func (s *Store) StreamSuffix(i int, fn func(lo int, vals []float32)) {
-	bi := i / s.ts
-	r := i - bi*s.ts
-	if cols := s.dim(bi); r+1 < cols {
+	ts := s.grid.TileSize
+	bi := i / ts
+	r := i - bi*ts
+	if cols := s.grid.Dim(bi); r+1 < cols {
 		data := s.acquire(bi, bi)
-		lo := r * cols // hoisted: r < dim(bi), len(data) = dim(bi)*cols
+		lo := r * cols // hoisted: r < Dim(bi), len(data) = Dim(bi)*cols
 		fn(i+1, data[lo+r+1:lo+cols])
 	}
-	for bj := bi + 1; bj < s.nb; bj++ {
+	for bj := bi + 1; bj < s.grid.NB; bj++ {
 		data := s.acquire(bi, bj)
-		cols := s.dim(bj)
+		cols := s.grid.Dim(bj)
 		lo := r * cols // hoisted, bounded as above
-		fn(bj*s.ts, data[lo:lo+cols])
+		fn(bj*ts, data[lo:lo+cols])
 	}
 }
 
@@ -310,7 +372,7 @@ func (s *Store) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 // reloading it if absent and blocking concurrent requests for the same
 // tile on the first one's result.
 func (s *Store) acquire(bi, bj int) []float32 {
-	idx := s.tileIndex(bi, bj)
+	idx := s.grid.Index(bi, bj)
 	s.mu.Lock()
 	if t, ok := s.tiles[idx]; ok {
 		if t.data != nil {
@@ -372,10 +434,7 @@ func (s *Store) evictLocked(keep *tile) []*tile {
 // unspilled — the next miss recomputes it.
 func (s *Store) writeSpill(victims []*tile) {
 	for _, t := range victims {
-		buf := make([]byte, len(t.data)*4)
-		for i, v := range t.data {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
+		buf := EncodeTiles(t.data)
 		s.mu.Lock()
 		f := s.spill
 		s.mu.Unlock()
@@ -402,14 +461,14 @@ func (s *Store) loadSpilled(idx, bi, bj int) ([]float32, bool) {
 	if !have {
 		return nil, false
 	}
-	count := s.dim(bi) * s.dim(bj)
+	count := s.grid.Dim(bi) * s.grid.Dim(bj)
 	buf := make([]byte, count*4)
 	if _, err := f.ReadAt(buf, int64(idx)*s.slot); err != nil {
 		return nil, false
 	}
-	data := make([]float32, count)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+	data, err := DecodeTiles(buf, count)
+	if err != nil {
+		return nil, false
 	}
 	s.reloads.Add(1)
 	return data, true
@@ -445,9 +504,9 @@ func (s *Store) canceled() bool {
 // context yields a zero tile and records the sticky error instead.
 func (s *Store) computeTile(bi, bj int) []float32 {
 	if s.canceled() {
-		return make([]float32, s.dim(bi)*s.dim(bj))
+		return make([]float32, s.grid.Dim(bi)*s.grid.Dim(bj))
 	}
-	return ComputeTile(s.views, s.penalty, s.ts, bi, bj)
+	return ComputeTile(s.views, s.penalty, s.grid.TileSize, bi, bj)
 }
 
 // ComputeTile builds one tile (bi ≤ bj) of the upper-triangle tile grid
@@ -494,17 +553,14 @@ func ComputeTile(views []canberra.View, penalty float64, tileSize, bi, bj int) [
 // configured spill directory; data must match the tile's dimensions
 // (diagonal tiles are full mirrored squares, as ComputeTile emits).
 func (s *Store) Ingest(bi, bj int, data []float32) error {
-	if bi > bj || bj >= s.nb {
-		return fmt.Errorf("tilestore: ingest: tile (%d, %d) outside %d-block grid", bi, bj, s.nb)
+	if bi < 0 || bi > bj || bj >= s.grid.NB {
+		return fmt.Errorf("tilestore: ingest: tile (%d, %d) outside %d-block grid", bi, bj, s.grid.NB)
 	}
-	if want := s.dim(bi) * s.dim(bj); len(data) != want {
+	if want := s.grid.Dim(bi) * s.grid.Dim(bj); len(data) != want {
 		return fmt.Errorf("tilestore: ingest: tile (%d, %d) has %d values, want %d", bi, bj, len(data), want)
 	}
-	buf := make([]byte, len(data)*4)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	idx := s.tileIndex(bi, bj)
+	buf := EncodeTiles(data)
+	idx := s.grid.Index(bi, bj)
 	s.mu.Lock()
 	f := s.spill
 	s.mu.Unlock()

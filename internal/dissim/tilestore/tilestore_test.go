@@ -1,6 +1,7 @@
 package tilestore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -107,6 +108,45 @@ func BenchmarkComputeTile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func TestGridIndexCoordsRoundTrip(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 200, 513} {
+		g := NewGrid(n, 64)
+		idx := 0
+		for bi := 0; bi < g.NB; bi++ {
+			for bj := bi; bj < g.NB; bj++ {
+				if got := g.Index(bi, bj); got != idx {
+					t.Fatalf("n=%d: Index(%d, %d) = %d, want %d", n, bi, bj, got, idx)
+				}
+				ci, cj := g.Coords(idx)
+				if ci != bi || cj != bj {
+					t.Fatalf("n=%d: Coords(%d) = (%d, %d), want (%d, %d)", n, idx, ci, cj, bi, bj)
+				}
+				idx++
+			}
+		}
+		if g.Tiles() != idx {
+			t.Fatalf("n=%d: Tiles() = %d, want %d", n, g.Tiles(), idx)
+		}
+	}
+}
+
+func TestGridTileAndRangeLen(t *testing.T) {
+	g := NewGrid(100, 64) // blocks of 64 and 36
+	if got := g.TileLen(g.Index(0, 0)); got != 64*64 {
+		t.Errorf("TileLen(0,0) = %d, want %d", got, 64*64)
+	}
+	if got := g.TileLen(g.Index(0, 1)); got != 64*36 {
+		t.Errorf("TileLen(0,1) = %d, want %d", got, 64*36)
+	}
+	if got := g.TileLen(g.Index(1, 1)); got != 36*36 {
+		t.Errorf("TileLen(1,1) = %d, want %d", got, 36*36)
+	}
+	want := 64*64 + 64*36 + 36*36
+	if got := g.RangeLen(0, g.Tiles()); got != want {
+		t.Errorf("RangeLen(all) = %d, want %d", got, want)
 	}
 }
 
@@ -266,5 +306,115 @@ func TestNewRejectsNaNPenalty(t *testing.T) {
 	views := testViews(t, 10, 1)
 	if _, err := New(context.Background(), views, Config{Penalty: math.NaN()}); !errors.Is(err, canberra.ErrBadPenalty) {
 		t.Fatalf("New with NaN penalty err = %v, want canberra.ErrBadPenalty", err)
+	}
+}
+
+// pinnedTileValues and pinnedTileBytes pin the tile byte format: one
+// little-endian IEEE-754 float32 per value, in tile order, with signed
+// zero, infinities, subnormals and NaN payloads carried bit for bit.
+// The spill slots and the shard wire share it, so a change here moves
+// spill bytes and shard digests.
+var (
+	pinnedTileValues = []float32{
+		0, float32(math.Copysign(0, -1)), 1.5, -2.25,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x00000001), // smallest subnormal
+		math.Float32frombits(0x7fc00abc), // quiet NaN with a payload
+		0.1,
+	}
+	pinnedTileBytes = []byte{
+		0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x80,
+		0x00, 0x00, 0xc0, 0x3f,
+		0x00, 0x00, 0x10, 0xc0,
+		0x00, 0x00, 0x80, 0x7f,
+		0x00, 0x00, 0x80, 0xff,
+		0x01, 0x00, 0x00, 0x00,
+		0xbc, 0x0a, 0xc0, 0x7f,
+		0xcd, 0xcc, 0xcc, 0x3d,
+	}
+)
+
+// TestSpillBytesPinned ingests a 3×3 tile and reads its spill slot
+// back raw: the bytes must be the pinned encoding, and the reload must
+// return every value with its exact bits.
+func TestSpillBytesPinned(t *testing.T) {
+	views := testViews(t, 3, 1)
+	s := newStore(t, views, Config{TileSize: 3, BudgetBytes: 1, SpillDir: t.TempDir(), Penalty: canberra.DefaultPenalty})
+	if err := s.Ingest(0, 0, pinnedTileValues); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	raw := make([]byte, len(pinnedTileBytes))
+	if _, err := s.spill.ReadAt(raw, 0); err != nil {
+		t.Fatalf("reading the spill slot: %v", err)
+	}
+	if string(raw) != string(pinnedTileBytes) {
+		t.Fatalf("spill slot = % x\nwant        % x", raw, pinnedTileBytes)
+	}
+	got := s.acquire(0, 0)
+	if s.Stats().Reloads != 1 {
+		t.Fatalf("tile was not reloaded from its slot: %+v", s.Stats())
+	}
+	for k, v := range pinnedTileValues {
+		if math.Float32bits(got[k]) != math.Float32bits(v) {
+			t.Errorf("value %d reloaded as %#08x, want %#08x", k, math.Float32bits(got[k]), math.Float32bits(v))
+		}
+	}
+}
+
+// TestEncodeTilesPinned checks the codec itself against the pinned
+// bytes, and that decoding them returns every value with its bits.
+func TestEncodeTilesPinned(t *testing.T) {
+	if got := EncodeTiles(pinnedTileValues); string(got) != string(pinnedTileBytes) {
+		t.Fatalf("EncodeTiles = % x\nwant          % x", got, pinnedTileBytes)
+	}
+	got, err := DecodeTiles(pinnedTileBytes, len(pinnedTileValues))
+	if err != nil {
+		t.Fatalf("DecodeTiles: %v", err)
+	}
+	for k, v := range pinnedTileValues {
+		if math.Float32bits(got[k]) != math.Float32bits(v) {
+			t.Errorf("value %d decoded as %#08x, want %#08x", k, math.Float32bits(got[k]), math.Float32bits(v))
+		}
+	}
+}
+
+// FuzzDecodeTiles hardens the tile decoder, which reads shard results
+// posted by other processes and spill slots read back from disk: any
+// input and element count must return without a panic, and accepted
+// bytes must re-encode to themselves.
+func FuzzDecodeTiles(f *testing.F) {
+	f.Add(pinnedTileBytes, len(pinnedTileValues))
+	f.Add([]byte{}, 0)
+	f.Add([]byte{1, 2, 3}, 1)
+	f.Add([]byte{}, 1<<62) // want*4 overflows to 0
+	f.Add([]byte{0, 0, 0, 0}, -1)
+
+	f.Fuzz(func(t *testing.T, b []byte, want int) {
+		data, err := DecodeTiles(b, want)
+		if err != nil {
+			return
+		}
+		if len(data) != want {
+			t.Fatalf("decoded %d values, want %d", len(data), want)
+		}
+		if again := EncodeTiles(data); !bytes.Equal(again, b) {
+			t.Fatalf("accepted bytes re-encode differently:\n got % x\nwant % x", again, b)
+		}
+	})
+}
+
+// TestIngestRejectsOutOfGrid checks that Ingest refuses blocks outside
+// the upper-triangle grid, a negative row block included, and data of
+// the wrong length, before touching the spill file.
+func TestIngestRejectsOutOfGrid(t *testing.T) {
+	s := newStore(t, testViews(t, 5, 1), Config{TileSize: 3, SpillDir: t.TempDir(), Penalty: canberra.DefaultPenalty})
+	for _, c := range []struct{ bi, bj, n int }{{-1, 0, 9}, {1, 0, 6}, {0, 2, 9}, {0, 1, 9}} {
+		if err := s.Ingest(c.bi, c.bj, make([]float32, c.n)); err == nil {
+			t.Errorf("Ingest(%d, %d, %d values) accepted", c.bi, c.bj, c.n)
+		}
+	}
+	if st := s.Stats(); st.Spills != 0 {
+		t.Fatalf("rejected tiles were spilled: %+v", st)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"protoclust/internal/core"
 	"protoclust/internal/eval"
@@ -349,16 +348,6 @@ func Averages(rows []CoverageRow) (cluster, fieldHunter float64) {
 		fieldHunter = fSum / float64(fN)
 	}
 	return cluster, fieldHunter
-}
-
-// SegmenterByName resolves a Table II segmenter name.
-func SegmenterByName(name string) (segment.Segmenter, error) {
-	for _, s := range Segmenters() {
-		if s.Name() == strings.ToLower(name) {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown segmenter %q", name)
 }
 
 // SeedSweepRow aggregates clustering quality across generator seeds for

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"protoclust/internal/segment"
 	"protoclust/internal/segment/nemesys"
 )
 
@@ -77,9 +78,14 @@ func TestTable2FailureCells(t *testing.T) {
 		{"au", 123, "csp", false},
 	}
 	for _, c := range cases {
-		seg, err := SegmenterByName(c.segmenter)
-		if err != nil {
-			t.Fatal(err)
+		var seg segment.Segmenter
+		for _, s := range Segmenters() {
+			if s.Name() == c.segmenter {
+				seg = s
+			}
+		}
+		if seg == nil {
+			t.Fatalf("no Table II segmenter named %q", c.segmenter)
 		}
 		row, err := Table2Row1(context.Background(), c.proto, c.msgs, seg)
 		if err != nil {
@@ -136,26 +142,6 @@ func TestFigure3(t *testing.T) {
 				t.Errorf("boundary %d outside the timestamp interior", b)
 			}
 		}
-	}
-}
-
-func TestSegmenterByName(t *testing.T) {
-	for _, name := range []string{"netzob", "nemesys", "csp"} {
-		seg, err := SegmenterByName(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if seg.Name() != name {
-			t.Errorf("resolved %q, want %q", seg.Name(), name)
-		}
-	}
-	if _, err := SegmenterByName("wireshark"); err == nil {
-		t.Error("unknown name should error")
-	}
-	// Case insensitive.
-	if _, err := SegmenterByName("NEMESYS"); err != nil {
-		t.Errorf("uppercase name: %v", err)
 	}
 }
 

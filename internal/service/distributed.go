@@ -13,6 +13,7 @@ import (
 
 	"protoclust/internal/core"
 	"protoclust/internal/dissim"
+	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/shard"
 )
 
@@ -44,7 +45,7 @@ type coordinator struct {
 type distJob struct {
 	pool   []byte // encoded pool payload workers fetch
 	digest string
-	grid   shard.Grid
+	grid   tilestore.Grid
 	tasks  []shard.Task
 
 	mu     sync.Mutex
@@ -125,7 +126,7 @@ func (s *Service) matrixBuilder(j *job) core.MatrixBuilder {
 // queue; in-flight worker results for it then answer 404 and are
 // discarded as stale.
 func (c *coordinator) build(ctx context.Context, jobID string, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
-	asm, err := dissim.NewAssembler(ctx, pool, cfg, shard.DefaultTileSize)
+	asm, err := dissim.NewAssembler(ctx, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +136,7 @@ func (c *coordinator) build(ctx context.Context, jobID string, pool *dissim.Pool
 	}
 	payload := shard.EncodePool(segments)
 	digest := shard.Digest(payload)
-	g := shard.NewGrid(pool.Size(), shard.DefaultTileSize)
+	g := asm.Grid()
 	tasks := shard.Plan(jobID, g, cfg.Penalty, digest, c.tilesPerShard)
 	dj := &distJob{
 		pool:   payload,
@@ -222,7 +223,7 @@ func (c *coordinator) complete(dj *distJob, jobID string, id int, digest string,
 	}
 	task := dj.tasks[id]
 	want := dj.grid.RangeLen(task.TileLo, task.TileHi)
-	tiles, err := shard.DecodeTiles(body, want)
+	tiles, err := tilestore.DecodeTiles(body, want)
 	if err != nil {
 		// The digest matched but the length cannot serve this shard: the
 		// task geometry and payload disagree, which no retry fixes.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"protoclust/internal/dissim/tilestore"
 )
 
 // fakeClock is a manually advanced queue clock.
@@ -20,7 +22,7 @@ func newTestQueue(t *testing.T, ttl time.Duration) (*Queue, *fakeClock) {
 
 func TestLeaseFIFOAndProgress(t *testing.T) {
 	q, _ := newTestQueue(t, time.Minute)
-	tasks := Plan("j1", NewGrid(100, 64), 1, "d", 1) // 3 shards
+	tasks := Plan("j1", tilestore.NewGrid(100, 64), 1, "d", 1) // 3 shards
 	if err := q.Add("j1", tasks); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -56,7 +58,7 @@ func TestLeaseFIFOAndProgress(t *testing.T) {
 
 func TestExpiredLeaseRequeues(t *testing.T) {
 	q, clk := newTestQueue(t, 10*time.Second)
-	if err := q.Add("j1", Plan("j1", NewGrid(10, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("dead-worker"); !ok {
@@ -85,7 +87,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 
 func TestExpireNowWithoutLeaseCall(t *testing.T) {
 	q, clk := newTestQueue(t, time.Second)
-	if err := q.Add("j1", Plan("j1", NewGrid(10, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("w"); !ok {
@@ -102,7 +104,7 @@ func TestExpireNowWithoutLeaseCall(t *testing.T) {
 
 func TestDoubleCompleteIsIdempotent(t *testing.T) {
 	q, _ := newTestQueue(t, time.Minute)
-	if err := q.Add("j1", Plan("j1", NewGrid(10, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("w"); !ok {
@@ -121,7 +123,7 @@ func TestDoubleCompleteIsIdempotent(t *testing.T) {
 
 func TestCompleteAfterLeaseExpiry(t *testing.T) {
 	q, clk := newTestQueue(t, time.Second)
-	if err := q.Add("j1", Plan("j1", NewGrid(10, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("slow-worker"); !ok {
@@ -144,7 +146,7 @@ func TestCompleteAfterLeaseExpiry(t *testing.T) {
 
 func TestCompleteAfterReLeaseRace(t *testing.T) {
 	q, clk := newTestQueue(t, time.Second)
-	if err := q.Add("j1", Plan("j1", NewGrid(10, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("w1"); !ok {
@@ -170,7 +172,7 @@ func TestCompleteAfterReLeaseRace(t *testing.T) {
 
 func TestDropForgetsJob(t *testing.T) {
 	q, _ := newTestQueue(t, time.Minute)
-	if err := q.Add("j1", Plan("j1", NewGrid(100, 64), 1, "d", 1)); err != nil {
+	if err := q.Add("j1", Plan("j1", tilestore.NewGrid(100, 64), 1, "d", 1)); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, ok := q.Lease("w"); !ok {
@@ -193,14 +195,14 @@ func TestDropForgetsJob(t *testing.T) {
 
 func TestAddRejectsDuplicateJobAndSparseIDs(t *testing.T) {
 	q, _ := newTestQueue(t, time.Minute)
-	tasks := Plan("j1", NewGrid(10, 64), 1, "d", 1)
+	tasks := Plan("j1", tilestore.NewGrid(10, 64), 1, "d", 1)
 	if err := q.Add("j1", tasks); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if err := q.Add("j1", tasks); err == nil {
 		t.Error("Add accepted duplicate job")
 	}
-	sparse := Plan("j2", NewGrid(100, 64), 1, "d", 1)
+	sparse := Plan("j2", tilestore.NewGrid(100, 64), 1, "d", 1)
 	sparse[1].ID = 7
 	if err := q.Add("j2", sparse); err == nil {
 		t.Error("Add accepted sparse shard IDs")
@@ -213,7 +215,7 @@ func TestAddRejectsDuplicateJobAndSparseIDs(t *testing.T) {
 func TestSnapshotSorted(t *testing.T) {
 	q, _ := newTestQueue(t, time.Minute)
 	for _, job := range []string{"j2", "j1", "j3"} {
-		if err := q.Add(job, Plan(job, NewGrid(10, 64), 1, "d", 1)); err != nil {
+		if err := q.Add(job, Plan(job, tilestore.NewGrid(10, 64), 1, "d", 1)); err != nil {
 			t.Fatalf("Add(%s): %v", job, err)
 		}
 	}

@@ -8,10 +8,11 @@
 // workers computing the same shard produce the same digest, which gives
 // resubmission and late completion exactly-once semantics for free.
 //
-// The package holds the pieces both sides of the wire share: the grid
-// arithmetic, the Task and lease types, the binary pool/tile payload
-// codecs, the lease queue the coordinator drives, and the HTTP worker
-// client cmd/protoclust-worker wraps.
+// The package holds the pieces both sides of the wire share: the Task
+// and lease types, the binary pool payload codec, the lease queue the
+// coordinator drives, and the HTTP worker client cmd/protoclust-worker
+// wraps. The tile grid and the tile byte format belong to tilestore
+// (Grid, EncodeTiles), which the shard wire reuses as they are.
 package shard
 
 import (
@@ -20,81 +21,16 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 
 	"protoclust/internal/canberra"
 	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/vecmath"
 )
 
-// DefaultTileSize mirrors the tiled backend's grid edge: one tile is
-// 64×64 pairs, 16 KiB of float32 results.
-const DefaultTileSize = tilestore.DefaultTileSize
-
 // DefaultTilesPerShard is the default number of tiles per leased task:
 // 16 tiles ≈ 65k pairs keep the lease round-trip overhead well under
 // the compute time while leaving enough shards for balanced stealing.
 const DefaultTilesPerShard = 16
-
-// Grid is the upper-triangle tile decomposition of an n-point matrix,
-// identical to the tiled backend's: blocks (bi, bj) with bi ≤ bj,
-// linearized row-major over the block upper triangle.
-type Grid struct {
-	// N is the number of points (unique segments).
-	N int
-	// TileSize is the tile edge length.
-	TileSize int
-	// NB is the number of tile blocks per dimension.
-	NB int
-}
-
-// NewGrid returns the grid over n points; tileSize ≤ 0 selects
-// DefaultTileSize.
-func NewGrid(n, tileSize int) Grid {
-	if tileSize <= 0 {
-		tileSize = DefaultTileSize
-	}
-	return Grid{N: n, TileSize: tileSize, NB: (n + tileSize - 1) / tileSize}
-}
-
-// Tiles returns the number of upper-triangle tile blocks.
-func (g Grid) Tiles() int { return vecmath.CheckedTriNum(g.NB + 1) }
-
-// Index linearizes block (bi, bj), bi ≤ bj — the same mapping the tiled
-// backend uses for its spill slots.
-func (g Grid) Index(bi, bj int) int {
-	return vecmath.CheckedMulAdd(bi, g.NB, bj-bi) - vecmath.CheckedTriNum(bi)
-}
-
-// Coords inverts Index.
-func (g Grid) Coords(idx int) (bi, bj int) {
-	for rowLen := g.NB; idx >= rowLen; rowLen-- {
-		idx -= rowLen
-		bi++
-	}
-	return bi, bi + idx
-}
-
-// Dim returns the edge length of tile block b (short on the last block).
-func (g Grid) Dim(b int) int {
-	return min(g.TileSize, g.N-b*g.TileSize)
-}
-
-// TileLen returns the float32 element count of tile idx. Diagonal tiles
-// are full mirrored squares, exactly as the tiled backend stores them.
-func (g Grid) TileLen(idx int) int {
-	bi, bj := g.Coords(idx)
-	return g.Dim(bi) * g.Dim(bj)
-}
-
-// RangeLen returns the total float32 element count of tiles [lo, hi).
-func (g Grid) RangeLen(lo, hi int) int {
-	total := 0
-	for idx := lo; idx < hi; idx++ {
-		total += g.TileLen(idx)
-	}
-	return total
-}
 
 // Task is one leased unit of work: a contiguous range of grid tiles of
 // one job's matrix. A Task is self-contained up to the pool payload,
@@ -118,7 +54,7 @@ type Task struct {
 }
 
 // Grid returns the task's tile grid.
-func (t Task) Grid() Grid { return NewGrid(t.N, t.TileSize) }
+func (t Task) Grid() tilestore.Grid { return tilestore.NewGrid(t.N, t.TileSize) }
 
 // Validate checks the task's internal consistency.
 func (t Task) Validate() error {
@@ -135,7 +71,7 @@ func (t Task) Validate() error {
 
 // Plan splits the job's grid into tasks of up to tilesPerShard tiles
 // (DefaultTilesPerShard when ≤ 0), in tile order with dense IDs.
-func Plan(job string, g Grid, penalty float64, poolDigest string, tilesPerShard int) []Task {
+func Plan(job string, g tilestore.Grid, penalty float64, poolDigest string, tilesPerShard int) []Task {
 	if tilesPerShard <= 0 {
 		tilesPerShard = DefaultTilesPerShard
 	}
@@ -212,10 +148,12 @@ func DecodePool(b []byte) ([][]byte, error) {
 		return nil, errors.New("shard: pool payload truncated")
 	}
 	count := binary.LittleEndian.Uint32(b)
-	if count == 0 || count > maxPoolSegments {
+	b = b[4:]
+	// Every segment takes at least five bytes (its length and one byte),
+	// so the payload bounds the count before anything is allocated.
+	if count == 0 || count > maxPoolSegments || uint64(count)*5 > uint64(len(b)) {
 		return nil, fmt.Errorf("shard: pool payload declares %d segments", count)
 	}
-	b = b[4:]
 	segments := make([][]byte, count)
 	for i := range segments {
 		if len(b) < 4 {
@@ -236,48 +174,4 @@ func DecodePool(b []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("shard: pool payload has %d trailing bytes", len(b))
 	}
 	return segments, nil
-}
-
-// Views converts decoded pool segments into kernel views backed by one
-// contiguous array, mirroring dissim.Pool.Views so the worker's kernel
-// walks the same memory layout as the coordinator's.
-func Views(segments [][]byte) []canberra.View {
-	total := 0
-	for _, s := range segments {
-		total += len(s)
-	}
-	backing := make([]float64, total)
-	views := make([]canberra.View, len(segments))
-	off := 0
-	for i, s := range segments {
-		v := backing[off : off+len(s) : off+len(s)]
-		for j, c := range s {
-			v[j] = float64(c)
-		}
-		views[i] = v
-		off += len(s)
-	}
-	return views
-}
-
-// EncodeTiles serializes concatenated tile data as little-endian
-// float32, the shard result wire format.
-func EncodeTiles(data []float32) []byte {
-	out := make([]byte, len(data)*4)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
-// DecodeTiles inverts EncodeTiles, requiring exactly want elements.
-func DecodeTiles(b []byte, want int) ([]float32, error) {
-	if len(b) != want*4 {
-		return nil, fmt.Errorf("shard: tile payload is %d bytes, want %d", len(b), want*4)
-	}
-	data := make([]float32, want)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return data, nil
 }

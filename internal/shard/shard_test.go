@@ -7,47 +7,8 @@ import (
 	"protoclust/internal/dissim/tilestore"
 )
 
-func TestGridIndexCoordsRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 200, 513} {
-		g := NewGrid(n, 64)
-		idx := 0
-		for bi := 0; bi < g.NB; bi++ {
-			for bj := bi; bj < g.NB; bj++ {
-				if got := g.Index(bi, bj); got != idx {
-					t.Fatalf("n=%d: Index(%d, %d) = %d, want %d", n, bi, bj, got, idx)
-				}
-				ci, cj := g.Coords(idx)
-				if ci != bi || cj != bj {
-					t.Fatalf("n=%d: Coords(%d) = (%d, %d), want (%d, %d)", n, idx, ci, cj, bi, bj)
-				}
-				idx++
-			}
-		}
-		if g.Tiles() != idx {
-			t.Fatalf("n=%d: Tiles() = %d, want %d", n, g.Tiles(), idx)
-		}
-	}
-}
-
-func TestGridTileAndRangeLen(t *testing.T) {
-	g := NewGrid(100, 64) // blocks of 64 and 36
-	if got := g.TileLen(g.Index(0, 0)); got != 64*64 {
-		t.Errorf("TileLen(0,0) = %d, want %d", got, 64*64)
-	}
-	if got := g.TileLen(g.Index(0, 1)); got != 64*36 {
-		t.Errorf("TileLen(0,1) = %d, want %d", got, 64*36)
-	}
-	if got := g.TileLen(g.Index(1, 1)); got != 36*36 {
-		t.Errorf("TileLen(1,1) = %d, want %d", got, 36*36)
-	}
-	want := 64*64 + 64*36 + 36*36
-	if got := g.RangeLen(0, g.Tiles()); got != want {
-		t.Errorf("RangeLen(all) = %d, want %d", got, want)
-	}
-}
-
 func TestPlanCoversGridDensely(t *testing.T) {
-	g := NewGrid(500, 64)
+	g := tilestore.NewGrid(500, 64)
 	tasks := Plan("j1", g, 1.5, "digest", 3)
 	if len(tasks) == 0 {
 		t.Fatal("no tasks planned")
@@ -105,10 +66,12 @@ func TestDecodePoolRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestTilesCodecRoundTrip round-trips shard result bytes through the
+// tile codec the worker and the coordinator share.
 func TestTilesCodecRoundTrip(t *testing.T) {
 	data := []float32{0, 1.5, -2.25, 3e-7, 1e9}
-	b := EncodeTiles(data)
-	got, err := DecodeTiles(b, len(data))
+	b := tilestore.EncodeTiles(data)
+	got, err := tilestore.DecodeTiles(b, len(data))
 	if err != nil {
 		t.Fatalf("DecodeTiles: %v", err)
 	}
@@ -117,7 +80,7 @@ func TestTilesCodecRoundTrip(t *testing.T) {
 			t.Errorf("value %d = %v, want %v", i, got[i], data[i])
 		}
 	}
-	if _, err := DecodeTiles(b, len(data)+1); err == nil {
+	if _, err := tilestore.DecodeTiles(b, len(data)+1); err == nil {
 		t.Error("DecodeTiles accepted wrong length")
 	}
 }
@@ -133,13 +96,13 @@ func testViews(n int) []canberra.View {
 		}
 		segments[i] = seg
 	}
-	return Views(segments)
+	return canberra.NewViews(segments)
 }
 
 func TestComputeMatchesTilestore(t *testing.T) {
 	const n = 150
 	views := testViews(n)
-	g := NewGrid(n, DefaultTileSize)
+	g := tilestore.NewGrid(n, tilestore.DefaultTileSize)
 	tasks := Plan("j1", g, canberra.DefaultPenalty, "d", 2)
 	for _, task := range tasks {
 		got, err := Compute(task, views)
@@ -188,5 +151,23 @@ func TestDigestStable(t *testing.T) {
 	}
 	if len(a) != 64 {
 		t.Errorf("digest length %d, want 64 hex chars", len(a))
+	}
+}
+
+// pinnedShardDigest is the content address of the two-tile shard
+// TestShardDigestPinned computes. Workers, the coordinator and the
+// spill file all depend on these bytes, so they must not move.
+const pinnedShardDigest = "deba7ef6450ed28f3a0561d9cc941d22d7cb1845a64b96ce128cf53e848fae35"
+
+// TestShardDigestPinned computes tiles (0, 0) and (0, 1) of a fixed
+// 100-segment pool and pins the digest of their wire bytes.
+func TestShardDigestPinned(t *testing.T) {
+	task := Task{Job: "pin", ID: 0, TileLo: 0, TileHi: 2, N: 100, TileSize: 64, Penalty: canberra.DefaultPenalty}
+	data, err := Compute(task, testViews(task.N))
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if got := Digest(tilestore.EncodeTiles(data)); got != pinnedShardDigest {
+		t.Fatalf("shard digest = %s, want %s", got, pinnedShardDigest)
 	}
 }

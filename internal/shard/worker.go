@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"protoclust/internal/canberra"
+	"protoclust/internal/dissim/tilestore"
 )
 
 // Wire paths of the coordinator's shard API (relative to the base URL).
@@ -122,7 +123,7 @@ func (w *Worker) Step(ctx context.Context) (worked bool, err error) {
 		case <-time.After(w.ShardDelay):
 		}
 	}
-	status, err := w.post(ctx, task, lease.Token, EncodeTiles(data))
+	status, err := w.post(ctx, task, lease.Token, tilestore.EncodeTiles(data))
 	if err != nil {
 		return true, err
 	}
@@ -199,7 +200,7 @@ func (w *Worker) views(ctx context.Context, task Task) ([]canberra.View, error) 
 		return nil, fmt.Errorf("shard: pool %s has %d segments, lease says %d",
 			task.Job, len(segments), task.N)
 	}
-	views := Views(segments)
+	views := canberra.NewViews(segments)
 	if w.pools == nil {
 		w.pools = make(map[string][]canberra.View)
 	}
