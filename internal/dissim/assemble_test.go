@@ -94,6 +94,29 @@ func TestAssemblerMatchesLocalCondensed(t *testing.T) {
 	requireIdentical(t, assembled, local)
 }
 
+// TestAssemblerSmallTileSizeOnResidentBackend assembles a pool smaller
+// than one tile edge on the condensed backend: the whole matrix is one
+// short diagonal tile, whose rows land as suffix spans of the matrix
+// rows. The multi-block case is TestAssemblerMatchesLocalCondensed.
+func TestAssemblerSmallTileSizeOnResidentBackend(t *testing.T) {
+	pool := assemblePool(t, 50)
+	cfg := Config{Penalty: 1.5, Backend: BackendCondensed}
+	local, err := ComputeMatrixContext(context.Background(), pool, cfg)
+	if err != nil {
+		t.Fatalf("ComputeMatrixContext: %v", err)
+	}
+	defer func() { _ = local.Close() }()
+	if g := tilestore.NewGrid(pool.Size(), tilestore.DefaultTileSize); g.NB != 1 || g.Dim(0) != 50 {
+		t.Fatalf("grid = %+v, want one 50-wide block", g)
+	}
+	assembled := assembleVia(t, pool, cfg)
+	defer func() { _ = assembled.Close() }()
+	if assembled.Backend() != BackendCondensed {
+		t.Fatalf("backend = %s, want condensed", assembled.Backend())
+	}
+	requireIdentical(t, assembled, local)
+}
+
 func TestAssemblerTiledBackendViaIngest(t *testing.T) {
 	pool := assemblePool(t, 150)
 	cfg := Config{Penalty: 1.5, Backend: BackendTiled, SpillDir: t.TempDir()}
