@@ -178,6 +178,11 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() {
+		if err := matrix.Close(); err != nil {
+			b.Error(err)
+		}
+	})
 	run := func(b *testing.B, p core.Params) eval.Metrics {
 		var m eval.Metrics
 		for i := 0; i < b.N; i++ {
@@ -235,7 +240,11 @@ func BenchmarkDissimilarityMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty}); err != nil {
+		m, err := dissim.ComputeMatrixContext(context.Background(), pool, dissim.Config{Penalty: canberra.DefaultPenalty})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,6 +257,11 @@ func BenchmarkEpsilonAutoConfig(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() {
+		if err := matrix.Close(); err != nil {
+			b.Error(err)
+		}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ConfigureContext(context.Background(), matrix, core.DefaultParams()); err != nil {

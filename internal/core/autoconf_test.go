@@ -12,8 +12,19 @@ import (
 	"protoclust/internal/netmsg"
 )
 
+// closeAtCleanup closes m when the test ends: whoever builds a matrix
+// closes it.
+func closeAtCleanup(t *testing.T, m *dissim.Matrix) {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := m.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+}
+
 // poolFromValues builds a dissimilarity matrix over the given byte
-// values.
+// values, closed when the test ends.
 func poolFromValues(t *testing.T, values [][]byte) (*dissim.Pool, *dissim.Matrix) {
 	t.Helper()
 	var segs []netmsg.Segment
@@ -26,6 +37,7 @@ func poolFromValues(t *testing.T, values [][]byte) (*dissim.Pool, *dissim.Matrix
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, matrix)
 	return pool, matrix
 }
 

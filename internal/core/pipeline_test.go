@@ -207,6 +207,7 @@ func TestConfigureProducesUsableEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, m)
 	cfg, err := ConfigureContext(context.Background(), m, DefaultParams())
 	if err != nil {
 		t.Fatalf("Configure: %v", err)

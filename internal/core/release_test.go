@@ -57,3 +57,38 @@ func TestClusterSegmentsClosesMatrix(t *testing.T) {
 		t.Errorf("after a clustering error: %d open files under the spill dir, want 0", n)
 	}
 }
+
+// TestMatrixStorageReleased: the condensed matrix ClusterSegmentsContext
+// builds (outside the Go heap on the mapping build) is freed when it
+// returns, after a clustering and after a clustering error alike. A
+// wrapping builder records that the storage was open during the run.
+func TestMatrixStorageReleased(t *testing.T) {
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Fatalf("earlier tests left %d condensed bytes allocated", b)
+	}
+	segs, _ := synthSegments(40, 1)
+	var open int64
+	record := func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
+		m, err := dissim.ComputeMatrixContext(ctx, pool, cfg)
+		open = dissim.OpenCondensedBytes()
+		return m, err
+	}
+	p := DefaultParams()
+	if _, err := ClusterSegmentsContext(context.Background(), segs, p, record); err != nil {
+		t.Fatalf("ClusterSegmentsContext: %v", err)
+	}
+	if open == 0 {
+		t.Fatal("no condensed storage was allocated during the clustering")
+	}
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Errorf("after a clustering: %d condensed bytes still allocated, want 0", b)
+	}
+
+	p.FixedK = 1 << 20
+	if _, err := ClusterSegmentsContext(context.Background(), segs, p, nil); !errors.Is(err, ErrKOutOfRange) {
+		t.Fatalf("err = %v, want ErrKOutOfRange", err)
+	}
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Errorf("after a clustering error: %d condensed bytes still allocated, want 0", b)
+	}
+}

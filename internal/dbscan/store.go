@@ -100,21 +100,45 @@ type CondensedMatrix struct {
 var _ Matrix = (*CondensedMatrix)(nil)
 
 // NewCondensedMatrix allocates an n-point zero matrix in condensed
-// upper-triangle layout, or fails with ErrMatrixSize when the element
-// count overflows.
+// upper-triangle layout on the Go heap, or fails with ErrMatrixSize
+// when the element count overflows.
 func NewCondensedMatrix(n int) (*CondensedMatrix, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative n = %d", ErrMatrixSize, n)
-	}
 	b, err := CondensedBytes(n)
 	if err != nil {
 		return nil, err
+	}
+	return NewCondensedMatrixOver(n, make([]float32, b/4))
+}
+
+// NewCondensedMatrixOver lays an n-point condensed matrix over a
+// caller-supplied backing slice of exactly CondensedBytes(n)/4 zeroed
+// float32 entries, so the caller decides where the storage lives and
+// frees it after Release. It fails with ErrMatrixSize when the element
+// count overflows or data has the wrong length.
+func NewCondensedMatrixOver(n int, data []float32) (*CondensedMatrix, error) {
+	b, err := CondensedBytes(n)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != b/4 {
+		return nil, fmt.Errorf("%w: %d-point condensed matrix needs %d entries, backing has %d",
+			ErrMatrixSize, n, b/4, len(data))
 	}
 	base := make([]int, max(n-1, 0))
 	for i := range base {
 		base[i] = vecmath.CheckedCondensedOff(i, i+1, n) - i - 1
 	}
-	return &CondensedMatrix{n: n, data: make([]float32, b/4), base: base}, nil
+	return &CondensedMatrix{n: n, data: data, base: base}, nil
+}
+
+// Release detaches and returns the matrix's backing slice, so its owner
+// can free it; a second Release returns nil. Every later read or write
+// of the matrix panics on a bounds check instead of touching the
+// released storage.
+func (c *CondensedMatrix) Release() []float32 {
+	data := c.data
+	c.data = nil
+	return data
 }
 
 // Len returns the number of points.

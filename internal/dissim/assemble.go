@@ -116,8 +116,9 @@ func (a *Assembler) Matrix() (*Matrix, error) {
 }
 
 // Close releases the backend of an assembly abandoned before Matrix
-// succeeded (the tiled backend holds a spill file). After a successful
-// Matrix call it is a no-op; the matrix owns the backend then.
+// succeeded (the condensed storage or the tiled backend's spill file).
+// After a successful Matrix call it is a no-op; the matrix owns the
+// backend then.
 func (a *Assembler) Close() error {
 	if a.done {
 		return nil

@@ -146,6 +146,11 @@ func TestAssemblerRejectsBadTiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAssembler: %v", err)
 	}
+	defer func() {
+		if err := asm.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
 	if err := asm.SetTile(1, 0, nil); err == nil {
 		t.Error("SetTile accepted lower-triangle block")
 	}

@@ -38,15 +38,6 @@ func histogramLengths(h [][2]int) []int {
 	return lens
 }
 
-func benchMatrix(b *testing.B, n int, lens []int) *Matrix {
-	b.Helper()
-	m, err := ComputeMatrixContext(context.Background(), randomPool(b, n, lens, 1), Config{Penalty: canberra.DefaultPenalty})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
 func BenchmarkComputeMatrix(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -67,7 +58,11 @@ func BenchmarkComputeMatrix(b *testing.B) {
 		b.Run(s.name+"/optimized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty}); err != nil {
+				m, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -95,6 +90,7 @@ func BenchmarkKNNTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		closeAtCleanup(b, m)
 		b.Run(fmt.Sprintf("n=%d/heap", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -162,11 +162,26 @@ type Config struct {
 }
 
 // Matrix stores the pairwise Canberra dissimilarities between the
-// pool's unique segments.
+// pool's unique segments. Whoever builds a Matrix closes it: Close
+// frees the condensed storage (a mapping outside the Go heap, see
+// allocFloats) or the tiled backend's spill file.
 type Matrix struct {
 	store   store
 	backend string
+	// owned marks a condensed store over allocFloats storage, which
+	// Close returns through freeFloats.
+	owned bool
 }
+
+// openBytes counts the condensed storage this package has allocated
+// and not yet freed: mapped bytes on the mapping build, heap bytes on
+// the fallback.
+var openBytes atomic.Int64
+
+// OpenCondensedBytes returns the bytes of condensed matrices built by
+// ComputeMatrixContext or NewAssembler and not yet closed. It reads 0
+// once every such matrix is closed; the ownership tests check that.
+func OpenCondensedBytes() int64 { return openBytes.Load() }
 
 var (
 	_ dbscan.Matrix      = (*Matrix)(nil)
@@ -220,6 +235,9 @@ func ComputeMatrixContext(ctx context.Context, pool *Pool, cfg Config) (*Matrix,
 	}
 	if c, ok := m.store.(*dbscan.CondensedMatrix); ok {
 		if err := fillMatrix(ctx, c, pool.Views(), cfg.Penalty); err != nil {
+			if cerr := m.Close(); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
 			return nil, err
 		}
 	}
@@ -252,14 +270,13 @@ func newMatrix(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
 			backend = BackendTiled
 		}
 	}
-	var st store
 	switch backend {
 	case BackendCondensed:
-		m, err := newCondensed(n, budget)
+		c, err := newCondensed(n, budget)
 		if err != nil {
 			return nil, err
 		}
-		st = m
+		return &Matrix{store: c, backend: backend, owned: true}, nil
 	case BackendTiled:
 		ts, err := tilestore.New(ctx, pool.Views(), tilestore.Config{
 			BudgetBytes: budget,
@@ -269,15 +286,15 @@ func newMatrix(ctx context.Context, pool *Pool, cfg Config) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dissim: tiled backend: %w", err)
 		}
-		st = ts
-	default: // only a name CheckBackend rejects gets here
-		return nil, CheckBackend(cfg.Backend)
+		return &Matrix{store: ts, backend: backend}, nil
 	}
-	return &Matrix{store: st, backend: backend}, nil
+	// Only a name CheckBackend rejects gets here.
+	return nil, CheckBackend(cfg.Backend)
 }
 
-// newCondensed allocates an empty condensed matrix, enforcing the memory
-// budget before touching memory.
+// newCondensed allocates an empty condensed matrix over allocFloats
+// storage, enforcing the memory budget before touching memory. The
+// caller's Matrix owns the storage and frees it at Close.
 func newCondensed(n int, budget int64) (*dbscan.CondensedMatrix, error) {
 	b, err := dbscan.CondensedBytes(n)
 	if err != nil {
@@ -287,10 +304,15 @@ func newCondensed(n int, budget int64) (*dbscan.CondensedMatrix, error) {
 		return nil, fmt.Errorf("%w: %d unique segments need %d bytes condensed (budget %d)",
 			ErrPoolTooLarge, n, b, budget)
 	}
-	m, err := dbscan.NewCondensedMatrix(n)
+	data, err := allocFloats(int(b / 4))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err)
 	}
+	m, err := dbscan.NewCondensedMatrixOver(n, data)
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("%w: %d unique segments: %v", ErrPoolTooLarge, n, err), freeFloats(data))
+	}
+	openBytes.Add(b)
 	return m, nil
 }
 
@@ -432,11 +454,21 @@ func (m *Matrix) Err() error {
 	return nil
 }
 
-// Close releases backend resources (the tiled backend's spill file).
-// The matrix stays readable; close it only when analysis is done.
+// Close releases the backend: the condensed storage, or the tiled
+// backend's spill file. A second Close returns nil. Close only when
+// analysis is done: a condensed matrix read after Close panics on a
+// bounds check.
 func (m *Matrix) Close() error {
-	if c, ok := m.store.(interface{ Close() error }); ok {
-		return c.Close()
+	switch st := m.store.(type) {
+	case *dbscan.CondensedMatrix:
+		data := st.Release()
+		if !m.owned {
+			return nil
+		}
+		openBytes.Add(-4 * int64(len(data)))
+		return freeFloats(data)
+	case *tilestore.Store:
+		return st.Close()
 	}
 	return nil
 }

@@ -16,6 +16,17 @@ import (
 	"protoclust/internal/netmsg"
 )
 
+// closeAtCleanup closes m when the test ends: whoever builds a matrix
+// closes it, and OpenCondensedBytes must read 0 once every test has.
+func closeAtCleanup(tb testing.TB, m *Matrix) {
+	tb.Helper()
+	tb.Cleanup(func() {
+		if err := m.Close(); err != nil {
+			tb.Errorf("Close: %v", err)
+		}
+	})
+}
+
 func segsFromValues(values ...[]byte) []netmsg.Segment {
 	var segs []netmsg.Segment
 	for _, v := range values {
@@ -68,6 +79,7 @@ func TestComputeMatrixValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
+	closeAtCleanup(t, m)
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
 	}
@@ -96,6 +108,7 @@ func TestComputeMatrixValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, one)
 	one.StreamSuffix(0, func(lo int, vals []float32) {
 		t.Errorf("StreamSuffix of a 1×1 matrix yielded %v at %d, want nothing", vals, lo)
 	})
@@ -114,6 +127,7 @@ func TestKNNDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, m)
 	table, err := m.KNNTable(1)
 	if err != nil {
 		t.Fatalf("KNNTable: %v", err)
@@ -146,6 +160,7 @@ func TestKNNDistancesOrderedInK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, m)
 	table, err := m.KNNTable(3)
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +180,7 @@ func TestKNNDistancesRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, m)
 	if _, err := m.KNNTable(0); err == nil {
 		t.Error("k=0 should error")
 	}
@@ -227,6 +243,11 @@ func TestKNNSubsetProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer func() {
+			if err := mtx.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
 		table, err := mtx.KNNTable(2)
 		if err != nil {
 			return false
@@ -282,6 +303,7 @@ func TestComputeRejectsPoolOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, want)
 	for i := 0; i < pool.Size(); i++ {
 		for j := 0; j < pool.Size(); j++ {
 			if got.Dist(i, j) != want.Dist(i, j) {
@@ -398,12 +420,14 @@ func TestComputeContextUncancelledMatchesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, want)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got, err := ComputeMatrixContext(ctx, pool, Config{Penalty: canberra.DefaultPenalty})
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, got)
 	for i := 0; i < pool.Size(); i++ {
 		for j := 0; j < pool.Size(); j++ {
 			if want.Dist(i, j) != got.Dist(i, j) {

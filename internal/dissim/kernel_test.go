@@ -58,6 +58,7 @@ func TestComputeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			closeAtCleanup(t, got)
 			want, err := ComputeReference(pool, canberra.DefaultPenalty)
 			if err != nil {
 				t.Fatal(err)
@@ -159,6 +160,7 @@ func TestKNNTableMatchesSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtCleanup(t, m)
 	kmax := 7
 	got, err := m.KNNTable(kmax)
 	if err != nil {

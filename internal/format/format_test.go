@@ -33,6 +33,9 @@ func clusterTrace(t *testing.T, protocol string, n int, seed int64) (*core.Resul
 		t.Fatalf("matrix %s: %v", protocol, err)
 	}
 	res, err := core.ClusterPoolContext(context.Background(), pool, m, p)
+	if cerr := m.Close(); cerr != nil {
+		t.Fatalf("close matrix %s: %v", protocol, cerr)
+	}
 	if err != nil {
 		t.Fatalf("cluster %s: %v", protocol, err)
 	}

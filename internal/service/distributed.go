@@ -161,9 +161,14 @@ func (c *coordinator) build(ctx context.Context, jobID string, pool *dissim.Pool
 	select {
 	case <-ctx.Done():
 		c.drop(jobID)
-		// Abandoned mid-assembly; the backend (spill file) must go.
-		_ = asm.Close()
 		cause := context.Cause(ctx)
+		// Marking the job closed waits out a shard completion already
+		// inside SetTile and turns later ones away as stale, so none
+		// writes into the matrix released below.
+		dj.fail(cause)
+		// Abandoned mid-assembly; the backend (condensed storage or
+		// spill file) must go.
+		_ = asm.Close()
 		return nil, fmt.Errorf("service: distributed matrix build: %w", cause)
 	case <-dj.done:
 		c.drop(jobID)

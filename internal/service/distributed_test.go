@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"protoclust"
+	"protoclust/internal/canberra"
 	"protoclust/internal/dissim"
+	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/jobstore"
 	"protoclust/internal/shard"
 )
@@ -485,4 +488,73 @@ func TestJobstoreRecoversSweepAndFormatJobs(t *testing.T) {
 			t.Errorf("recovered %s job %s result differs from a fresh submission", tc.name, tc.id)
 		}
 	}
+}
+
+// TestAbandonedAssemblyShutsOutLateShards cancels a sharded build while
+// shard results are still being ingested. The coordinator must release
+// the half-assembled matrix only after the completion inside SetTile
+// has finished, and turn later completions away, so none writes into
+// released storage (outside the Go heap, such a write would fault; the
+// race detector reports the unordered access on the heap build).
+func TestAbandonedAssemblyShutsOutLateShards(t *testing.T) {
+	var m Metrics
+	c := newCoordinator(Config{LeaseTTL: time.Minute, TilesPerShard: 1}, testLogger(), &m)
+	tr, err := protoclust.GenerateTrace("ntp", 60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := protoclust.NewSegmenter(protoclust.SegmenterTruth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := segs.Segment(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := dissim.NewPool(ss)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	built := make(chan error, 1)
+	go func() {
+		m, err := c.build(ctx, "job", pool, dissim.Config{Penalty: canberra.DefaultPenalty, Backend: dissim.BackendCondensed})
+		if m != nil {
+			err = errors.Join(err, m.Close())
+		}
+		built <- err
+	}()
+	var dj *distJob
+	for dj == nil {
+		select {
+		case err := <-built:
+			t.Fatalf("build returned before registering its job: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+		dj = c.lookup("job")
+	}
+
+	// Every shard but the last completes, concurrently with the cancel,
+	// so the assembly never finishes on its own.
+	views := pool.Views()
+	var wg sync.WaitGroup
+	for _, task := range dj.tasks[:len(dj.tasks)-1] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tiles, err := shard.Compute(task, views)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body := tilestore.EncodeTiles(tiles)
+			if _, err := c.complete(dj, "job", task.ID, shard.Digest(body), body); err != nil && !errors.Is(err, shard.ErrUnknownShard) {
+				t.Errorf("shard %d: %v", task.ID, err)
+			}
+		}()
+	}
+	cancel()
+	if err := <-built; !errors.Is(err, context.Canceled) {
+		t.Errorf("build err = %v, want context.Canceled", err)
+	}
+	wg.Wait()
 }

@@ -72,3 +72,37 @@ func TestSpillFilesReleased(t *testing.T) {
 		t.Errorf("after a sweep: %d open files under the spill dir, want 0", n)
 	}
 }
+
+// TestMatrixStorageReleased: neither an analysis nor a sweep leaves a
+// condensed matrix's storage (a mapping outside the Go heap on the
+// mapping build) allocated once it returns.
+func TestMatrixStorageReleased(t *testing.T) {
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Fatalf("earlier tests left %d condensed bytes allocated", b)
+	}
+	tr := ntpTrace(t, 300)
+	o := truthOptions()
+	if _, err := protoclust.AnalyzeContext(context.Background(), tr, o); err != nil {
+		t.Fatalf("AnalyzeContext: %v", err)
+	}
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Errorf("after an analysis: %d condensed bytes still allocated, want 0", b)
+	}
+
+	_, err := Run(context.Background(), tr, Options{
+		Grid:     Grid{Segmenters: []string{protoclust.SegmenterTruth}, EpsSources: []EpsSource{{Mode: EpsKnee}, {Mode: EpsQuantile, Quantile: 0.5}}},
+		Base:     o,
+		Ensemble: true,
+		MatrixBuilt: func(string) {
+			if dissim.OpenCondensedBytes() == 0 {
+				t.Error("a sweep group's matrix holds no condensed storage")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if b := dissim.OpenCondensedBytes(); b != 0 {
+		t.Errorf("after a sweep: %d condensed bytes still allocated, want 0", b)
+	}
+}
