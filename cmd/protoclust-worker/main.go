@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"protoclust/internal/canberra"
 	"protoclust/internal/shard"
 )
 
@@ -58,9 +57,6 @@ func run(args []string) error {
 		level = slog.LevelDebug
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	if err := canberra.EnvError(); err != nil {
-		logger.Warn("PROTOCLUST_KERNEL not applied", "err", err, "kernel", canberra.ActiveKernel())
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"protoclust"
-	"protoclust/internal/canberra"
 	"protoclust/internal/dissim"
 )
 
@@ -37,9 +36,6 @@ func main() {
 	// mid-matrix instead of finishing the O(n²) build.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := canberra.EnvError(); err != nil {
-		fmt.Fprintf(os.Stderr, "protoclust: warning: %v; using kernel %s\n", err, canberra.ActiveKernel())
-	}
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "protoclust:", err)
 		os.Exit(1)

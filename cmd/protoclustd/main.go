@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"protoclust/internal/canberra"
 	"protoclust/internal/jobstore"
 	"protoclust/internal/service"
 )
@@ -68,9 +67,6 @@ func run(args []string) error {
 		level = slog.LevelDebug
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	if err := canberra.EnvError(); err != nil {
-		logger.Warn("PROTOCLUST_KERNEL not applied", "err", err, "kernel", canberra.ActiveKernel())
-	}
 
 	var store *jobstore.Store
 	if *jobstorePath != "" {

@@ -1,25 +1,20 @@
 package canberra
 
-import (
-	"fmt"
-	"os"
-	"sort"
-)
-
 // Kernel dispatch. Each kernelImpl bundles the inner-loop entry points
 // DissimViews and LengthBlock.Row need; the package selects one
-// implementation at init (best available for the CPU it is running on)
+// implementation at init — the best the CPU it is running on can run —
 // and stores it in the package-level pointer `active`. The indirection
 // costs one predictable indirect call per pair or run — noise next to
-// the loops behind it — and buys a single binary that runs everywhere
-// plus cheap A/B benchmarking between kernels on the same host.
+// the loops behind it — and buys a single binary that runs everywhere.
 //
-// Selection order for "auto": avx2 > neon > scalar, taking the first
-// kernel whose available() probe passes. Every kernel returns the
-// scalar kernel's bits, so the choice moves speed only, never a stored
-// distance. The probe for the asm kernels checks real CPU features
-// (e.g. AVX2+FMA and OS ymm-state support via XGETBV), so a binary
-// built with asm still falls back to scalar on an old machine.
+// The CPU probe is the only selector: the arch kernel (avx2 on amd64,
+// neon on arm64) is active when its available() probe passes, scalar
+// otherwise. Every kernel returns the scalar kernel's bits, so the
+// choice moves speed only, never a stored distance. The probe for the
+// asm kernels checks real CPU features (e.g. AVX2+FMA and OS ymm-state
+// support via XGETBV), so a binary built with asm still falls back to
+// scalar on an old machine. Building with -tags noasm compiles the arch
+// kernels out and leaves scalar alone.
 
 // kernelImpl is one full implementation of the kernel inner loops.
 type kernelImpl struct {
@@ -42,7 +37,7 @@ type kernelImpl struct {
 
 // kernels is the registry of every implementation compiled into this
 // binary. Architecture files append to it from their init functions;
-// the scalar kernel is always present.
+// the scalar kernel is always present and comes first.
 var kernels = []*kernelImpl{scalarKernel}
 
 var scalarKernel = &kernelImpl{
@@ -54,107 +49,13 @@ var scalarKernel = &kernelImpl{
 // active is the kernel DissimViews dispatches through. Never nil.
 var active = scalarKernel
 
-// envKernel is the environment variable that overrides kernel
-// selection; accepted values are kernel names, "noasm" (alias for
-// scalar), and "auto"/"" (default CPU-feature selection).
-const envKernel = "PROTOCLUST_KERNEL"
-
-// envErr records a PROTOCLUST_KERNEL value that did not resolve at
-// init. Init cannot fail, so the package falls back to auto selection
-// and stashes the error here for EnvError.
-var envErr error
-
-func init() {
-	// Per-arch files register their kernels from their own init
-	// functions, which Go runs in file-name order relative to this one;
-	// register() re-runs selection, so the order is irrelevant.
-	selectAtInit()
-}
-
-// selectAtInit resolves the initial kernel from the environment. It is
-// a separate function so tests can exercise it.
-func selectAtInit() {
-	envErr = nil
-	want := os.Getenv(envKernel)
-	if want == "" || want == "auto" {
-		active = autoKernel()
-		return
-	}
-	if err := SetKernel(want); err != nil {
-		envErr = err
-		active = autoKernel()
-	}
-}
-
-// autoKernel returns the best available kernel: the registry is
-// ordered scalar-first, arch kernels appended after, and later
-// registrations win.
-func autoKernel() *kernelImpl {
-	best := scalarKernel
-	for _, k := range kernels {
-		if k.available == nil || k.available() {
-			best = k
-		}
-	}
-	return best
-}
-
-// register appends an architecture kernel to the registry and re-runs
-// selection, keeping any explicit env choice sticky. Called from
-// per-arch init functions, which may run before or after this file's
-// init — re-selection makes the order irrelevant.
+// register appends an architecture kernel to the registry and
+// activates it when this CPU can run it. Called from the per-arch init
+// functions; a build compiles at most one arch kernel, which beats
+// scalar whenever its probe passes.
 func register(k *kernelImpl) {
 	kernels = append(kernels, k)
-	selectAtInit()
-}
-
-// SetKernel switches the active kernel by name. "noasm" selects the
-// scalar kernel; "auto" re-runs CPU-feature selection. Unknown names
-// and kernels whose CPU probe fails return an error and leave the
-// active kernel unchanged. Not safe to call concurrently with
-// DissimViews — switch kernels before starting pipeline work.
-func SetKernel(name string) error {
-	if name == "auto" {
-		active = autoKernel()
-		return nil
-	}
-	if name == "noasm" {
-		name = "scalar"
-	}
-	for _, k := range kernels {
-		if k.name != name {
-			continue
-		}
-		if k.available != nil && !k.available() {
-			return fmt.Errorf("canberra: kernel %q is not supported on this CPU", name)
-		}
+	if k.available == nil || k.available() {
 		active = k
-		return nil
 	}
-	return fmt.Errorf("canberra: unknown kernel %q (have %v)", name, Kernels())
-}
-
-// ActiveKernel returns the name of the kernel DissimViews currently
-// dispatches to.
-func ActiveKernel() string {
-	return active.name
-}
-
-// Kernels returns the names of every kernel compiled into this binary,
-// sorted, regardless of whether the current CPU supports them.
-func Kernels() []string {
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		names[i] = k.name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// EnvError reports whether the PROTOCLUST_KERNEL environment variable
-// was set to a value that could not be resolved at init (the package
-// fell back to auto selection). The commands log it at startup instead
-// of silently ignoring a typo.
-func EnvError() error {
-	return envErr
 }

@@ -3,7 +3,6 @@ package canberra
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -89,68 +88,21 @@ func TestKernelDispatchMatrix(t *testing.T) {
 	}
 }
 
-func TestSetKernel(t *testing.T) {
-	orig := ActiveKernel()
-	defer func() {
-		if err := SetKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	if err := SetKernel("scalar"); err != nil || ActiveKernel() != "scalar" {
-		t.Fatalf("SetKernel(scalar): err=%v active=%s", err, ActiveKernel())
+// TestKernelSelectedByCPUProbe pins the CPU probe as the only selector: the
+// active kernel is the last registered kernel this CPU can run, so an
+// arch kernel whose probe passes is never left behind scalar.
+func TestKernelSelectedByCPUProbe(t *testing.T) {
+	if kernels[0] != scalarKernel {
+		t.Fatalf("registry starts with %s, want scalar", kernels[0].name)
 	}
-	// noasm is an alias for scalar.
-	if err := SetKernel("noasm"); err != nil || ActiveKernel() != "scalar" {
-		t.Fatalf("SetKernel(noasm): err=%v active=%s", err, ActiveKernel())
-	}
-	if err := SetKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetKernel(no-such-kernel) succeeded")
-	} else if ActiveKernel() != "scalar" {
-		t.Fatalf("failed SetKernel changed active kernel to %s", ActiveKernel())
-	}
-	if err := SetKernel("auto"); err != nil || ActiveKernel() != autoKernel().name {
-		t.Fatalf("SetKernel(auto): err=%v active=%s", err, ActiveKernel())
-	}
-	if !slices.Contains(Kernels(), "scalar") {
-		t.Fatalf("Kernels() = %v, missing scalar", Kernels())
-	}
-	if !slices.IsSorted(Kernels()) {
-		t.Fatalf("Kernels() = %v, not sorted", Kernels())
-	}
-}
-
-func TestKernelEnvSelection(t *testing.T) {
-	orig := ActiveKernel()
-	defer func() {
-		if err := SetKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	t.Setenv(envKernel, "scalar")
-	selectAtInit()
-	if ActiveKernel() != "scalar" || EnvError() != nil {
-		t.Fatalf("env=scalar: active=%s err=%v", ActiveKernel(), EnvError())
-	}
-
-	// An invalid value must fall back to auto and surface the error. The
-	// names of the removed float32 kernels are invalid values too.
-	auto := autoKernel().name
-	for _, bad := range []string{"bogus", "scalar-f32"} {
-		t.Setenv(envKernel, bad)
-		selectAtInit()
-		if EnvError() == nil {
-			t.Fatalf("env=%s: EnvError() = nil", bad)
-		}
-		if ActiveKernel() != auto {
-			t.Fatalf("env=%s: active=%s, want auto fallback %s", bad, ActiveKernel(), auto)
+	want := scalarKernel
+	for _, k := range kernels[1:] {
+		if k.available == nil || k.available() {
+			want = k
 		}
 	}
-
-	t.Setenv(envKernel, "auto")
-	selectAtInit()
-	if ActiveKernel() != auto || EnvError() != nil {
-		t.Fatalf("env=auto: active=%s err=%v", ActiveKernel(), EnvError())
+	if active != want {
+		t.Fatalf("active kernel = %s, want %s (registered %d kernels)", active.name, want.name, len(kernels))
 	}
+	t.Logf("active kernel: %s", active.name)
 }

@@ -24,8 +24,9 @@ import (
 //     which kernel a host dispatches to.
 //   - dispatch.go selects among the registered kernel implementations
 //     (scalar everywhere; AVX2 on amd64, NEON on arm64 unless the
-//     noasm build tag is set) once at init, overridable with the
-//     PROTOCLUST_KERNEL environment variable or SetKernel.
+//     noasm build tag is set) once at init, by CPU probe alone;
+//     building with -tags noasm is the way to run scalar on a host
+//     whose CPU runs an arch kernel.
 //
 // Six ideas make the kernel fast:
 //

@@ -29,8 +29,8 @@ import "protoclust/internal/vecmath"
 // tests run on real arm64 hardware; the repo's own CI hosts are
 // amd64-only, so on a new arm64
 // host run `go test ./internal/canberra/` once (loud failure if the
-// translation drifts) or set PROTOCLUST_KERNEL=noasm to sidestep the
-// asm entirely.
+// translation drifts) or build with -tags noasm to sidestep the asm
+// entirely.
 
 // canberraAbandon2NEON accumulates the two sliding windows at offsets
 // t[0:] and t[1:] (t pre-offset by the caller) against s, abandoning

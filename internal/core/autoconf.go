@@ -250,6 +250,8 @@ func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Param
 // carry probability mass even though the curve collapses them. A zero
 // quantile value falls back to the smallest positive pairwise
 // dissimilarity anywhere in the matrix, or fails with ErrAllIdentical.
+// A walk that a tiled matrix cut short (its sticky Err) read zeroed
+// tiles, so that error is returned instead.
 func quantileEpsilon(ac *AutoConfig, raw []float64, m *dissim.Matrix, q float64) error {
 	ac.Epsilon = vecmath.Percentile(raw, q*100)
 	if ac.Epsilon <= 0 {
@@ -257,6 +259,9 @@ func quantileEpsilon(ac *AutoConfig, raw []float64, m *dissim.Matrix, q float64)
 		// pairwise dissimilarity, or give up. MinPositive streams the
 		// matrix instead of materializing the n(n−1)/2 upper triangle.
 		pos := m.MinPositive()
+		if err := m.Err(); err != nil {
+			return fmt.Errorf("core: auto-configuration: %w", err)
+		}
 		if math.IsInf(pos, 1) {
 			return ErrAllIdentical
 		}

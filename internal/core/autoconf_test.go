@@ -333,3 +333,29 @@ func TestQuantileEpsilonAllIdentical(t *testing.T) {
 		t.Errorf("eps = %g err = %v, want positive fallback eps", ac.Epsilon, err)
 	}
 }
+
+// TestQuantileEpsilonCanceledTiledWalk pins that a cancelled tiled
+// matrix surfaces its cancellation from the MinPositive fallback: the
+// cut-short walk reads zeroed tiles and finds no positive distance, and
+// reporting that as ErrAllIdentical would hide the cancellation from
+// callers that requeue cancelled work.
+func TestQuantileEpsilonCanceledTiledWalk(t *testing.T) {
+	var segs []netmsg.Segment
+	for i := 0; i < 200; i++ {
+		msg := &netmsg.Message{Data: []byte{byte(i), byte(i * 7), 3}}
+		segs = append(segs, netmsg.Segment{Msg: msg, Length: len(msg.Data)})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	m, err := dissim.ComputeMatrixContext(ctx, dissim.NewPool(segs), dissim.Config{
+		Penalty: canberra.DefaultPenalty, Backend: dissim.BackendTiled,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAtCleanup(t, m)
+	cancel()
+	err = quantileEpsilon(&AutoConfig{}, []float64{0, 0, 0}, m, 0.5)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}

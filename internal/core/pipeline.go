@@ -52,6 +52,18 @@ type Result struct {
 	MergedFrom int
 }
 
+// CheckClusterer returns nil when name selects a density clusterer (""
+// or "dbscan", "optics", "hdbscan"; see Params.Clusterer) and an error
+// naming it otherwise, so a caller can reject a bad name before doing
+// any work.
+func CheckClusterer(name string) error {
+	switch name {
+	case "", "dbscan", "optics", "hdbscan":
+		return nil
+	}
+	return fmt.Errorf("core: unknown clusterer %q", name)
+}
+
 // runClusterer applies the configured density clusterer: DBSCAN by
 // default, OPTICS with DBSCAN-equivalent extraction, or HDBSCAN (which
 // ignores ε and derives its hierarchy from minPts alone).
@@ -67,9 +79,9 @@ func runClusterer(m dbscan.Matrix, eps float64, minPts int, p Params) (*dbscan.R
 		return dbscan.ExtractDBSCAN(order, m.Len(), eps), nil
 	case "hdbscan":
 		return dbscan.HDBSCAN(m, minPts, minPts)
-	default:
-		return nil, fmt.Errorf("core: unknown clusterer %q", p.Clusterer)
 	}
+	// Only a name CheckClusterer rejects gets here.
+	return nil, CheckClusterer(p.Clusterer)
 }
 
 // MatrixBuilder computes the dissimilarity matrix for a pool under the

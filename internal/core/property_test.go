@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"protoclust/internal/canberra"
+	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
 	"protoclust/internal/netmsg"
 	"protoclust/internal/oracle"
@@ -14,12 +15,12 @@ import (
 
 // randomPoints draws 1-D positions forming a few clumps, the geometry
 // the refinement stage actually sees.
-func randomPoints(rng *rand.Rand, n int) fakeDist {
-	pos := make(fakeDist, n)
+func randomPoints(rng *rand.Rand, n int) *dbscan.CondensedMatrix {
+	pos := make([]float64, n)
 	for i := range pos {
 		pos[i] = float64(rng.Intn(4)) + rng.Float64()*0.3
 	}
-	return pos
+	return points(pos...)
 }
 
 // randomClusters partitions [0, n) into non-empty groups.
@@ -46,7 +47,7 @@ func TestComputeStatsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 100; trial++ {
 		m := randomPoints(rng, 2+rng.Intn(30))
-		c := make([]int, len(m))
+		c := make([]int, m.Len())
 		for i := range c {
 			c[i] = i
 		}
@@ -143,9 +144,9 @@ func TestLinkSegmentsMatchesOracleAndSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		m := randomPoints(rng, 4+rng.Intn(30))
-		half := 1 + rng.Intn(len(m)-2)
+		half := 1 + rng.Intn(m.Len()-2)
 		var ca, cb []int
-		for i := range m {
+		for i := range m.Len() {
 			if i < half {
 				ca = append(ca, i)
 			} else {
@@ -178,11 +179,11 @@ func TestRhoEpsMatchesOracleAndPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
 		m := randomPoints(rng, 3+rng.Intn(30))
-		cluster := make([]int, len(m))
+		cluster := make([]int, m.Len())
 		for i := range cluster {
 			cluster[i] = i
 		}
-		link := rng.Intn(len(m))
+		link := rng.Intn(m.Len())
 		eps := 0.05 + rng.Float64()*0.6
 
 		rho, cnt := rhoEps(link, cluster, eps, m)
@@ -208,7 +209,7 @@ func TestMergeClustersPermutationInvariant(t *testing.T) {
 	p := DefaultParams()
 	for trial := 0; trial < 60; trial++ {
 		m := randomPoints(rng, 6+rng.Intn(30))
-		clusters := randomClusters(rng, len(m))
+		clusters := randomClusters(rng, m.Len())
 
 		base, err := mergeClusters(context.Background(), clusters, m, p)
 		if err != nil {
@@ -241,7 +242,7 @@ func TestMergeClustersPreservesMembers(t *testing.T) {
 	p := DefaultParams()
 	for trial := 0; trial < 60; trial++ {
 		m := randomPoints(rng, 5+rng.Intn(25))
-		clusters := randomClusters(rng, len(m))
+		clusters := randomClusters(rng, m.Len())
 		out, err := mergeClusters(context.Background(), clusters, m, p)
 		if err != nil {
 			t.Fatal(err)
@@ -252,8 +253,8 @@ func TestMergeClustersPreservesMembers(t *testing.T) {
 				seen[i]++
 			}
 		}
-		if len(seen) != len(m) {
-			t.Fatalf("trial %d: merge output covers %d of %d members", trial, len(seen), len(m))
+		if len(seen) != m.Len() {
+			t.Fatalf("trial %d: merge output covers %d of %d members", trial, len(seen), m.Len())
 		}
 		for i, cnt := range seen {
 			if cnt != 1 {
@@ -266,7 +267,7 @@ func TestMergeClustersPreservesMembers(t *testing.T) {
 // TestRefinementDegenerateInputsNoPanic drives the refinement helpers
 // with empty and singleton inputs; all must return without panicking.
 func TestRefinementDegenerateInputsNoPanic(t *testing.T) {
-	m := fakeDist{0, 1, 2}
+	m := points(0, 1, 2)
 	p := DefaultParams()
 	if out, err := mergeClusters(context.Background(), nil, m, p); err != nil || len(out) != 0 {
 		t.Errorf("mergeClusters(nil) = %v, %v", out, err)

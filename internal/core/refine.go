@@ -10,15 +10,6 @@ import (
 	"protoclust/internal/vecmath"
 )
 
-// distances is the subset of the dissimilarity matrix the refinement
-// needs; satisfied by *dissim.Matrix and by test fakes. A matrix that
-// also streams its row suffixes (dbscan.SuffixStreamer, as
-// *dissim.Matrix does) serves the cluster statistics in storage order;
-// any other is read through Dist.
-type distances interface {
-	Dist(i, j int) float64
-}
-
 // clusterStats caches the per-cluster quantities used by the merge
 // conditions of Section III-F.
 type clusterStats struct {
@@ -64,7 +55,7 @@ func (a *statsAcc) add(c, i, j int, d float64) {
 // per row. Rows past the largest clustered index are not walked, and
 // spans past it are skipped unread; the tiled store still acquires
 // their tiles, because StreamSuffix has no early stop.
-func computeStats(ctx context.Context, clusters [][]int, m distances) ([]clusterStats, error) {
+func computeStats(ctx context.Context, clusters [][]int, m dbscan.Matrix) ([]clusterStats, error) {
 	top := -1
 	for _, c := range clusters {
 		if len(c) >= 2 {
@@ -96,7 +87,6 @@ func computeStats(ctx context.Context, clusters [][]int, m distances) ([]cluster
 		}
 	}
 
-	s, streams := m.(dbscan.SuffixStreamer)
 	for i, c := range lab {
 		if c < 0 {
 			continue
@@ -104,15 +94,7 @@ func computeStats(ctx context.Context, clusters [][]int, m distances) ([]cluster
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: refinement: %w", err)
 		}
-		if !streams {
-			for j := i + 1; j < len(lab); j++ {
-				if lab[j] == c {
-					acc.add(c, i, j, m.Dist(i, j))
-				}
-			}
-			continue
-		}
-		s.StreamSuffix(i, func(lo int, vals []float32) {
+		m.StreamSuffix(i, func(lo int, vals []float32) {
 			if lo >= len(lab) {
 				return
 			}
@@ -145,7 +127,7 @@ func computeStats(ctx context.Context, clusters [][]int, m distances) ([]cluster
 
 // linkSegments finds the closest pair (a ∈ ci, b ∈ cj) and their
 // distance — the link segments s_link_{i,j}, s_link_{j,i} and d_link.
-func linkSegments(ci, cj []int, m distances) (a, b int, dLink float64) {
+func linkSegments(ci, cj []int, m dbscan.Matrix) (a, b int, dLink float64) {
 	dLink = math.Inf(1)
 	for _, x := range ci {
 		for _, y := range cj {
@@ -161,7 +143,7 @@ func linkSegments(ci, cj []int, m distances) (a, b int, dLink float64) {
 // rhoEps is the density ρ_ε around a link segment: the median of the
 // dissimilarities from the link segment to its cluster members within
 // ε, plus the neighborhood size. An empty ε-neighborhood yields (0, 0).
-func rhoEps(link int, cluster []int, eps float64, m distances) (float64, int) {
+func rhoEps(link int, cluster []int, eps float64, m dbscan.Matrix) (float64, int) {
 	var within []float64
 	for _, s := range cluster {
 		if s == link {
@@ -184,7 +166,7 @@ func rhoEps(link int, cluster []int, eps float64, m distances) (float64, int) {
 // context is checked once per row of the statistics walk and once per
 // outer cluster — linkSegments makes each pair O(|ci|·|cj|) — so a
 // cancelled context aborts within one cluster's comparisons.
-func mergeClusters(ctx context.Context, clusters [][]int, m distances, p Params) ([][]int, error) {
+func mergeClusters(ctx context.Context, clusters [][]int, m dbscan.Matrix, p Params) ([][]int, error) {
 	n := len(clusters)
 	if n < 2 {
 		return clusters, nil

@@ -4,29 +4,46 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"protoclust/internal/dbscan"
 )
 
-// fakeDist is a distances fake backed by 1-D point positions.
-type fakeDist []float64
+// points lays 1-D point positions out as a condensed matrix: the
+// distance between points i and j is |xs[i] − xs[j]|, quantized as
+// every backend stores it.
+func points(xs ...float64) *dbscan.CondensedMatrix {
+	m, err := dbscan.NewCondensedMatrix(len(xs))
+	if err != nil {
+		panic(err)
+	}
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			m.Set(i, j, math.Abs(xs[i]-xs[j]))
+		}
+	}
+	return m
+}
 
-func (f fakeDist) Dist(i, j int) float64 { return math.Abs(f[i] - f[j]) }
+// q is a distance as the matrix stores it: |a − b| quantized.
+func q(a, b float64) float64 { return float64(dbscan.Quantize(math.Abs(a - b))) }
 
 func TestComputeStats(t *testing.T) {
-	// Points 0, 0.1, 0.2 → pairwise {0.1, 0.2, 0.1}.
-	m := fakeDist{0, 0.1, 0.2}
+	// Points 0, 0.1, 0.2 → pairwise {0.1, 0.2, 0.1}, as stored.
+	m := points(0, 0.1, 0.2)
 	sts, err := computeStats(context.Background(), [][]int{{0, 1, 2}}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := sts[0]
-	if math.Abs(st.meanD-(0.1+0.2+0.1)/3) > 1e-12 {
+	d01, d02, d12 := q(0, 0.1), q(0, 0.2), q(0.1, 0.2)
+	if math.Abs(st.meanD-(d01+d02+d12)/3) > 1e-12 {
 		t.Errorf("meanD = %v", st.meanD)
 	}
-	if math.Abs(st.dmax-0.2) > 1e-12 {
+	if math.Abs(st.dmax-d02) > 1e-12 {
 		t.Errorf("dmax = %v", st.dmax)
 	}
-	// 1-NN distances: 0.1, 0.1, 0.1 → median 0.1.
-	if math.Abs(st.minmed-0.1) > 1e-12 {
+	// 1-NN distances: d01, d01, d12 → median d01.
+	if math.Abs(st.minmed-d01) > 1e-12 {
 		t.Errorf("minmed = %v", st.minmed)
 	}
 }
@@ -34,14 +51,14 @@ func TestComputeStats(t *testing.T) {
 // TestComputeStatsRejectsOverlap pins that overlapping clusters are an
 // error: the statistics walk maps each point to one cluster.
 func TestComputeStatsRejectsOverlap(t *testing.T) {
-	m := fakeDist{0, 0.1, 0.2, 0.3}
+	m := points(0, 0.1, 0.2, 0.3)
 	if _, err := computeStats(context.Background(), [][]int{{0, 1, 2}, {2, 3}}, m); err == nil {
 		t.Fatal("overlapping clusters accepted")
 	}
 }
 
 func TestLinkSegments(t *testing.T) {
-	m := fakeDist{0, 1, 5, 6}
+	m := points(0, 1, 5, 6)
 	a, b, d := linkSegments([]int{0, 1}, []int{2, 3}, m)
 	if a != 1 || b != 2 {
 		t.Errorf("link = (%d,%d), want (1,2)", a, b)
@@ -52,11 +69,13 @@ func TestLinkSegments(t *testing.T) {
 }
 
 func TestRhoEps(t *testing.T) {
-	m := fakeDist{0, 0.1, 0.2, 0.9}
-	// Around point 0 with eps 0.25: neighbors at 0.1 and 0.2 → median 0.15.
+	m := points(0, 0.1, 0.2, 0.9)
+	// Around point 0 with eps 0.25: neighbors at 0.1 and 0.2 → median
+	// their mean, as stored.
+	want := (q(0, 0.1) + q(0, 0.2)) / 2
 	got, n := rhoEps(0, []int{0, 1, 2, 3}, 0.25, m)
-	if math.Abs(got-0.15) > 1e-12 || n != 2 {
-		t.Errorf("rhoEps = (%v,%d), want (0.15,2)", got, n)
+	if math.Abs(got-want) > 1e-12 || n != 2 {
+		t.Errorf("rhoEps = (%v,%d), want (%v,2)", got, n, want)
 	}
 	// Empty neighborhood → (0, 0).
 	if got, n := rhoEps(3, []int{0, 3}, 0.1, m); got != 0 || n != 0 {
@@ -67,7 +86,7 @@ func TestRhoEps(t *testing.T) {
 func TestMergeClustersJoinsNearbySimilarDensity(t *testing.T) {
 	// Two dense runs separated by a small gap — classic
 	// overclassification: ...0.0 0.1 0.2...  0.35 0.45 0.55...
-	m := fakeDist{0, 0.1, 0.2, 0.35, 0.45, 0.55}
+	m := points(0, 0.1, 0.2, 0.35, 0.45, 0.55)
 	clusters := [][]int{{0, 1, 2}, {3, 4, 5}}
 	p := DefaultParams()
 	out, _ := mergeClusters(context.Background(), clusters, m, p)
@@ -80,7 +99,7 @@ func TestMergeClustersJoinsNearbySimilarDensity(t *testing.T) {
 }
 
 func TestMergeClustersKeepsDistantApart(t *testing.T) {
-	m := fakeDist{0, 0.01, 0.02, 5, 5.01, 5.02}
+	m := points(0, 0.01, 0.02, 5, 5.01, 5.02)
 	clusters := [][]int{{0, 1, 2}, {3, 4, 5}}
 	out, _ := mergeClusters(context.Background(), clusters, m, DefaultParams())
 	if len(out) != 2 {
@@ -92,7 +111,7 @@ func TestMergeClustersKeepsDifferentDensityApart(t *testing.T) {
 	// Close clusters but very different densities: a tight clump and a
 	// sparse spread nearby. Condition 1 fails on the ε-density gap at
 	// the links (0.03 vs 0 ≥ 0.01) and Condition 2 on the minmed gap.
-	m := fakeDist{0, 0.03, 0.06, 0.3, 0.5, 0.7}
+	m := points(0, 0.03, 0.06, 0.3, 0.5, 0.7)
 	clusters := [][]int{{0, 1, 2}, {3, 4, 5}}
 	out, _ := mergeClusters(context.Background(), clusters, m, DefaultParams())
 	if len(out) != 2 {
@@ -101,7 +120,7 @@ func TestMergeClustersKeepsDifferentDensityApart(t *testing.T) {
 }
 
 func TestMergeClustersSkipsSingletons(t *testing.T) {
-	m := fakeDist{0, 0.1, 0.15}
+	m := points(0, 0.1, 0.15)
 	clusters := [][]int{{0, 1}, {2}}
 	out, _ := mergeClusters(context.Background(), clusters, m, DefaultParams())
 	if len(out) != 2 {
@@ -112,7 +131,7 @@ func TestMergeClustersSkipsSingletons(t *testing.T) {
 func TestMergeClustersTransitive(t *testing.T) {
 	// Three adjacent runs A-B-C: if A~B and B~C merge, all three must
 	// end up together via union-find.
-	m := fakeDist{0, 0.1, 0.2, 0.32, 0.42, 0.52, 0.64, 0.74, 0.84}
+	m := points(0, 0.1, 0.2, 0.32, 0.42, 0.52, 0.64, 0.74, 0.84)
 	clusters := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
 	out, _ := mergeClusters(context.Background(), clusters, m, DefaultParams())
 	if len(out) != 1 {
@@ -121,7 +140,7 @@ func TestMergeClustersTransitive(t *testing.T) {
 }
 
 func TestMergeSingleClusterNoop(t *testing.T) {
-	m := fakeDist{0, 1}
+	m := points(0, 1)
 	clusters := [][]int{{0, 1}}
 	out, _ := mergeClusters(context.Background(), clusters, m, DefaultParams())
 	if len(out) != 1 || len(out[0]) != 2 {

@@ -9,8 +9,8 @@
 //
 // Cluster does not expand clusters breadth-first. It finds them as the
 // connected components of the core points, in three passes over the
-// row suffixes in storage order (SuffixStreamer) and O(n) memory per
-// worker:
+// row suffixes in storage order (Matrix.StreamSuffix) and O(n) memory
+// per worker:
 //
 //  1. ε-degrees, self included, mark the core points.
 //  2. Union-find over the core–core ε-pairs joins them into components,
@@ -27,8 +27,7 @@
 // and the merge is exact (counts summed, forests joined by
 // smaller-root-wins unions, proposals by min), so the labels do not
 // depend on the split. Small matrices run inline on the calling
-// goroutine, and a Matrix without SuffixStreamer is read through Dist
-// there.
+// goroutine.
 //
 // The labels equal those of the textbook expansion seeded in index
 // order. That expansion starts each cluster at the smallest-index core
@@ -52,13 +51,24 @@ import (
 // Noise is the label assigned to points that belong to no cluster.
 const Noise = -1
 
-// Matrix provides pairwise dissimilarities between n points. Dist must
-// be symmetric with Dist(i,i) == 0.
+// Matrix is the read contract of every dissimilarity matrix: n points,
+// symmetric Dist with Dist(i,i) == 0, and the storage-order suffix
+// stream the full-matrix passes (DBSCAN, refinement statistics, k-NN,
+// the smallest positive distance) walk.
 type Matrix interface {
 	// Len returns the number of points.
 	Len() int
 	// Dist returns the dissimilarity between points i and j.
 	Dist(i, j int) float64
+	// StreamSuffix invokes fn with consecutive spans of row i's suffix —
+	// columns j > i, in ascending order, as Quantize'd values — jointly
+	// covering [i+1, n) exactly once; the last row yields nothing.
+	// Walking i = 0…n−1 therefore visits every unordered pair once, in
+	// lexicographic (i, j) order, reading a condensed triangle front to
+	// back instead of gathering each row's prefix with one cache miss
+	// per element. Spans alias storage or a reused buffer: consumers
+	// must not mutate them or retain them past fn's return.
+	StreamSuffix(i int, fn func(lo int, vals []float32))
 }
 
 // Result holds a clustering outcome.
@@ -94,20 +104,15 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadMinPts, minPts)
 	}
-	if s, ok := m.(SuffixStreamer); ok {
-		workers := runtime.GOMAXPROCS(0)
-		if vecmath.CheckedTriNum(n) < inlinePairs {
-			workers = 1
-		}
-		return cluster(newWalk(n, s.StreamSuffix, workers, bandPairs), eps, minPts), nil
+	workers := runtime.GOMAXPROCS(0)
+	if vecmath.CheckedTriNum(n) < inlinePairs {
+		workers = 1
 	}
-	// Nothing says a plain Matrix (a test fake) is safe for concurrent
-	// use, so it is read through Dist on the calling goroutine alone.
-	return cluster(newWalk(n, distSuffix(m), 1, bandPairs), eps, minPts), nil
+	return cluster(newWalk(m, workers, bandPairs), eps, minPts), nil
 }
 
 // cluster runs the three passes of the package doc on one banded walk.
-func cluster[T float32 | float64](w *walk[T], eps float64, minPts int) *Result {
+func cluster(w *walk, eps float64, minPts int) *Result {
 	n := w.n
 	// Pass 1: ε-degrees. Every point is its own neighbor (Dist(i, i) =
 	// 0 ≤ eps), so minPts = 1 makes every point core without a pass.
@@ -167,17 +172,18 @@ const inlinePairs = 1 << 16
 // goroutines, the calling one included, claim dynamically. Each pass
 // keeps one accumulator per worker and merges them exactly, so the
 // result does not depend on which worker read which band.
-type walk[T float32 | float64] struct {
+type walk struct {
 	n       int
-	stream  func(i int, fn func(lo int, vals []T))
+	stream  func(i int, fn func(lo int, vals []float32))
 	bands   []int // band b holds rows [bands[b], bands[b+1])
 	workers int
 }
 
-// newWalk cuts n rows into bands of about band pairs each for up to
+// newWalk cuts m's rows into bands of about band pairs each for up to
 // workers goroutines; one worker walks all rows as a single band.
-func newWalk[T float32 | float64](n int, stream func(i int, fn func(lo int, vals []T)), workers, band int) *walk[T] {
-	w := &walk[T]{n: n, stream: stream, bands: []int{0}}
+func newWalk(m Matrix, workers, band int) *walk {
+	n := m.Len()
+	w := &walk{n: n, stream: m.StreamSuffix, bands: []int{0}}
 	if workers > 1 {
 		acc := 0
 		for i := 0; i < n-1; i++ {
@@ -198,7 +204,7 @@ func newWalk[T float32 | float64](n int, stream func(i int, fn func(lo int, vals
 // [0, workers) names the goroutine visiting it (0 is the caller): each
 // k is used by one goroutine only, so visit may keep per-worker state
 // indexed by k without locking.
-func (w *walk[T]) run(visit func(k, lo, hi int)) {
+func (w *walk) run(visit func(k, lo, hi int)) {
 	nb := len(w.bands) - 1
 	var next atomic.Int64
 	claim := func(k int) {
@@ -220,14 +226,14 @@ func (w *walk[T]) run(visit func(k, lo, hi int)) {
 
 // degrees returns every point's number of ε-neighbors, itself
 // excluded: per-worker counts, summed.
-func (w *walk[T]) degrees(eps float64) []int {
+func (w *walk) degrees(eps float64) []int {
 	degs := make([][]int, w.workers)
 	w.run(func(k, lo, hi int) {
 		if degs[k] == nil {
 			degs[k] = make([]int, w.n)
 		}
 		deg, cnt := degs[k], 0
-		count := func(lo int, vals []T) {
+		count := func(lo int, vals []float32) {
 			ds := deg[lo : lo+len(vals)]
 			for o, d := range vals {
 				if float64(d) <= eps {
@@ -263,7 +269,7 @@ func (w *walk[T]) degrees(eps float64) []int {
 // forest's edges x → parent[x], which join the same points as the
 // pairs that built it, into one forest by smaller-root-wins unions
 // yields the components of all pairs.
-func (w *walk[T]) components(eps float64, core []bool) []int {
+func (w *walk) components(eps float64, core []bool) []int {
 	forests := make([][]int, w.workers)
 	w.run(func(k, lo, hi int) {
 		if forests[k] == nil {
@@ -271,7 +277,7 @@ func (w *walk[T]) components(eps float64, core []bool) []int {
 		}
 		// The walk keeps row i's root in ri, so each pair costs one find.
 		parent, ri := forests[k], 0
-		join := func(lo int, vals []T) {
+		join := func(lo int, vals []float32) {
 			for o, d := range vals {
 				if float64(d) <= eps && core[lo+o] {
 					switch rj := find(parent, lo+o); {
@@ -335,7 +341,7 @@ func find(parent []int, x int) int {
 // ε-adjacent core points, in one walk: a core row offers its id to the
 // candidates among its columns, and a candidate row takes the smallest
 // id among its core columns. Per-worker proposals are merged by min.
-func (w *walk[T]) borders(eps float64, core, cand []bool, labels []int) {
+func (w *walk) borders(eps float64, core, cand []bool, labels []int) {
 	props := make([][]int, w.workers)
 	w.run(func(k, lo, hi int) {
 		if props[k] == nil {
@@ -345,14 +351,14 @@ func (w *walk[T]) borders(eps float64, core, cand []bool, labels []int) {
 			}
 		}
 		prop, id := props[k], 0
-		offer := func(lo int, vals []T) {
+		offer := func(lo int, vals []float32) {
 			for o, d := range vals {
 				if b := lo + o; float64(d) <= eps && cand[b] && (prop[b] == Noise || id < prop[b]) {
 					prop[b] = id
 				}
 			}
 		}
-		take := func(lo int, vals []T) {
+		take := func(lo int, vals []float32) {
 			for o, d := range vals {
 				if c := lo + o; float64(d) <= eps && core[c] && (id == Noise || labels[c] < id) {
 					id = labels[c]
@@ -376,23 +382,6 @@ func (w *walk[T]) borders(eps float64, core, cand []bool, labels []int) {
 			if id != Noise && (labels[b] == Noise || id < labels[b]) {
 				labels[b] = id
 			}
-		}
-	}
-}
-
-// distSuffix streams a plain Matrix's row suffixes through Dist, in
-// float64 chunks, so its values compare against ε unquantized. The
-// chunk buffer is shared, so the stream serves one goroutine.
-func distSuffix(m Matrix) func(i int, fn func(lo int, vals []float64)) {
-	n := m.Len()
-	buf := make([]float64, min(n, 256))
-	return func(i int, fn func(lo int, vals []float64)) {
-		for lo := i + 1; lo < n; lo += len(buf) {
-			hi := min(lo+len(buf), n)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = m.Dist(i, j)
-			}
-			fn(lo, buf[:hi-lo])
 		}
 	}
 }

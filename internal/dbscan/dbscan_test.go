@@ -8,15 +8,25 @@ import (
 	"testing/quick"
 )
 
-// pointMatrix adapts 1-D points to the Matrix interface.
-type pointMatrix []float64
-
-func (p pointMatrix) Len() int              { return len(p) }
-func (p pointMatrix) Dist(i, j int) float64 { return math.Abs(p[i] - p[j]) }
+// points lays 1-D points out as a condensed matrix: the distance
+// between points i and j is |xs[i] − xs[j]|, quantized as every backend
+// stores it.
+func points(xs ...float64) *CondensedMatrix {
+	m, err := NewCondensedMatrix(len(xs))
+	if err != nil {
+		panic(err)
+	}
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			m.Set(i, j, math.Abs(xs[i]-xs[j]))
+		}
+	}
+	return m
+}
 
 func TestClusterErrors(t *testing.T) {
-	m := pointMatrix{1, 2}
-	if _, err := Cluster(pointMatrix{}, 1, 1); !errors.Is(err, ErrEmpty) {
+	m := points(1, 2)
+	if _, err := Cluster(points(), 1, 1); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty: err = %v", err)
 	}
 	if _, err := Cluster(m, 0, 1); !errors.Is(err, ErrBadEps) {
@@ -31,14 +41,14 @@ func TestClusterErrors(t *testing.T) {
 // comparison with NaN is false, so accepting it would label every point
 // Noise without complaint.
 func TestClusterRejectsNaNEps(t *testing.T) {
-	res, err := Cluster(pointMatrix{1, 2, 3}, math.NaN(), 1)
+	res, err := Cluster(points(1, 2, 3), math.NaN(), 1)
 	if !errors.Is(err, ErrBadEps) {
 		t.Fatalf("eps=NaN: err = %v, result %+v; want ErrBadEps", err, res)
 	}
 }
 
 func TestTwoWellSeparatedClusters(t *testing.T) {
-	pts := pointMatrix{0, 0.1, 0.2, 10, 10.1, 10.2}
+	pts := points(0, 0.1, 0.2, 10, 10.1, 10.2)
 	res, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -58,7 +68,7 @@ func TestTwoWellSeparatedClusters(t *testing.T) {
 }
 
 func TestNoisePoint(t *testing.T) {
-	pts := pointMatrix{0, 0.1, 0.2, 100}
+	pts := points(0, 0.1, 0.2, 100)
 	res, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -74,7 +84,7 @@ func TestNoisePoint(t *testing.T) {
 func TestBorderPointJoinsCluster(t *testing.T) {
 	// 0, 0.1, 0.2 form a dense core; 0.6 is within eps of 0.2 only —
 	// a border point that must join the cluster, not stay noise.
-	pts := pointMatrix{0, 0.1, 0.2, 0.6}
+	pts := points(0, 0.1, 0.2, 0.6)
 	res, err := Cluster(pts, 0.45, 3)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -85,7 +95,7 @@ func TestBorderPointJoinsCluster(t *testing.T) {
 }
 
 func TestAllNoise(t *testing.T) {
-	pts := pointMatrix{0, 10, 20, 30}
+	pts := points(0, 10, 20, 30)
 	res, err := Cluster(pts, 1, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -100,7 +110,7 @@ func TestAllNoise(t *testing.T) {
 }
 
 func TestMinPtsOneMakesEverythingCore(t *testing.T) {
-	pts := pointMatrix{0, 100}
+	pts := points(0, 100)
 	res, err := Cluster(pts, 1, 1)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -113,10 +123,11 @@ func TestMinPtsOneMakesEverythingCore(t *testing.T) {
 func TestChainedDensityConnectivity(t *testing.T) {
 	// A chain of points each within eps of the next should form one
 	// cluster through density reachability.
-	pts := make(pointMatrix, 20)
-	for i := range pts {
-		pts[i] = float64(i) * 0.4
+	xs := make([]float64, 20)
+	for i := range xs {
+		xs[i] = float64(i) * 0.4
 	}
+	pts := points(xs...)
 	res, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -127,7 +138,7 @@ func TestChainedDensityConnectivity(t *testing.T) {
 }
 
 func TestClustersAccessor(t *testing.T) {
-	pts := pointMatrix{0, 0.1, 5, 5.1, 99}
+	pts := points(0, 0.1, 5, 5.1, 99)
 	res, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -149,7 +160,7 @@ func TestClustersAccessor(t *testing.T) {
 }
 
 func TestLargestClusterShare(t *testing.T) {
-	pts := pointMatrix{0, 0.1, 0.2, 0.3, 10, 10.1}
+	pts := points(0, 0.1, 0.2, 0.3, 10, 10.1)
 	res, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -235,10 +246,11 @@ func TestSetSpan(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	pts := make(pointMatrix, 100)
-	for i := range pts {
-		pts[i] = rng.Float64() * 10
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = rng.Float64() * 10
 	}
+	pts := points(xs...)
 	first, err := Cluster(pts, 0.3, 3)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
@@ -262,10 +274,11 @@ func TestLabelPartitionProperty(t *testing.T) {
 	f := func(seed int64, epsRaw float64, minPtsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(60)
-		pts := make(pointMatrix, n)
-		for i := range pts {
-			pts[i] = rng.Float64() * 5
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64() * 5
 		}
+		pts := points(xs...)
 		eps := math.Mod(math.Abs(epsRaw), 2) + 0.01
 		minPts := int(minPtsRaw)%5 + 1
 		res, err := Cluster(pts, eps, minPts)
@@ -296,10 +309,11 @@ func TestClusterSizeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(40)
-		pts := make(pointMatrix, n)
-		for i := range pts {
-			pts[i] = rng.Float64() * 3
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64() * 3
 		}
+		pts := points(xs...)
 		res, err := Cluster(pts, 0.2, 3)
 		if err != nil {
 			return false

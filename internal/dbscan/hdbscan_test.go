@@ -7,19 +7,19 @@ import (
 )
 
 func TestHDBSCANErrors(t *testing.T) {
-	if _, err := HDBSCAN(pointMatrix{}, 2, 2); !errors.Is(err, ErrEmpty) {
+	if _, err := HDBSCAN(points(), 2, 2); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := HDBSCAN(pointMatrix{1, 2}, 0, 2); !errors.Is(err, ErrBadMinPts) {
+	if _, err := HDBSCAN(points(1, 2), 0, 2); !errors.Is(err, ErrBadMinPts) {
 		t.Errorf("minPts err = %v", err)
 	}
-	if _, err := HDBSCAN(pointMatrix{1, 2}, 2, 1); !errors.Is(err, ErrBadMinPts) {
+	if _, err := HDBSCAN(points(1, 2), 2, 1); !errors.Is(err, ErrBadMinPts) {
 		t.Errorf("minClusterSize err = %v", err)
 	}
 }
 
 func TestHDBSCANTinyInput(t *testing.T) {
-	res, err := HDBSCAN(pointMatrix{1, 2}, 2, 5)
+	res, err := HDBSCAN(points(1, 2), 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestHDBSCANTinyInput(t *testing.T) {
 
 func TestHDBSCANTwoClusters(t *testing.T) {
 	// Two tight groups of 6 with an isolated outlier.
-	pts := pointMatrix{
+	pts := points(
 		0, 0.05, 0.1, 0.15, 0.2, 0.25,
 		10, 10.05, 10.1, 10.15, 10.2, 10.25,
 		50,
-	}
+	)
 	res, err := HDBSCAN(pts, 3, 3)
 	if err != nil {
 		t.Fatalf("HDBSCAN: %v", err)
@@ -63,10 +63,11 @@ func TestHDBSCANTwoClusters(t *testing.T) {
 }
 
 func TestHDBSCANSingleCluster(t *testing.T) {
-	pts := make(pointMatrix, 12)
-	for i := range pts {
-		pts[i] = float64(i) * 0.01
+	xs := make([]float64, 12)
+	for i := range xs {
+		xs[i] = float64(i) * 0.01
 	}
+	pts := points(xs...)
 	res, err := HDBSCAN(pts, 3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -84,10 +85,10 @@ func TestHDBSCANSingleCluster(t *testing.T) {
 func TestHDBSCANVariableDensity(t *testing.T) {
 	// HDBSCAN's selling point: clusters of different densities. A tight
 	// clump near 0 and a loose clump near 100 must both be found.
-	pts := pointMatrix{
+	pts := points(
 		0, 0.01, 0.02, 0.03, 0.04,
 		100, 101, 102, 103, 104,
-	}
+	)
 	res, err := HDBSCAN(pts, 2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +100,11 @@ func TestHDBSCANVariableDensity(t *testing.T) {
 
 func TestHDBSCANDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pts := make(pointMatrix, 40)
-	for i := range pts {
-		pts[i] = rng.Float64() * 5
+	xs := make([]float64, 40)
+	for i := range xs {
+		xs[i] = rng.Float64() * 5
 	}
+	pts := points(xs...)
 	a, err := HDBSCAN(pts, 3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +122,11 @@ func TestHDBSCANDeterministic(t *testing.T) {
 
 func TestHDBSCANLabelRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	pts := make(pointMatrix, 50)
-	for i := range pts {
-		pts[i] = rng.Float64() * 3
+	xs := make([]float64, 50)
+	for i := range xs {
+		xs[i] = rng.Float64() * 3
 	}
+	pts := points(xs...)
 	res, err := HDBSCAN(pts, 3, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -8,25 +8,25 @@ import (
 )
 
 func TestOPTICSErrors(t *testing.T) {
-	if _, err := OPTICS(pointMatrix{}, 1, 2); !errors.Is(err, ErrEmpty) {
+	if _, err := OPTICS(points(), 1, 2); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := OPTICS(pointMatrix{1}, 0, 2); !errors.Is(err, ErrBadEps) {
+	if _, err := OPTICS(points(1), 0, 2); !errors.Is(err, ErrBadEps) {
 		t.Errorf("eps err = %v", err)
 	}
-	if _, err := OPTICS(pointMatrix{1}, 1, 0); !errors.Is(err, ErrBadMinPts) {
+	if _, err := OPTICS(points(1), 1, 0); !errors.Is(err, ErrBadMinPts) {
 		t.Errorf("minPts err = %v", err)
 	}
 }
 
 func TestOPTICSOrderingCoversAllPoints(t *testing.T) {
-	pts := pointMatrix{0, 0.1, 0.2, 5, 5.1, 5.2, 99}
+	pts := points(0, 0.1, 0.2, 5, 5.1, 5.2, 99)
 	order, err := OPTICS(pts, 10, 2)
 	if err != nil {
 		t.Fatalf("OPTICS: %v", err)
 	}
-	if len(order) != len(pts) {
-		t.Fatalf("order covers %d of %d points", len(order), len(pts))
+	if len(order) != pts.Len() {
+		t.Fatalf("order covers %d of %d points", len(order), pts.Len())
 	}
 	seen := make(map[int]bool)
 	for _, p := range order {
@@ -40,7 +40,7 @@ func TestOPTICSOrderingCoversAllPoints(t *testing.T) {
 func TestOPTICSReachabilityValleys(t *testing.T) {
 	// Two tight groups far apart: within-group reachability is small,
 	// the jump between groups is large.
-	pts := pointMatrix{0, 0.05, 0.1, 10, 10.05, 10.1}
+	pts := points(0, 0.05, 0.1, 10, 10.05, 10.1)
 	order, err := OPTICS(pts, 100, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +60,12 @@ func TestOPTICSReachabilityValleys(t *testing.T) {
 func TestExtractDBSCANMatchesDBSCAN(t *testing.T) {
 	// The OPTICS→DBSCAN extraction must find the same group structure as
 	// direct DBSCAN on well-separated data.
-	pts := pointMatrix{0, 0.1, 0.2, 5, 5.1, 5.2, 99}
+	pts := points(0, 0.1, 0.2, 5, 5.1, 5.2, 99)
 	order, err := OPTICS(pts, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ExtractDBSCAN(order, len(pts), 0.5)
+	got := ExtractDBSCAN(order, pts.Len(), 0.5)
 	want, err := Cluster(pts, 0.5, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +90,12 @@ func TestExtractDBSCANMatchesDBSCAN(t *testing.T) {
 }
 
 func TestExtractDBSCANAllNoise(t *testing.T) {
-	pts := pointMatrix{0, 10, 20}
+	pts := points(0, 10, 20)
 	order, err := OPTICS(pts, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ExtractDBSCAN(order, len(pts), 0.5)
+	res := ExtractDBSCAN(order, pts.Len(), 0.5)
 	if res.NumClusters != 0 {
 		t.Errorf("clusters = %d, want 0", res.NumClusters)
 	}
@@ -115,21 +115,22 @@ func TestOPTICSAgainstDBSCANRandom(t *testing.T) {
 	// fifth of the points may legitimately differ.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		pts := make(pointMatrix, 60)
-		for i := range pts {
-			pts[i] = rng.Float64() * 10
+		xs := make([]float64, 60)
+		for i := range xs {
+			xs[i] = rng.Float64() * 10
 		}
+		pts := points(xs...)
 		order, err := OPTICS(pts, 100, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := ExtractDBSCAN(order, len(pts), 0.3)
+		opt := ExtractDBSCAN(order, pts.Len(), 0.3)
 		db, err := Cluster(pts, 0.3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		optNon, dbNon := 0, 0
-		for i := range pts {
+		for i := range xs {
 			if opt.Labels[i] != Noise {
 				optNon++
 			}
@@ -141,7 +142,7 @@ func TestOPTICSAgainstDBSCANRandom(t *testing.T) {
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff > len(pts)/5 {
+		if diff > pts.Len()/5 {
 			t.Errorf("trial %d: OPTICS non-noise %d vs DBSCAN %d differ too much", trial, optNon, dbNon)
 		}
 	}

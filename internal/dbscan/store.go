@@ -11,10 +11,7 @@ import (
 // This file holds the storage side of the Matrix interface: the float32
 // quantization contract shared by every backend, sizing helpers with
 // overflow guards, the condensed upper-triangle backend, and the
-// streaming reads the matrix consumers iterate instead of assuming an
-// aliased full row: RowStreamer for whole rows, SuffixStreamer for the
-// storage-order passes (DBSCAN, refinement statistics, k-NN, the
-// smallest positive distance).
+// whole-row read the silhouette needs on top of Matrix (RowStreamer).
 
 // Quantize is the single float32 quantization point of the Matrix
 // boundary: every backend stores dissimilarities as float32 (values
@@ -52,32 +49,16 @@ func CondensedBytes(n int) (int64, error) {
 	return int64(vecmath.CheckedTriNum(n)) * 4, nil
 }
 
-// RowStreamer is the streaming row access every matrix backend
-// provides. StreamRow invokes fn with consecutive spans of row i in
+// RowStreamer is a Matrix that also streams whole rows; the silhouette
+// reads it. StreamRow invokes fn with consecutive spans of row i in
 // ascending column order, where vals[o] is Dist(i, lo+o) quantized to
 // float32. The spans jointly cover columns [0, n) exactly once,
 // including the zero diagonal entry, so consumers see the same values
-// in the same order as a j = 0…n−1 Dist loop. Per-row consumers that
-// need a whole row (the silhouette) use it; full-matrix passes use the
-// storage-order StreamSuffix instead.
-// Spans alias internal storage or a reused buffer: consumers must not
-// mutate them or retain them past fn's return.
+// in the same order as a j = 0…n−1 Dist loop. Spans follow the
+// aliasing rules of Matrix.StreamSuffix.
 type RowStreamer interface {
+	Matrix
 	StreamRow(i int, fn func(lo int, vals []float32))
-	SuffixStreamer
-}
-
-// SuffixStreamer is the storage-order read every matrix backend
-// provides. StreamSuffix invokes fn with consecutive spans of row i's
-// suffix — columns j > i, in ascending order, as Quantize'd values —
-// jointly covering [i+1, n) exactly once; the last row yields nothing.
-// Walking i = 0…n−1 therefore visits every unordered pair once, in
-// lexicographic (i, j) order, reading the condensed triangle
-// front to back instead of gathering each row's prefix with one cache
-// miss per element. Spans alias storage or a reused buffer, under the
-// same rules as StreamRow.
-type SuffixStreamer interface {
-	StreamSuffix(i int, fn func(lo int, vals []float32))
 }
 
 var _ RowStreamer = (*CondensedMatrix)(nil)
@@ -96,8 +77,6 @@ type CondensedMatrix struct {
 	data []float32
 	base []int // base[i] = offset of (i, j) minus j, for rows 0…n−2
 }
-
-var _ Matrix = (*CondensedMatrix)(nil)
 
 // NewCondensedMatrix allocates an n-point zero matrix in condensed
 // upper-triangle layout on the Go heap, or fails with ErrMatrixSize
@@ -243,14 +222,11 @@ func (c *CondensedMatrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 }
 
 // MinPositiveDist returns the smallest strictly positive dissimilarity
-// of a streaming matrix, or +Inf when every pair is identical. It
-// replaces materializing the full upper triangle (n(n−1)/2 float64s —
-// 10 GB at n = 50k) with a single storage-order pass over the row
-// suffixes; the minimum does not depend on the visiting order.
-func MinPositiveDist(m interface {
-	Matrix
-	RowStreamer
-}) float64 {
+// of m, or +Inf when every pair is identical. It replaces materializing
+// the full upper triangle (n(n−1)/2 float64s — 10 GB at n = 50k) with a
+// single storage-order pass over the row suffixes; the minimum does not
+// depend on the visiting order.
+func MinPositiveDist(m Matrix) float64 {
 	pos := math.Inf(1)
 	n := m.Len()
 	for i := 0; i < n; i++ {

@@ -106,14 +106,6 @@ func (p *Pool) Views() []canberra.View {
 	return canberra.NewViews(segments)
 }
 
-// store is what a matrix backend must provide: O(1) pair access plus
-// streaming row access with the shared quantization contract
-// (dbscan.Quantize), so every backend yields bit-identical distances.
-type store interface {
-	dbscan.Matrix
-	dbscan.RowStreamer
-}
-
 // Backend names accepted by Config.Backend.
 const (
 	// BackendAuto picks condensed when it fits the memory budget and
@@ -166,7 +158,10 @@ type Config struct {
 // frees the condensed storage (a mapping outside the Go heap, see
 // allocFloats) or the tiled backend's spill file.
 type Matrix struct {
-	store   store
+	// store is the backend: the condensed matrix or the tiled store,
+	// both under the shared quantization contract (dbscan.Quantize), so
+	// every backend yields bit-identical distances.
+	store   dbscan.RowStreamer
 	backend string
 	// owned marks a condensed store over allocFloats storage, which
 	// Close returns through freeFloats.
@@ -183,10 +178,7 @@ var openBytes atomic.Int64
 // once every such matrix is closed; the ownership tests check that.
 func OpenCondensedBytes() int64 { return openBytes.Load() }
 
-var (
-	_ dbscan.Matrix      = (*Matrix)(nil)
-	_ dbscan.RowStreamer = (*Matrix)(nil)
-)
+var _ dbscan.RowStreamer = (*Matrix)(nil)
 
 // ErrEmptyPool is returned when a matrix is requested for a pool with no
 // unique segments.
@@ -433,7 +425,7 @@ func (m *Matrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 }
 
 // StreamSuffix streams row i's columns j > i in storage order (see
-// dbscan.SuffixStreamer); the full-matrix passes — DBSCAN, refinement
+// dbscan.Matrix); the full-matrix passes — DBSCAN, refinement
 // statistics, k-NN, MinPositive — walk these instead of whole rows.
 func (m *Matrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamSuffix(i, fn)

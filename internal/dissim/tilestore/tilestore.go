@@ -12,8 +12,8 @@
 // (EncodeTiles), which the spill slots, the distributed shard wire and
 // the coordinator's assembly all use.
 //
-// The store serves the same dbscan.Matrix / dbscan.RowStreamer contract
-// as the condensed backend and stores values through the shared
+// The store serves the same dbscan.RowStreamer contract as the
+// condensed backend and stores values through the shared
 // dbscan.Quantize helper, so cluster labels and k-NN tables are
 // bit-identical to CondensedMatrix regardless of tile size, budget, or
 // eviction order (the backend-equivalence property tests enforce this).
@@ -195,10 +195,7 @@ type Store struct {
 	evicted  atomic.Int64
 }
 
-var (
-	_ dbscan.Matrix      = (*Store)(nil)
-	_ dbscan.RowStreamer = (*Store)(nil)
-)
+var _ dbscan.RowStreamer = (*Store)(nil)
 
 // New creates a tiled store over the given kernel views. Every view
 // must be non-empty (the kernel contract) and the penalty not NaN; ctx
@@ -252,9 +249,6 @@ func New(ctx context.Context, views []canberra.View, cfg Config) (*Store, error)
 
 // Len returns the number of points.
 func (s *Store) Len() int { return s.grid.N }
-
-// Backend identifies the store in diagnostics.
-func (s *Store) Backend() string { return "tiled" }
 
 // Err returns the first error the store's lazy computation hit (a
 // cancelled context), or nil. After a non-nil Err, tile contents are
@@ -350,7 +344,7 @@ func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
 // order: the diagonal tile's row from column r+1, then the row slices
 // of the tiles to its right. One call acquires no more tiles than one
 // StreamRow call and never gathers; a pass over all rows acquires each
-// tile once per row of it. See dbscan.SuffixStreamer for the contract.
+// tile once per row of it. See dbscan.Matrix for the contract.
 func (s *Store) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	ts := s.grid.TileSize
 	bi := i / ts

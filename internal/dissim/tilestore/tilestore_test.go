@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"protoclust/internal/canberra"
@@ -249,6 +250,120 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
+	}
+}
+
+// tileRef reads the matrix from ComputeTile directly: ref(i, j) is the
+// value tile (i/ts, j/ts) of the upper triangle holds for the pair.
+func tileRef(views []canberra.View, ts int) func(i, j int) float32 {
+	tiles := map[[2]int][]float32{}
+	return func(i, j int) float32 {
+		if i > j {
+			i, j = j, i
+		}
+		bi, bj := i/ts, j/ts
+		data, ok := tiles[[2]int{bi, bj}]
+		if !ok {
+			data = ComputeTile(views, canberra.DefaultPenalty, ts, bi, bj)
+			tiles[[2]int{bi, bj}] = data
+		}
+		return data[(i-bi*ts)*min(ts, len(views)-bj*ts)+j-bj*ts]
+	}
+}
+
+// checkAgainstTiles walks every row of s through StreamRow and every
+// pair through Dist, and demands ref's bits for each.
+func checkAgainstTiles(t *testing.T, s *Store, ref func(i, j int) float32) {
+	t.Helper()
+	n := s.Len()
+	for i := 0; i < n; i++ {
+		s.StreamRow(i, func(lo int, vals []float32) {
+			for o, d := range vals {
+				if w := ref(i, lo+o); math.Float32bits(d) != math.Float32bits(w) {
+					t.Fatalf("StreamRow(%d)[%d] = %v, ComputeTile has %v", i, lo+o, d, w)
+				}
+			}
+		})
+		for j := 0; j < n; j++ {
+			if got, w := s.Dist(i, j), float64(ref(i, j)); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("Dist(%d,%d) = %v, ComputeTile has %v", i, j, got, w)
+			}
+		}
+	}
+}
+
+// TestSpillShortReloadRecomputes truncates the spill file under a
+// one-tile budget once every tile is spilled: each later reload is
+// short, and the store must recompute the tile instead of serving it.
+func TestSpillShortReloadRecomputes(t *testing.T) {
+	const n, ts = 90, 16
+	views := testViews(t, n, 17)
+	s := newStore(t, views, Config{TileSize: ts, BudgetBytes: 1, SpillDir: t.TempDir(), Penalty: canberra.DefaultPenalty})
+	for i := 0; i < n; i++ {
+		s.StreamSuffix(i, func(int, []float32) {})
+	}
+	// The walk's last tile is still resident; reading tile (0, 0) back
+	// evicts and spills it, so every tile has a slot.
+	s.Dist(0, 1)
+	before := s.Stats()
+	if tiles := int64(s.grid.Tiles()); before.Spills != tiles {
+		t.Fatalf("Spills = %d, want all %d tiles spilled: %+v", before.Spills, tiles, before)
+	}
+	if err := s.spill.Truncate(s.slot / 2); err != nil {
+		t.Fatal(err)
+	}
+
+	checkAgainstTiles(t, s, tileRef(views, ts))
+	after := s.Stats()
+	if after.Reloads != before.Reloads {
+		t.Fatalf("Reloads went from %d to %d reading a truncated spill file", before.Reloads, after.Reloads)
+	}
+	if after.Computed <= before.Computed {
+		t.Fatalf("Computed stayed at %d: short reloads were not recomputed", after.Computed)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
+	}
+}
+
+// TestSpillFailedWriteRecomputes closes the spill file underneath a
+// store with a one-tile budget halfway through its first walk: every
+// later spill write and reload fails, and the store must recompute
+// evicted tiles instead of marking them spilled or serving them.
+func TestSpillFailedWriteRecomputes(t *testing.T) {
+	const n, ts = 90, 16
+	views := testViews(t, n, 19)
+	s, err := New(context.Background(), views, Config{TileSize: ts, BudgetBytes: 1, SpillDir: t.TempDir(), Penalty: canberra.DefaultPenalty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n/2; i++ {
+		s.StreamSuffix(i, func(int, []float32) {})
+	}
+	if err := s.spill.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if before.Spills == 0 {
+		t.Fatalf("no tiles spilled before the file was closed: %+v", before)
+	}
+
+	ref := tileRef(views, ts)
+	checkAgainstTiles(t, s, ref)
+	checkAgainstTiles(t, s, ref)
+	after := s.Stats()
+	if after.Spills != before.Spills || after.Reloads != before.Reloads {
+		t.Fatalf("spill traffic on a closed file: before %+v, after %+v", before, after)
+	}
+	if after.Computed <= before.Computed+int64(s.grid.Tiles()) {
+		t.Fatalf("Computed went from %d to %d over two walks of %d tiles: evicted tiles were not recomputed",
+			before.Computed, after.Computed, s.grid.Tiles())
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
+	}
+	if err := s.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close of the already closed spill file = %v, want os.ErrClosed", err)
 	}
 }
 

@@ -16,11 +16,10 @@ import (
 // s = (b − a) / max(a, b), where a is the mean intra-cluster distance
 // and b the smallest mean distance to any other cluster.
 //
-// When the matrix implements dbscan.RowStreamer the per-sample
-// accumulation streams spans instead of calling Dist n times.
-// Accumulation is strictly sequential in ascending sample order, so the
+// The per-sample accumulation streams each row's spans instead of
+// calling Dist n times. Accumulation is strictly sequential in ascending sample order, so the
 // result is deterministic for a given (matrix, labels) pair.
-func Silhouette(m dbscan.Matrix, labels []int) float64 {
+func Silhouette(m dbscan.RowStreamer, labels []int) float64 {
 	n := m.Len()
 	if len(labels) != n {
 		return 0
@@ -65,7 +64,6 @@ func Silhouette(m dbscan.Matrix, labels []int) float64 {
 		return 0
 	}
 
-	streamer, canStream := m.(dbscan.RowStreamer)
 	sums := make([]float64, len(sizes))
 	var total float64
 	var scored int
@@ -83,21 +81,13 @@ func Silhouette(m dbscan.Matrix, labels []int) float64 {
 		for c := range sums {
 			sums[c] = 0
 		}
-		if canStream {
-			streamer.StreamRow(i, func(lo int, vals []float32) {
-				for o, d := range vals {
-					if l := labels[lo+o]; l >= 0 {
-						sums[compact[l]] += float64(d)
-					}
-				}
-			})
-		} else {
-			for j := 0; j < n; j++ {
-				if l := labels[j]; l >= 0 {
-					sums[compact[l]] += m.Dist(i, j)
+		m.StreamRow(i, func(lo int, vals []float32) {
+			for o, d := range vals {
+				if l := labels[lo+o]; l >= 0 {
+					sums[compact[l]] += float64(d)
 				}
 			}
-		}
+		})
 		// The i-th sample contributed Dist(i,i) = 0 to its own cluster's
 		// sum, so the intra mean divides by size−1 without correction.
 		a := sums[ci] / float64(sizes[ci]-1)

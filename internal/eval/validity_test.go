@@ -2,17 +2,55 @@ package eval
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"protoclust/internal/dbscan"
 )
 
-// distOnly strips the RowStreamer fast path from a matrix so the Dist
-// fallback loop can be compared against the streaming accumulation.
-type distOnly struct{ m dbscan.Matrix }
-
-func (d distOnly) Len() int              { return d.m.Len() }
-func (d distOnly) Dist(i, j int) float64 { return d.m.Dist(i, j) }
+// silhouetteDistLoop is the reference silhouette: the same definition
+// and accumulation order as Silhouette, with each row read through a
+// j = 0…n−1 Dist loop instead of StreamRow.
+func silhouetteDistLoop(m dbscan.Matrix, labels []int) float64 {
+	n := m.Len()
+	sizes := map[int]int{}
+	for _, l := range labels {
+		if l >= 0 {
+			sizes[l]++
+		}
+	}
+	if len(sizes) < 2 {
+		return 0
+	}
+	var total float64
+	var scored int
+	for i, li := range labels {
+		if li < 0 {
+			continue
+		}
+		scored++
+		if sizes[li] < 2 {
+			continue
+		}
+		sums := map[int]float64{}
+		for j := 0; j < n; j++ {
+			if l := labels[j]; l >= 0 {
+				sums[l] += m.Dist(i, j)
+			}
+		}
+		a := sums[li] / float64(sizes[li]-1)
+		b := math.Inf(1)
+		for l, size := range sizes {
+			if l != li {
+				b = math.Min(b, sums[l]/float64(size))
+			}
+		}
+		if d := max(a, b); d > 0 {
+			total += (b - a) / d
+		}
+	}
+	return total / float64(scored)
+}
 
 // q round-trips a distance through the backends' float32 quantization
 // so hand-computed expectations match stored values exactly.
@@ -56,8 +94,29 @@ func TestSilhouetteSeparatedPairs(t *testing.T) {
 func TestSilhouetteStreamerMatchesDistLoop(t *testing.T) {
 	m := twoBlobs(t)
 	labels := []int{0, 0, 1, 1}
-	if s, d := Silhouette(m, labels), Silhouette(distOnly{m}, labels); s != d {
+	if s, d := Silhouette(m, labels), silhouetteDistLoop(m, labels); s != d {
 		t.Errorf("streamed = %v, dist loop = %v; want identical", s, d)
+	}
+
+	// A random matrix with noise, a singleton and sparse label ids.
+	rng := rand.New(rand.NewSource(7))
+	const n = 40
+	r, err := dbscan.NewCondensedMatrix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			r.Set(i, j, rng.Float64())
+		}
+	}
+	labels = make([]int, n)
+	for i := range labels {
+		labels[i] = []int{-1, 0, 3, 5}[rng.Intn(4)]
+	}
+	labels[n-1] = 9
+	if s, d := Silhouette(r, labels), silhouetteDistLoop(r, labels); s != d {
+		t.Errorf("random: streamed = %v, dist loop = %v; want identical", s, d)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"protoclust"
+	"protoclust/internal/core"
 	"protoclust/internal/sweep"
 )
 
@@ -42,10 +43,8 @@ func (r *SweepRequest) grid() (sweep.Grid, error) {
 		}
 	}
 	for _, cl := range r.Clusterers {
-		switch cl {
-		case "dbscan", "optics", "hdbscan":
-		default:
-			return g, fmt.Errorf("service: unknown clusterer %q", cl)
+		if err := core.CheckClusterer(cl); err != nil {
+			return g, err
 		}
 	}
 	for _, k := range r.Ks {

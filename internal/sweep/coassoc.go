@@ -40,10 +40,7 @@ type coassocMatrix[V uint16 | float64] struct {
 	votes []V
 }
 
-var (
-	_ dbscan.Matrix         = (*coassocMatrix[uint16])(nil)
-	_ dbscan.SuffixStreamer = (*coassocMatrix[uint16])(nil)
-)
+var _ dbscan.Matrix = (*coassocMatrix[uint16])(nil)
 
 // newCoassocMatrix allocates the vote triangle, honoring the memory
 // budget the dissimilarity matrix obeys (≤ 0 means unbounded here; the
@@ -106,7 +103,7 @@ func (c *coassocMatrix[V]) Dist(i, j int) float64 {
 const coassocChunk = 256
 
 // StreamSuffix yields row i's columns j > i — contiguous in the
-// triangle — as quantized float32 chunks (see dbscan.SuffixStreamer).
+// triangle — as quantized float32 chunks (see dbscan.Matrix).
 func (c *coassocMatrix[V]) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	if i+1 >= c.n {
 		return

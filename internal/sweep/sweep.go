@@ -319,9 +319,16 @@ type group struct {
 // Run executes the sweep. The context aborts every fan-out branch: a
 // cancelled context fails the whole run (it is the only error class
 // that does — per-configuration errors become skipped/failed entries).
+// An unknown clusterer name fails the run before any segmentation or
+// matrix build.
 func Run(ctx context.Context, tr *protoclust.Trace, o Options) (rep *Report, err error) {
 	if tr == nil || len(tr.Messages) == 0 {
 		return nil, errors.New("sweep: empty trace")
+	}
+	for _, cl := range o.Grid.Clusterers {
+		if err := core.CheckClusterer(cl); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
 	}
 	configs := o.Grid.Configs()
 	base := o.Base

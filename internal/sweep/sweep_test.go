@@ -76,6 +76,25 @@ func TestGridConfigsOrderAndDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownClustererEarly pins that a grid naming an
+// unknown clusterer fails the sweep before any matrix is built, rather
+// than after segmentation, the matrix build and auto-configuration as
+// a per-configuration failure.
+func TestRunRejectsUnknownClustererEarly(t *testing.T) {
+	built := 0
+	_, err := Run(context.Background(), ntpTrace(t, 50), Options{
+		Grid:        Grid{Segmenters: []string{"truth"}, Clusterers: []string{"bogus", "dbscan"}},
+		Base:        truthOptions(),
+		MatrixBuilt: func(string) { built++ },
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown clusterer "bogus"`) {
+		t.Fatalf("err = %v, want an unknown-clusterer error", err)
+	}
+	if built != 0 {
+		t.Fatalf("%d matrices built before the grid was rejected, want 0", built)
+	}
+}
+
 func TestParseEps(t *testing.T) {
 	good := map[string]EpsSource{
 		"knee":         {Mode: EpsKnee},
@@ -466,8 +485,8 @@ func TestParetoDominance(t *testing.T) {
 	}
 }
 
-// TestCoassocContract: the co-association matrix honors the Matrix and
-// SuffixStreamer contracts — StreamSuffix spans reproduce Dist exactly,
+// TestCoassocContract: the co-association matrix honors the Matrix
+// contract — StreamSuffix spans reproduce Dist exactly,
 // cover (i, n) in order, and values are float32-quantized.
 func TestCoassocContract(t *testing.T) {
 	const n = 300 // more than one coassocChunk per early row
