@@ -7,14 +7,14 @@ package canberra
 // costs one predictable indirect call per pair or run — noise next to
 // the loops behind it — and buys a single binary that runs everywhere.
 //
-// The CPU probe is the only selector: the arch kernel (avx2 on amd64,
-// neon on arm64) is active when its available() probe passes, scalar
-// otherwise. Every kernel returns the scalar kernel's bits, so the
-// choice moves speed only, never a stored distance. The probe for the
-// asm kernels checks real CPU features (e.g. AVX2+FMA and OS ymm-state
-// support via XGETBV), so a binary built with asm still falls back to
-// scalar on an old machine. Building with -tags noasm compiles the arch
-// kernels out and leaves scalar alone.
+// The CPU probe is the only selector: the arch kernel (avx2 on amd64)
+// is active when its available() probe passes, scalar otherwise; every
+// other architecture runs scalar. Every kernel returns the scalar
+// kernel's bits, so the choice moves speed only, never a stored
+// distance. The avx2 probe checks real CPU features (AVX2+FMA and OS
+// ymm-state support via XGETBV), so a binary built with asm still falls
+// back to scalar on an old machine. Building with -tags noasm compiles
+// the arch kernel out and leaves scalar alone.
 
 // kernelImpl is one full implementation of the kernel inner loops.
 type kernelImpl struct {

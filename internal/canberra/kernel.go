@@ -23,10 +23,9 @@ import (
 //     on distScalar), which keeps cluster labels identical no matter
 //     which kernel a host dispatches to.
 //   - dispatch.go selects among the registered kernel implementations
-//     (scalar everywhere; AVX2 on amd64, NEON on arm64 unless the
-//     noasm build tag is set) once at init, by CPU probe alone;
-//     building with -tags noasm is the way to run scalar on a host
-//     whose CPU runs an arch kernel.
+//     (scalar everywhere; AVX2 on amd64 unless the noasm build tag is
+//     set) once at init, by CPU probe alone; building with -tags noasm
+//     is the way to run scalar on a host whose CPU runs AVX2.
 //
 // Six ideas make the kernel fast:
 //
@@ -53,8 +52,8 @@ import (
 //
 //  5. Window-level parallelism. Adjacent window offsets read adjacent
 //     bytes of t, so several windows accumulate as independent lanes —
-//     two interleaved scalar chains here, four AVX2 (or two NEON)
-//     vector lanes in the asm kernels — and a lane past the abandon
+//     two interleaved scalar chains here, four AVX2 vector lanes in
+//     the asm kernel — and a lane past the abandon
 //     bound keeps accumulating harmlessly until every lane is past it.
 //
 //  6. Partner lanes from a lane-interleaved run. Real pools are mostly
@@ -137,7 +136,7 @@ var recipSum = func() [512]float64 {
 
 // term adds one Canberra term |a−b|/(a+b) to acc with a single fused
 // rounding: math.FMA is exact in the multiply, so every kernel — Go,
-// AVX2 (VFMADD231PD), NEON (FMLA) — produces the identical bit pattern
+// AVX2 (VFMADD231PD) — produces the identical bit pattern
 // for the same accumulation order. math.Abs compiles to a sign mask
 // (the reference's if d < 0 mispredicts half the time on random
 // content), and zero terms multiply out instead of being skipped.
@@ -223,9 +222,8 @@ func abandonScalar2(x, y0, y1 View, bound float64) (float64, float64) {
 // updates dmin iff its full raw sum beats the best full sum so far, and
 // abandoned windows return a partial sum that is ≥ the bound they were
 // scanned under ≥ the current best, so they can never be selected. The
-// SIMD variants exploit this by scanning four (AVX2) or two (NEON)
-// windows per batch under the batch-entry bound and still selecting
-// bit-identically.
+// AVX2 variant exploits this by scanning four windows per batch under
+// the batch-entry bound and still selecting bit-identically.
 func minWindowScalar(s, t View) float64 {
 	fls := float64(len(s))
 	dmin := 2.0
@@ -274,7 +272,7 @@ func minWindowScalar(s, t View) float64 {
 // abandoned early are exactly those that could not have updated dmin,
 // and the reciprocal-table fused terms differ from the reference's
 // divisions by at most 1 ulp each. Across kernels the contract is
-// stricter: every kernel (scalar, AVX2, NEON) returns the identical
+// stricter: every kernel (scalar, AVX2) returns the identical
 // bit pattern.
 func DissimViews(s, t View, pf float64) float64 {
 	return dissimViews(active, s, t, pf)

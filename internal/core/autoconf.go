@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"protoclust/internal/dissim"
-	"protoclust/internal/ecdf"
 	"protoclust/internal/kneedle"
 	"protoclust/internal/spline"
 	"protoclust/internal/vecmath"
@@ -146,12 +145,7 @@ func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Param
 			continue
 		}
 		slices.Sort(xs)
-		e, err := ecdf.New(xs)
-		if err != nil {
-			return nil, fmt.Errorf("core: ecdf: %w", err)
-		}
-		c := kCurve{k: k, raw: xs}
-		c.gap, _ = e.MaxStepGap()
+		c := kCurve{k: k, raw: xs, gap: maxStepGap(xs)}
 		// Repeated k-NN distances are vertical runs of the step function:
 		// handed to the spline and knee detector as-is they make the
 		// "curve" multi-valued in x. Collapse each run to one point per
@@ -294,4 +288,17 @@ func collapseSteps(sorted []float64) (xs, ys, fitYs, ws []float64) {
 		runStart = i + 1
 	}
 	return xs, ys, fitYs, ws
+}
+
+// maxStepGap returns the largest increase between consecutive values of
+// a sorted sample: the fallback sharpness δÊ_k of Algorithm 1, the δd at
+// the ECDF's sharpest drop. Fewer than two samples give 0.
+func maxStepGap(sorted []float64) float64 {
+	var gap float64
+	for i := 1; i < len(sorted); i++ {
+		if g := sorted[i] - sorted[i-1]; g > gap {
+			gap = g
+		}
+	}
+	return gap
 }

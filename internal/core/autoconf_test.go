@@ -227,6 +227,28 @@ func TestConfigureFallbackOnUniformDistances(t *testing.T) {
 	}
 }
 
+// TestMaxStepGap pins the fallback sharpness: the largest difference
+// between consecutive sorted values. One sample gives 0, repeated values
+// add no step, and a maximal gap counts wherever it sits. The values
+// are dyadic, so every difference is exact.
+func TestMaxStepGap(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sorted []float64
+		want   float64
+	}{
+		{"one sample", []float64{0.375}, 0},
+		{"all repeated", []float64{0.5, 0.5, 0.5}, 0},
+		{"repeats add no step", []float64{0.125, 0.125, 0.125, 0.25, 0.25, 0.3125}, 0.125},
+		{"first maximal gap", []float64{0, 0.5, 0.625, 1.125}, 0.5},
+		{"gap at the end", []float64{0.125, 0.25, 0.375, 0.875}, 0.5},
+	} {
+		if got := maxStepGap(tc.sorted); math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("%s: maxStepGap = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestMinSamplesScalesWithLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	_, m := poolFromValues(t, bimodalValues(rng, 80))

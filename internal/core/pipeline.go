@@ -47,8 +47,8 @@ type Result struct {
 	// is empty when the guard did not fire or Reconfigured is set.
 	// Diagnostics only: no report or service body carries it.
 	GuardNote string
-	// MergedFrom and SplitInto record how many raw DBSCAN clusters went
-	// into refinement and how many came out, for diagnostics.
+	// MergedFrom records how many raw DBSCAN clusters went into
+	// refinement, for diagnostics; len(Clusters) is how many came out.
 	MergedFrom int
 }
 
@@ -130,6 +130,9 @@ func BuildMatrix(ctx context.Context, segs []netmsg.Segment, p Params, build Mat
 // cluster pairs. A cancelled or expired context surfaces as an error
 // wrapping ctx.Err().
 func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params, build MatrixBuilder) (res *Result, err error) {
+	if err := CheckClusterer(p.Clusterer); err != nil {
+		return nil, err
+	}
 	pool, m, err := BuildMatrix(ctx, segs, p, build)
 	if err != nil {
 		return nil, err
@@ -148,6 +151,9 @@ func ClusterSegmentsContext(ctx context.Context, segs []netmsg.Segment, p Params
 // pipeline stages. It never closes m: the caller that built the matrix
 // may cluster it again.
 func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
+	if err := CheckClusterer(p.Clusterer); err != nil {
+		return nil, err
+	}
 	var (
 		cfg   *AutoConfig
 		table [][]float64 // k-NN table shared by both auto-configuration passes

@@ -380,12 +380,28 @@ func TestClusterSegmentsWithHDBSCAN(t *testing.T) {
 	}
 }
 
+// TestClusterSegmentsUnknownClusterer requires an unknown clusterer to
+// be rejected before any matrix is built, with the error prefixed once;
+// ClusterPoolContext rejects it before it reads the pool or matrix.
 func TestClusterSegmentsUnknownClusterer(t *testing.T) {
 	segs, _ := synthSegments(10, 24)
 	p := DefaultParams()
 	p.Clusterer = "kmeans"
-	if _, err := ClusterSegmentsContext(context.Background(), segs, p, nil); err == nil {
-		t.Error("unknown clusterer should error")
+	builds := 0
+	build := func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
+		builds++
+		return dissim.ComputeMatrixContext(ctx, pool, cfg)
+	}
+	const want = `core: unknown clusterer "kmeans"`
+	_, err := ClusterSegmentsContext(context.Background(), segs, p, build)
+	if err == nil || err.Error() != want {
+		t.Errorf("ClusterSegmentsContext err = %v, want %s", err, want)
+	}
+	if builds != 0 {
+		t.Errorf("matrix built %d times before the clusterer was checked", builds)
+	}
+	if _, err := ClusterPoolContext(context.Background(), nil, nil, p); err == nil || err.Error() != want {
+		t.Errorf("ClusterPoolContext err = %v, want %s", err, want)
 	}
 }
 

@@ -30,13 +30,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// SortedKeysFunc returns the keys of m sorted by the given comparison
-// function (as in slices.SortFunc). The sort is stable with respect to
-// the sorted-key order of equal elements only if less is a total
-// order; supply a tie-breaker when it is not.
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, compare func(a, b K) int) []K {
-	keys := Keys(m)
-	slices.SortFunc(keys, compare)
-	return keys
-}

@@ -30,25 +30,6 @@ func TestSortedKeysStableAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestSortedKeysFunc(t *testing.T) {
-	type key struct{ a, b int }
-	m := map[key]bool{
-		{2, 1}: true,
-		{1, 2}: true,
-		{1, 1}: true,
-	}
-	got := SortedKeysFunc(m, func(x, y key) int {
-		if d := x.a - y.a; d != 0 {
-			return d
-		}
-		return x.b - y.b
-	})
-	want := []key{{1, 1}, {1, 2}, {2, 1}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("SortedKeysFunc = %v, want %v", got, want)
-	}
-}
-
 func TestKeysCoversMap(t *testing.T) {
 	m := map[string]int{"a": 1, "b": 2}
 	keys := Keys(m)

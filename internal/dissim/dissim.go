@@ -86,16 +86,6 @@ func NewPool(segs []netmsg.Segment) *Pool {
 // Size returns the number of unique segments (the paper's n).
 func (p *Pool) Size() int { return len(p.Unique) }
 
-// TotalOccurrences returns the number of concrete (non-excluded)
-// segments behind the pool.
-func (p *Pool) TotalOccurrences() int {
-	var n int
-	for _, occ := range p.Occurrences {
-		n += len(occ)
-	}
-	return n
-}
-
 // Views converts every unique segment into a kernel view, once, in
 // pool order over one backing array (canberra.NewViews).
 func (p *Pool) Views() []canberra.View {

@@ -50,8 +50,8 @@ func TestNewPoolDedupAndExclusion(t *testing.T) {
 	if len(p.Excluded) != 1 {
 		t.Fatalf("Excluded = %d, want 1", len(p.Excluded))
 	}
-	if p.TotalOccurrences() != 3 {
-		t.Errorf("TotalOccurrences = %d, want 3", p.TotalOccurrences())
+	if n := len(p.Occurrences[0]) + len(p.Occurrences[1]); n != 3 {
+		t.Errorf("occurrences = %d, want 3", n)
 	}
 	// Deterministic ordering by value.
 	if p.Unique[0].Bytes()[0] != 1 || p.Unique[1].Bytes()[0] != 3 {

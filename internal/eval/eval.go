@@ -148,19 +148,3 @@ func Coverage(res *core.Result, tr *netmsg.Trace) float64 {
 	cov := float64(res.CoveredBytes()) / float64(total)
 	return math.Min(cov, 1)
 }
-
-// ExactBoundaryShare returns the fraction of unique segments whose
-// boundaries exactly match a true field — a segmentation-quality
-// diagnostic used in the Figure 3 discussion.
-func ExactBoundaryShare(res *core.Result) float64 {
-	if len(res.Pool.Unique) == 0 {
-		return 0
-	}
-	exact := 0
-	for _, s := range res.Pool.Unique {
-		if _, ok := s.DominantTrueType(); ok {
-			exact++
-		}
-	}
-	return float64(exact) / float64(len(res.Pool.Unique))
-}

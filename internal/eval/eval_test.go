@@ -188,14 +188,6 @@ func TestCoverageEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestExactBoundaryShare(t *testing.T) {
-	res, _ := buildResult(t)
-	// Segments were exactly the true fields.
-	if got := ExactBoundaryShare(res); got != 1 {
-		t.Errorf("ExactBoundaryShare = %v, want 1 for ground-truth segments", got)
-	}
-}
-
 // Property: metrics stay in range and FScore is between min and max of
 // precision and recall for arbitrary cluster compositions.
 func TestMetricsRangeProperty(t *testing.T) {

@@ -22,11 +22,10 @@ import (
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc: "flag ==/!= on floating-point operands in the numeric packages " +
-		"(vecmath, canberra, ecdf, kneedle, spline, dissim, core) outside sentinel helpers",
+		"(vecmath, canberra, kneedle, spline, dissim, core) outside sentinel helpers",
 	Applies: scopedTo(
 		"protoclust/internal/vecmath",
 		"protoclust/internal/canberra",
-		"protoclust/internal/ecdf",
 		"protoclust/internal/kneedle",
 		"protoclust/internal/spline",
 		"protoclust/internal/dissim",

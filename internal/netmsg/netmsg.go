@@ -9,9 +9,7 @@
 package netmsg
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -178,17 +176,6 @@ func (t *Trace) Deduplicate() *Trace {
 	return out
 }
 
-// Truncate returns a new trace containing at most n messages (the
-// evaluation truncates traces to 100 and 1000 messages).
-func (t *Trace) Truncate(n int) *Trace {
-	if n >= len(t.Messages) {
-		n = len(t.Messages)
-	}
-	out := &Trace{Protocol: t.Protocol}
-	out.Messages = append(out.Messages, t.Messages[:n]...)
-	return out
-}
-
 // Validate checks the ground truth of every message in the trace.
 func (t *Trace) Validate() error {
 	for i, m := range t.Messages {
@@ -211,35 +198,11 @@ func (t *Trace) TrueSegments() []Segment {
 	return segs
 }
 
-// UniqueValues groups segments by byte value. The returned keys are
-// sorted for determinism; each group holds all segments sharing that
-// value.
-func UniqueValues(segs []Segment) (keys []string, groups map[string][]Segment) {
-	groups = make(map[string][]Segment)
-	for _, s := range segs {
-		groups[string(s.Bytes())] = append(groups[string(s.Bytes())], s)
-	}
-	keys = make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, groups
-}
-
 // SegmentsEqual reports whether two segments cover the same byte range
 // of the same message.
 func SegmentsEqual(a, b Segment) bool {
 	return a.Msg == b.Msg && a.Offset == b.Offset && a.Length == b.Length
 }
-
-// HexDump renders a segment's bytes as lowercase hex, for reports.
-func (s Segment) HexDump() string {
-	return fmt.Sprintf("%x", s.Bytes())
-}
-
-// BytesEqual reports whether two segments carry identical values.
-func BytesEqual(a, b Segment) bool { return bytes.Equal(a.Bytes(), b.Bytes()) }
 
 func min(a, b int) int {
 	if a < b {

@@ -132,16 +132,6 @@ func TestDeduplicate(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	tr := &Trace{Messages: []*Message{{}, {}, {}}}
-	if got := tr.Truncate(2); len(got.Messages) != 2 {
-		t.Errorf("Truncate(2) kept %d messages", len(got.Messages))
-	}
-	if got := tr.Truncate(99); len(got.Messages) != 3 {
-		t.Errorf("Truncate(99) kept %d messages, want all 3", len(got.Messages))
-	}
-}
-
 func TestTrueSegments(t *testing.T) {
 	m := msgWithFields([]byte{0, 1, 2, 3}, []Field{
 		{Name: "a", Offset: 0, Length: 2, Type: TypeUint16},
@@ -157,23 +147,7 @@ func TestTrueSegments(t *testing.T) {
 	}
 }
 
-func TestUniqueValues(t *testing.T) {
-	m := &Message{Data: []byte{7, 7, 9, 9, 7, 7}}
-	segs := []Segment{
-		{m, 0, 2}, // 0707
-		{m, 2, 2}, // 0909
-		{m, 4, 2}, // 0707 duplicate value
-	}
-	keys, groups := UniqueValues(segs)
-	if len(keys) != 2 {
-		t.Fatalf("unique values = %d, want 2", len(keys))
-	}
-	if len(groups[string([]byte{7, 7})]) != 2 {
-		t.Errorf("group for 0707 has %d segments, want 2", len(groups[string([]byte{7, 7})]))
-	}
-}
-
-func TestSegmentsEqualAndBytesEqual(t *testing.T) {
+func TestSegmentsEqual(t *testing.T) {
 	m1 := &Message{Data: []byte{1, 2, 3}}
 	m2 := &Message{Data: []byte{1, 2, 3}}
 	a := Segment{m1, 0, 2}
@@ -184,16 +158,6 @@ func TestSegmentsEqualAndBytesEqual(t *testing.T) {
 	}
 	if SegmentsEqual(a, c) {
 		t.Error("segments of different messages must not be SegmentsEqual")
-	}
-	if !BytesEqual(a, c) {
-		t.Error("same values must be BytesEqual")
-	}
-}
-
-func TestHexDump(t *testing.T) {
-	m := &Message{Data: []byte{0xde, 0xad}}
-	if got := (Segment{m, 0, 2}).HexDump(); got != "dead" {
-		t.Errorf("HexDump = %q, want %q", got, "dead")
 	}
 }
 
@@ -210,34 +174,6 @@ func TestDeduplicateIdempotentProperty(t *testing.T) {
 			return false
 		}
 		return len(d1.Messages) == len(d2.Messages)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: UniqueValues groups account for every input segment.
-func TestUniqueValuesPartitionProperty(t *testing.T) {
-	f := func(data []byte, cuts []uint8) bool {
-		if len(data) == 0 {
-			return true
-		}
-		m := &Message{Data: data}
-		var segs []Segment
-		for _, c := range cuts {
-			off := int(c) % len(data)
-			l := 1 + int(c)%3
-			if off+l > len(data) {
-				continue
-			}
-			segs = append(segs, Segment{m, off, l})
-		}
-		_, groups := UniqueValues(segs)
-		total := 0
-		for _, g := range groups {
-			total += len(g)
-		}
-		return total == len(segs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,18 +1,18 @@
 // Package oracle provides small, obviously-correct reference
 // implementations of the numeric algorithms at the heart of the
-// clustering pipeline: textbook DBSCAN, naive ECDF evaluation,
-// percentile and percent-rank statistics, Kneedle's discrete difference
-// curve, O(n²) cluster-refinement statistics, the least-squares
-// cubic B-spline fitted over every basis function at every point, and
-// Netzob's star alignment with the consensus recounted per message.
+// clustering pipeline: textbook DBSCAN, percentile and percent-rank
+// statistics, Kneedle's discrete difference curve, O(n²)
+// cluster-refinement statistics, the least-squares cubic B-spline
+// fitted over every basis function at every point, and Netzob's star
+// alignment with the consensus recounted per message.
 //
 // Nothing in this package is optimized; every function favors the most
 // direct transcription of its definition. The production packages
-// (internal/dbscan, internal/ecdf, internal/vecmath, internal/kneedle,
-// internal/spline, internal/core, internal/segment/netzob) are checked
-// against these references by differential and metamorphic tests under
-// randomized inputs, so the fast paths can keep evolving without
-// silently drifting from the paper's semantics.
+// (internal/dbscan, internal/vecmath, internal/kneedle, internal/spline,
+// internal/core, internal/segment/netzob) are checked against these
+// references by differential and metamorphic tests under randomized
+// inputs, so the fast paths can keep evolving without silently drifting
+// from the paper's semantics.
 //
 // The package deliberately imports none of the production packages it
 // verifies — an oracle that shares code with the subject under test

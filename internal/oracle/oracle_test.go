@@ -42,25 +42,6 @@ func TestDBSCANBorderJoinsLowestCluster(t *testing.T) {
 	}
 }
 
-func TestECDFEvalAndQuantile(t *testing.T) {
-	samples := []float64{3, 1, 2, 2}
-	if got := ECDFEval(samples, 2); got != 0.75 {
-		t.Errorf("Ê(2) = %v, want 0.75", got)
-	}
-	if got := ECDFEval(samples, 0.5); got != 0 {
-		t.Errorf("Ê(0.5) = %v, want 0", got)
-	}
-	if got := ECDFQuantile(samples, 0.5); got != 2 {
-		t.Errorf("quantile(0.5) = %v, want 2", got)
-	}
-	if got := ECDFQuantile(samples, 1); got != 3 {
-		t.Errorf("quantile(1) = %v, want 3", got)
-	}
-	if !math.IsNaN(ECDFEval(nil, 1)) {
-		t.Error("empty ECDF should evaluate to NaN")
-	}
-}
-
 func TestPercentileHandWorked(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct{ p, want float64 }{

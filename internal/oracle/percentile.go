@@ -2,37 +2,6 @@ package oracle
 
 import "math"
 
-// ECDFEval returns Ê(x) = |{s ∈ samples : s ≤ x}| / n by direct
-// counting, with no sorting or binary search. NaN for empty input.
-func ECDFEval(samples []float64, x float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	count := 0
-	for _, s := range samples {
-		if s <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(samples))
-}
-
-// ECDFQuantile returns the smallest sample value v with Ê(v) ≥ q by
-// scanning every sample as a candidate — O(n²) and definitionally
-// correct. q ≤ 0 yields the minimum sample, q ≥ 1 the maximum.
-func ECDFQuantile(samples []float64, q float64) float64 {
-	if q > 1 {
-		q = 1
-	}
-	best := math.Inf(1)
-	for _, v := range samples {
-		if v < best && (q <= 0 || ECDFEval(samples, v) >= q) {
-			best = v
-		}
-	}
-	return best
-}
-
 // Percentile computes the p-th percentile of xs under the
 // C = 1 ("linear", R type 7) convention: the value at fractional rank
 // r = p/100·(n−1) of the ascending order statistics, linearly

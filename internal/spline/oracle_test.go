@@ -30,8 +30,7 @@ func requireFitMatchesOracle(t *testing.T, name string, xs, ys, ws []float64, nC
 	for _, k := range got.knots {
 		probes = append(probes, k, math.Nextafter(k, math.Inf(-1)), math.Nextafter(k, math.Inf(1)))
 	}
-	lo, hi := got.Domain()
-	probes = append(probes, lo-1, hi+1, math.Inf(-1), math.Inf(1), math.NaN())
+	probes = append(probes, got.lo-1, got.hi+1, math.Inf(-1), math.Inf(1), math.NaN())
 	for _, x := range probes {
 		if g, w := got.Eval(x), want.Eval(x); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: Eval(%v) = %v (%#x), oracle %v (%#x)", name, x, g, math.Float64bits(g), w, math.Float64bits(w))

@@ -26,7 +26,7 @@ import (
 
 const degree = 3 // cubic
 
-// Errors returned by Fit.
+// Errors returned by FitWeighted.
 var (
 	ErrTooFewPoints = errors.New("spline: need at least two data points")
 	ErrBadControl   = errors.New("spline: need at least degree+1 control points")
@@ -41,19 +41,15 @@ type Spline struct {
 	hi    float64   // domain upper bound
 }
 
-// Fit fits a cubic B-spline with nCtrl control points to the samples
-// (xs[i], ys[i]) by least squares. xs must be non-decreasing and span a
-// positive interval. Smaller nCtrl yields stronger smoothing.
-func Fit(xs, ys []float64, nCtrl int) (*Spline, error) {
-	return FitWeighted(xs, ys, nil, nCtrl)
-}
-
-// FitWeighted is Fit with a per-sample weight: each sample contributes
-// ws[i] times to the least-squares objective, exactly as if it appeared
-// ws[i] times in the input. This lets callers collapse tied abscissae
-// (e.g. vertical runs of an ECDF) into one point per distinct x without
-// changing where the fit puts its mass. A nil ws means unit weights;
-// non-positive weights drop the sample from the objective.
+// FitWeighted fits a cubic B-spline with nCtrl control points to the
+// samples (xs[i], ys[i]) by least squares. xs must be non-decreasing
+// and span a positive interval. Smaller nCtrl yields stronger
+// smoothing. Each sample contributes ws[i] times to the least-squares
+// objective, exactly as if it appeared ws[i] times in the input. This
+// lets callers collapse tied abscissae (e.g. vertical runs of an ECDF)
+// into one point per distinct x without changing where the fit puts its
+// mass. A nil ws means unit weights; non-positive weights drop the
+// sample from the objective.
 func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 	if len(xs) < 2 || len(xs) != len(ys) {
 		return nil, ErrTooFewPoints
@@ -165,24 +161,15 @@ func (s *Spline) Eval(x float64) float64 {
 	return y
 }
 
-// Domain returns the fitted x interval.
-func (s *Spline) Domain() (lo, hi float64) { return s.lo, s.hi }
-
-// Smooth fits a spline to (xs, ys) and returns the smoothed ordinates at
-// the same xs. The smoothness parameter in (0, 1] controls the number of
-// control points relative to the number of samples: smaller values mean
-// stronger smoothing. When fitting fails (degenerate inputs), the
+// SmoothWeighted fits a spline to (xs, ys) with per-sample weights
+// (see FitWeighted) and returns the smoothed ordinates at the same xs.
+// The smoothness parameter in (0, 1] controls the number of control
+// points relative to the total weight — the effective sample count —
+// rather than the number of distinct points, so a population collapsed
+// from n tied samples to m distinct values is smoothed as strongly as
+// the uncollapsed one; smaller values mean stronger smoothing. A nil ws
+// means unit weights. When fitting fails (degenerate inputs), the
 // original ys are returned unchanged so callers can proceed.
-func Smooth(xs, ys []float64, smoothness float64) []float64 {
-	return SmoothWeighted(xs, ys, nil, smoothness)
-}
-
-// SmoothWeighted is Smooth with per-sample weights (see FitWeighted).
-// The control-point count scales with the total weight — the effective
-// sample count — rather than the number of distinct points, so a
-// population collapsed from n tied samples to m distinct values is
-// smoothed as strongly as the uncollapsed one. A nil ws means unit
-// weights.
 func SmoothWeighted(xs, ys, ws []float64, smoothness float64) []float64 {
 	if smoothness <= 0 || smoothness > 1 {
 		smoothness = 0.1

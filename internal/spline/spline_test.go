@@ -12,13 +12,13 @@ import (
 )
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([]float64{1}, []float64{1}, 8); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := FitWeighted([]float64{1}, []float64{1}, nil, 8); !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("single point: err = %v, want ErrTooFewPoints", err)
 	}
-	if _, err := Fit([]float64{1, 2}, []float64{1, 2}, 2); !errors.Is(err, ErrBadControl) {
+	if _, err := FitWeighted([]float64{1, 2}, []float64{1, 2}, nil, 2); !errors.Is(err, ErrBadControl) {
 		t.Errorf("too few control points: err = %v, want ErrBadControl", err)
 	}
-	if _, err := Fit([]float64{1, 1, 1, 1, 1}, []float64{1, 2, 3, 4, 5}, 4); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := FitWeighted([]float64{1, 1, 1, 1, 1}, []float64{1, 2, 3, 4, 5}, nil, 4); !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("degenerate domain: err = %v, want wrapped ErrTooFewPoints", err)
 	}
 }
@@ -30,9 +30,9 @@ func TestFitReproducesLine(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 2*x + 1
 	}
-	sp, err := Fit(xs, ys, 8)
+	sp, err := FitWeighted(xs, ys, nil, 8)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitWeighted: %v", err)
 	}
 	for _, x := range []float64{0, 1.7, 5, 9.99, 10} {
 		want := 2*x + 1
@@ -49,9 +49,9 @@ func TestFitReproducesCubic(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = f(x)
 	}
-	sp, err := Fit(xs, ys, 12)
+	sp, err := FitWeighted(xs, ys, nil, 12)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitWeighted: %v", err)
 	}
 	for _, x := range []float64{-2, -1, 0, 0.5, 2} {
 		if got := sp.Eval(x); math.Abs(got-f(x)) > 1e-4 {
@@ -66,9 +66,9 @@ func TestEvalClampsOutsideDomain(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = x
 	}
-	sp, err := Fit(xs, ys, 5)
+	sp, err := FitWeighted(xs, ys, nil, 5)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitWeighted: %v", err)
 	}
 	if got := sp.Eval(-5); math.Abs(got-sp.Eval(0)) > 1e-12 {
 		t.Errorf("Eval(-5) = %v, want boundary value %v", got, sp.Eval(0))
@@ -87,7 +87,7 @@ func TestSmoothReducesNoise(t *testing.T) {
 		clean[i] = math.Sin(x)
 		noisy[i] = clean[i] + rng.NormFloat64()*0.1
 	}
-	smooth := Smooth(xs, noisy, 0.08)
+	smooth := SmoothWeighted(xs, noisy, nil, 0.08)
 	var errNoisy, errSmooth float64
 	for i := range xs {
 		errNoisy += math.Abs(noisy[i] - clean[i])
@@ -100,7 +100,7 @@ func TestSmoothReducesNoise(t *testing.T) {
 
 func TestSmoothDegenerateReturnsCopy(t *testing.T) {
 	ys := []float64{1, 2}
-	out := Smooth([]float64{3, 3}, ys, 0.5)
+	out := SmoothWeighted([]float64{3, 3}, ys, nil, 0.5)
 	if len(out) != 2 || out[0] != 1 || out[1] != 2 {
 		t.Errorf("Smooth on degenerate domain = %v, want copy of ys", out)
 	}
@@ -116,7 +116,7 @@ func TestSmoothBadSmoothnessDefaults(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = x * x
 	}
-	out := Smooth(xs, ys, -1)
+	out := SmoothWeighted(xs, ys, nil, -1)
 	if len(out) != len(xs) {
 		t.Fatalf("Smooth returned %d values, want %d", len(out), len(xs))
 	}
@@ -169,7 +169,7 @@ func TestSmoothStaysNearRangeProperty(t *testing.T) {
 			xs[i] = float64(i)
 			ys[i] = rng.Float64()
 		}
-		out := Smooth(xs, ys, 0.2)
+		out := SmoothWeighted(xs, ys, nil, 0.2)
 		lo, hi := vecmath.Min(ys), vecmath.Max(ys)
 		margin := (hi-lo)*0.5 + 0.1
 		for _, y := range out {

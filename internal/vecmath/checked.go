@@ -69,12 +69,3 @@ func CheckedUint32(v int) uint32 {
 	}
 	return uint32(v)
 }
-
-// CheckedUint16 converts a non-negative int to uint16, panicking when
-// the value does not fit.
-func CheckedUint16(v int) uint16 {
-	if v < 0 || v > math.MaxUint16 {
-		panic(fmt.Sprintf("vecmath: CheckedUint16 of out-of-range value %d", v))
-	}
-	return uint16(v)
-}

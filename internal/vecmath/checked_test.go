@@ -87,10 +87,4 @@ func TestCheckedNarrowing(t *testing.T) {
 	}
 	mustPanic(t, "uint32 negative", func() { CheckedUint32(-1) })
 	mustPanic(t, "uint32 too large", func() { CheckedUint32(math.MaxUint32 + 1) })
-
-	if got := CheckedUint16(math.MaxUint16); got != math.MaxUint16 {
-		t.Errorf("CheckedUint16(MaxUint16) = %d", got)
-	}
-	mustPanic(t, "uint16 negative", func() { CheckedUint16(-1) })
-	mustPanic(t, "uint16 too large", func() { CheckedUint16(math.MaxUint16 + 1) })
 }

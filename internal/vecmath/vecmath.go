@@ -1,6 +1,7 @@
 // Package vecmath provides small numeric helpers shared by the
-// clustering pipeline: means, medians, standard deviation, percentiles,
-// percent rank, and argmax/argmin over float64 slices.
+// clustering pipeline: means, medians, standard deviation, minimum and
+// maximum, percentiles, percent rank, and even spacing over float64
+// slices.
 //
 // All functions treat their inputs as read-only; functions that need to
 // sort operate on an internal copy.
@@ -75,34 +76,6 @@ func Max(xs []float64) float64 {
 	return max
 }
 
-// ArgMax returns the index of the largest element of xs, or -1 for an
-// empty slice. Ties resolve to the first occurrence.
-func ArgMax(xs []float64) int {
-	idx := -1
-	max := math.Inf(-1)
-	for i, x := range xs {
-		if x > max {
-			max = x
-			idx = i
-		}
-	}
-	return idx
-}
-
-// ArgMin returns the index of the smallest element of xs, or -1 for an
-// empty slice. Ties resolve to the first occurrence.
-func ArgMin(xs []float64) int {
-	idx := -1
-	min := math.Inf(1)
-	for i, x := range xs {
-		if x < min {
-			min = x
-			idx = i
-		}
-	}
-	return idx
-}
-
 // Percentile returns the p-th percentile of xs under the C = 1
 // ("linear", R type 7, NumPy default) convention: the value at
 // fractional rank p/100·(n−1) of the ascending order statistics, with
@@ -162,19 +135,6 @@ func PercentRank(xs []float64, v float64) float64 {
 	return (float64(below) + float64(equal)/2) / float64(len(xs)) * 100
 }
 
-// Diff returns the successive differences xs[i+1]-xs[i]. The result has
-// length len(xs)-1, or is nil when xs has fewer than two elements.
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
-}
-
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 // n must be at least 2.
 func Linspace(lo, hi float64, n int) []float64 {
@@ -188,15 +148,4 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -94,19 +94,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestArgMaxArgMin(t *testing.T) {
-	xs := []float64{1, 5, 5, 0}
-	if got := ArgMax(xs); got != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgMin(xs); got != 3 {
-		t.Errorf("ArgMin = %d, want 3", got)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("ArgMax/ArgMin of nil should be -1")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
@@ -154,22 +141,6 @@ func TestPercentRank(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9})
-	want := []float64{3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Diff length = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i]) {
-			t.Errorf("Diff[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if Diff([]float64{1}) != nil {
-		t.Error("Diff of single element should be nil")
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	got := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -180,18 +151,6 @@ func TestLinspace(t *testing.T) {
 	}
 	if got[len(got)-1] != 1 {
 		t.Error("Linspace must end exactly at hi")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Errorf("Clamp(5,0,1) = %v", got)
-	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Errorf("Clamp(-5,0,1) = %v", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Errorf("Clamp(0.5,0,1) = %v", got)
 	}
 }
 

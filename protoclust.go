@@ -86,11 +86,14 @@ type Options struct {
 	// one of SegmenterTruth, SegmenterNEMESYS, SegmenterNetzob,
 	// SegmenterCSP. Default: SegmenterNEMESYS.
 	Segmenter string
-	// Deduplicate drops duplicate payloads before analysis (Section
-	// III-A). Default: true (disable only for experiments).
+	// NoDeduplicate keeps duplicate payloads. By default they are
+	// dropped before analysis (Section III-A); set it only for
+	// experiments.
 	NoDeduplicate bool
-	// Params exposes every pipeline tunable; zero fields fall back to
-	// the paper's configuration.
+	// Params exposes every pipeline tunable. Only the all-zero value
+	// falls back, to core.DefaultParams (the paper's configuration); a
+	// Params with any field set is used as given, so start from
+	// core.DefaultParams and override fields.
 	Params core.Params
 }
 
@@ -171,6 +174,9 @@ func AnalyzeWithMatrixBuilder(ctx context.Context, tr *Trace, o Options, build c
 	}
 	if o.Params == (core.Params{}) {
 		o.Params = core.DefaultParams()
+	}
+	if err := core.CheckClusterer(o.Params.Clusterer); err != nil {
+		return nil, err
 	}
 	var timings []StageTiming
 	stage := func(name string, start time.Time) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"protoclust"
+	"protoclust/internal/dissim"
 	"protoclust/internal/pcap"
 )
 
@@ -44,6 +45,33 @@ func TestAnalyzeUnknownSegmenter(t *testing.T) {
 	o.Segmenter = "wireshark"
 	if _, err := protoclust.AnalyzeContext(context.Background(), tr, o); err == nil {
 		t.Error("unknown segmenter should error")
+	}
+}
+
+// TestAnalyzeUnknownClusterer requires an unknown clusterer to be
+// rejected before segmentation: the cancelled context would fail the
+// truth segmenter, and the matrix builder must never run.
+func TestAnalyzeUnknownClusterer(t *testing.T) {
+	tr, err := protoclust.GenerateTrace("ntp", 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := protoclust.DefaultOptions()
+	o.Segmenter = protoclust.SegmenterTruth
+	o.Params.Clusterer = "kmeans"
+	builds := 0
+	build := func(ctx context.Context, pool *dissim.Pool, cfg dissim.Config) (*dissim.Matrix, error) {
+		builds++
+		return dissim.ComputeMatrixContext(ctx, pool, cfg)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const want = `core: unknown clusterer "kmeans"`
+	if _, err := protoclust.AnalyzeWithMatrixBuilder(ctx, tr, o, build); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+	if builds != 0 {
+		t.Errorf("matrix built %d times before the clusterer was checked", builds)
 	}
 }
 
