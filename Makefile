@@ -58,7 +58,7 @@ test-service:
 # one core and at an odd count unlike the runner's (-count=1: the test
 # cache does not key on GOMAXPROCS).
 test-oracle:
-	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/ ./internal/segment/netzob/
+	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/ ./internal/segment/netzob/ ./internal/eval/
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
 	GOMAXPROCS=5 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
 

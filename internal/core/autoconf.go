@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
 	"protoclust/internal/kneedle"
 	"protoclust/internal/spline"
@@ -250,9 +251,9 @@ func quantileEpsilon(ac *AutoConfig, raw []float64, m *dissim.Matrix, q float64)
 	ac.Epsilon = vecmath.Percentile(raw, q*100)
 	if ac.Epsilon <= 0 {
 		// All candidate distances are zero — pick the smallest positive
-		// pairwise dissimilarity, or give up. MinPositive streams the
-		// matrix instead of materializing the n(n−1)/2 upper triangle.
-		pos := m.MinPositive()
+		// pairwise dissimilarity, or give up. MinPositiveDist streams
+		// the matrix instead of materializing the n(n−1)/2 upper triangle.
+		pos := dbscan.MinPositiveDist(m)
 		if err := m.Err(); err != nil {
 			return fmt.Errorf("core: auto-configuration: %w", err)
 		}

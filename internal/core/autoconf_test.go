@@ -357,7 +357,7 @@ func TestQuantileEpsilonAllIdentical(t *testing.T) {
 }
 
 // TestQuantileEpsilonCanceledTiledWalk pins that a cancelled tiled
-// matrix surfaces its cancellation from the MinPositive fallback: the
+// matrix surfaces its cancellation from the MinPositiveDist fallback: the
 // cut-short walk reads zeroed tiles and finds no positive distance, and
 // reporting that as ErrAllIdentical would hide the cancellation from
 // callers that requeue cancelled work.

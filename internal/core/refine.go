@@ -22,26 +22,6 @@ type clusterStats struct {
 	minmed float64
 }
 
-// statsAcc accumulates the intra-cluster pairs of every cluster at
-// once: the running sum and maximum per cluster, and each point's
-// 1-NN distance within its cluster.
-type statsAcc struct {
-	sum, dmax, mins []float64
-}
-
-func (a *statsAcc) add(c, i, j int, d float64) {
-	a.sum[c] += d
-	if d > a.dmax[c] {
-		a.dmax[c] = d
-	}
-	if d < a.mins[i] {
-		a.mins[i] = d
-	}
-	if d < a.mins[j] {
-		a.mins[j] = d
-	}
-}
-
 // computeStats returns the statistics of every cluster from one walk
 // over the row suffixes, in O(n) memory: lab maps each point to its
 // cluster, and each pair (i < j) of one cluster feeds that cluster's
@@ -68,13 +48,11 @@ func computeStats(ctx context.Context, clusters [][]int, m dbscan.Matrix) ([]clu
 	for i := range lab {
 		lab[i] = -1
 	}
-	acc := statsAcc{
-		sum:  make([]float64, len(clusters)),
-		dmax: make([]float64, len(clusters)),
-		mins: make([]float64, len(lab)),
-	}
+	sum := make([]float64, len(clusters))
+	dmax := make([]float64, len(clusters))
+	mins := make([]float64, len(lab))
 	for ci, c := range clusters {
-		acc.dmax[ci] = math.Inf(-1)
+		dmax[ci] = math.Inf(-1)
 		if len(c) < 2 {
 			continue
 		}
@@ -83,7 +61,7 @@ func computeStats(ctx context.Context, clusters [][]int, m dbscan.Matrix) ([]clu
 				return nil, fmt.Errorf("core: refinement: segment %d is in two clusters", p)
 			}
 			lab[p] = ci
-			acc.mins[p] = math.Inf(1)
+			mins[p] = math.Inf(1)
 		}
 	}
 
@@ -98,12 +76,31 @@ func computeStats(ctx context.Context, clusters [][]int, m dbscan.Matrix) ([]clu
 			if lo >= len(lab) {
 				return
 			}
-			labs := lab[lo:min(lo+len(vals), len(lab))]
+			// Cluster c's sum and maximum and row i's minimum live in
+			// locals for the span; the additions keep their order. The
+			// comparisons stay explicit: the builtin min and max treat
+			// −0 and NaN differently.
+			s, mx, mn := sum[c], dmax[c], mins[i]
+			end := min(lo+len(vals), len(lab))
+			labs, cols := lab[lo:end], mins[lo:end]
+			vals = vals[:len(labs)]
 			for o, l := range labs {
-				if l == c {
-					acc.add(c, i, lo+o, float64(vals[o]))
+				if l != c {
+					continue
+				}
+				d := float64(vals[o])
+				s += d
+				if d > mx {
+					mx = d
+				}
+				if d < mn {
+					mn = d
+				}
+				if d < cols[o] {
+					cols[o] = d
 				}
 			}
+			sum[c], dmax[c], mins[i] = s, mx, mn
 		})
 	}
 
@@ -112,14 +109,14 @@ func computeStats(ctx context.Context, clusters [][]int, m dbscan.Matrix) ([]clu
 		if len(c) < 2 {
 			continue
 		}
-		mins := make([]float64, len(c))
+		nn := make([]float64, len(c))
 		for k, p := range c {
-			mins[k] = acc.mins[p]
+			nn[k] = mins[p]
 		}
 		stats[ci] = clusterStats{
-			meanD:  acc.sum[ci] / float64(vecmath.CheckedTriNum(len(c))),
-			dmax:   acc.dmax[ci],
-			minmed: vecmath.Median(mins),
+			meanD:  sum[ci] / float64(vecmath.CheckedTriNum(len(c))),
+			dmax:   dmax[ci],
+			minmed: vecmath.Median(nn),
 		}
 	}
 	return stats, nil

@@ -54,7 +54,7 @@ const Noise = -1
 // Matrix is the read contract of every dissimilarity matrix: n points,
 // symmetric Dist with Dist(i,i) == 0, and the storage-order suffix
 // stream the full-matrix passes (DBSCAN, refinement statistics, k-NN,
-// the smallest positive distance) walk.
+// the silhouette, the smallest positive distance) walk.
 type Matrix interface {
 	// Len returns the number of points.
 	Len() int

@@ -10,8 +10,7 @@ import (
 
 // This file holds the storage side of the Matrix interface: the float32
 // quantization contract shared by every backend, sizing helpers with
-// overflow guards, the condensed upper-triangle backend, and the
-// whole-row read the silhouette needs on top of Matrix (RowStreamer).
+// overflow guards, and the condensed upper-triangle backend.
 
 // Quantize is the single float32 quantization point of the Matrix
 // boundary: every backend stores dissimilarities as float32 (values
@@ -48,25 +47,6 @@ func CondensedBytes(n int) (int64, error) {
 	}
 	return int64(vecmath.CheckedTriNum(n)) * 4, nil
 }
-
-// RowStreamer is a Matrix that also streams whole rows; the silhouette
-// reads it. StreamRow invokes fn with consecutive spans of row i in
-// ascending column order, where vals[o] is Dist(i, lo+o) quantized to
-// float32. The spans jointly cover columns [0, n) exactly once,
-// including the zero diagonal entry, so consumers see the same values
-// in the same order as a j = 0…n−1 Dist loop. Spans follow the
-// aliasing rules of Matrix.StreamSuffix.
-type RowStreamer interface {
-	Matrix
-	StreamRow(i int, fn func(lo int, vals []float32))
-}
-
-var _ RowStreamer = (*CondensedMatrix)(nil)
-
-// zeroSpan is the shared single-entry diagonal span emitted by
-// condensed StreamRow. Consumers must not mutate spans (RowStreamer
-// contract), so one read-only instance serves every row.
-var zeroSpan = []float32{0}
 
 // CondensedMatrix is a Matrix storing only the strict upper triangle:
 // n(n−1)/2 float32 entries, half the footprint of a full n×n layout.
@@ -183,33 +163,6 @@ func (c *CondensedMatrix) SetSpan(i, lo int, vals []float32) {
 	start := c.off(i, lo)
 	c.off(i, lo+len(vals)-1) // bounds the span's end to row i
 	copy(c.data[start:start+len(vals)], vals)
-}
-
-// condensedChunk bounds the prefix-gather span length: large enough to
-// amortize the callback, small enough to stay L1-resident.
-const condensedChunk = 256
-
-// StreamRow yields row i as gathered prefix chunks (columns j < i, one
-// strided element per preceding row), the shared zero diagonal span,
-// and the contiguous suffix (columns j > i) aliasing storage directly.
-func (c *CondensedMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	if i > 0 {
-		buf := make([]float32, min(condensedChunk, i))
-		// off(j, i) for consecutive j differs by n−j−2, so the gather
-		// walks the column with incremental indexing instead of a
-		// multiplication per element.
-		o := c.off(0, i)
-		for lo := 0; lo < i; lo += condensedChunk {
-			hi := min(lo+condensedChunk, i)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = c.data[o]
-				o += c.n - j - 2
-			}
-			fn(lo, buf[:hi-lo])
-		}
-	}
-	fn(i, zeroSpan)
-	c.StreamSuffix(i, fn)
 }
 
 // StreamSuffix yields row i's suffix as one span aliasing storage: the

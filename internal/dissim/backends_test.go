@@ -46,7 +46,7 @@ func buildBackends(t *testing.T, pool *Pool) map[string]*Matrix {
 
 // TestBackendEquivalenceProperty is the cross-backend property test:
 // on randomized pools, every storage backend must produce distances,
-// row and row-suffix streams, k-NN tables, and MinPositive bit-identical
+// row-suffix streams, k-NN tables, and MinPositiveDist bit-identical
 // to ComputeReference's. The reference stores through the condensed
 // layout too, but pair by pair; the tiled backend keeps its own layout,
 // so a condensed offset bug cannot hide in both sides of the
@@ -71,28 +71,6 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				}
 			}
 
-			// StreamRow must replay the exact Dist row scan: same values,
-			// same ascending-column order, covering [0, n) exactly once.
-			for i := 0; i < n; i++ {
-				row := make([]float32, 0, n)
-				next := 0
-				m.StreamRow(i, func(lo int, vals []float32) {
-					if lo != next {
-						t.Fatalf("seed %d: %s StreamRow(%d) span at %d, want %d", seed, name, i, lo, next)
-					}
-					next = lo + len(vals)
-					row = append(row, vals...)
-				})
-				if next != n {
-					t.Fatalf("seed %d: %s StreamRow(%d) covered %d cols, want %d", seed, name, i, next, n)
-				}
-				for j, d32 := range row {
-					if w := dbscan.Quantize(ref.Dist(i, j)); math.Float32bits(d32) != math.Float32bits(w) {
-						t.Fatalf("seed %d: %s StreamRow(%d) col %d = %v, reference = %v", seed, name, i, j, d32, w)
-					}
-				}
-			}
-
 			const kmax = 6
 			got, err := m.KNNTable(kmax)
 			if err != nil {
@@ -111,8 +89,8 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				}
 			}
 
-			if g, w := m.MinPositive(), ref.MinPositive(); math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("seed %d: %s MinPositive = %v, reference = %v", seed, name, g, w)
+			if g, w := dbscan.MinPositiveDist(m), dbscan.MinPositiveDist(ref); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d: %s MinPositiveDist = %v, reference = %v", seed, name, g, w)
 			}
 
 			// StreamSuffix must replay the row after its diagonal:

@@ -151,7 +151,7 @@ type Matrix struct {
 	// store is the backend: the condensed matrix or the tiled store,
 	// both under the shared quantization contract (dbscan.Quantize), so
 	// every backend yields bit-identical distances.
-	store   dbscan.RowStreamer
+	store   dbscan.Matrix
 	backend string
 	// owned marks a condensed store over allocFloats storage, which
 	// Close returns through freeFloats.
@@ -168,7 +168,7 @@ var openBytes atomic.Int64
 // once every such matrix is closed; the ownership tests check that.
 func OpenCondensedBytes() int64 { return openBytes.Load() }
 
-var _ dbscan.RowStreamer = (*Matrix)(nil)
+var _ dbscan.Matrix = (*Matrix)(nil)
 
 // ErrEmptyPool is returned when a matrix is requested for a pool with no
 // unique segments.
@@ -408,15 +408,10 @@ func (m *Matrix) Len() int { return m.store.Len() }
 // Dist returns the dissimilarity between unique segments i and j.
 func (m *Matrix) Dist(i, j int) float64 { return m.store.Dist(i, j) }
 
-// StreamRow streams row i span by span in ascending column order (see
-// dbscan.RowStreamer); neither backend stores a full row to alias.
-func (m *Matrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	m.store.StreamRow(i, fn)
-}
-
 // StreamSuffix streams row i's columns j > i in storage order (see
 // dbscan.Matrix); the full-matrix passes — DBSCAN, refinement
-// statistics, k-NN, MinPositive — walk these instead of whole rows.
+// statistics, k-NN, the silhouette, the smallest positive distance —
+// walk these instead of whole rows.
 func (m *Matrix) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamSuffix(i, fn)
 }
@@ -463,12 +458,4 @@ func (m *Matrix) ResidentBytes() int64 {
 		return r.ResidentBytes()
 	}
 	return 0
-}
-
-// MinPositive returns the smallest strictly positive dissimilarity in
-// the matrix, or +Inf when every pair is identical — the ε fallback of
-// the auto-configuration, computed in one streaming pass instead of
-// materializing the upper triangle.
-func (m *Matrix) MinPositive() float64 {
-	return dbscan.MinPositiveDist(m.store)
 }

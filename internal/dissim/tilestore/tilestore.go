@@ -12,8 +12,10 @@
 // (EncodeTiles), which the spill slots, the distributed shard wire and
 // the coordinator's assembly all use.
 //
-// The store serves the same dbscan.RowStreamer contract as the
-// condensed backend and stores values through the shared
+// The store serves the same dbscan.Matrix contract as the condensed
+// backend: its suffix walkers (DBSCAN, refinement statistics, k-NN,
+// the silhouette, the smallest positive distance) read tile row slices
+// and never gather. It stores values through the shared
 // dbscan.Quantize helper, so cluster labels and k-NN tables are
 // bit-identical to CondensedMatrix regardless of tile size, budget, or
 // eviction order (the backend-equivalence property tests enforce this).
@@ -195,7 +197,7 @@ type Store struct {
 	evicted  atomic.Int64
 }
 
-var _ dbscan.RowStreamer = (*Store)(nil)
+var _ dbscan.Matrix = (*Store)(nil)
 
 // New creates a tiled store over the given kernel views. Every view
 // must be non-empty (the kernel contract) and the penalty not NaN; ctx
@@ -308,43 +310,11 @@ func (s *Store) Dist(i, j int) float64 {
 	return float64(data[row+c])
 }
 
-// StreamRow yields row i tile by tile in ascending column order:
-// gathered tile columns for blocks left of the diagonal, then row
-// slices of the diagonal and right-of-diagonal tiles (which include
-// the zero diagonal entry). See dbscan.RowStreamer for the contract.
-func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
-	ts := s.grid.TileSize
-	bi := i / ts
-	r := i - bi*ts
-	var buf []float32
-	for bj := 0; bj < s.grid.NB; bj++ {
-		switch {
-		case bj < bi:
-			data := s.acquire(bj, bi)
-			rows, cols := s.grid.Dim(bj), s.grid.Dim(bi)
-			if buf == nil {
-				buf = make([]float32, ts)
-			}
-			off := r // column r of successive tile rows, stride cols
-			for a := 0; a < rows; a++ {
-				buf[a] = data[off]
-				off += cols
-			}
-			fn(bj*ts, buf[:rows])
-		default:
-			data := s.acquire(bi, bj)
-			cols := s.grid.Dim(bj)
-			lo := r * cols // hoisted: r < Dim(bi), len(data) = Dim(bi)*cols
-			fn(bj*ts, data[lo:lo+cols])
-		}
-	}
-}
-
 // StreamSuffix yields row i's suffix (columns j > i) in ascending
 // order: the diagonal tile's row from column r+1, then the row slices
-// of the tiles to its right. One call acquires no more tiles than one
-// StreamRow call and never gathers; a pass over all rows acquires each
-// tile once per row of it. See dbscan.Matrix for the contract.
+// of the tiles to its right. It never gathers; a pass over all rows
+// acquires each tile once per row of it. See dbscan.Matrix for the
+// contract.
 func (s *Store) StreamSuffix(i int, fn func(lo int, vals []float32)) {
 	ts := s.grid.TileSize
 	bi := i / ts
@@ -505,10 +475,12 @@ func (s *Store) computeTile(bi, bj int) []float32 {
 
 // ComputeTile builds one tile (bi ≤ bj) of the upper-triangle tile grid
 // over views through the batched kernel. Diagonal tiles are full
-// squares mirrored from their upper half so row slices serve StreamRow
-// directly; values pass through dbscan.Quantize, the single float32
-// boundary every backend shares. Exported so distributed shard workers
-// compute the byte-for-byte identical tiles a local tiled build would.
+// squares mirrored from their upper half, because spill slots and the
+// shard wire carry full squares (their bytes are pinned by the shard
+// digest and spill tests). Values pass through dbscan.Quantize, the
+// single float32 boundary every backend shares. Exported so distributed
+// shard workers compute the byte-for-byte identical tiles a local tiled
+// build would.
 func ComputeTile(views []canberra.View, penalty float64, tileSize, bi, bj int) []float32 {
 	n := len(views)
 	r0, c0 := bi*tileSize, bj*tileSize

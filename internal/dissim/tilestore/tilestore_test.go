@@ -220,7 +220,7 @@ func TestSpillRoundTrip(t *testing.T) {
 
 	// First pass populates and spills.
 	for i := 0; i < n; i++ {
-		s.StreamRow(i, func(lo int, vals []float32) {})
+		s.StreamSuffix(i, func(lo int, vals []float32) {})
 	}
 	first := s.Stats()
 	if first.Spills == 0 {
@@ -230,8 +230,11 @@ func TestSpillRoundTrip(t *testing.T) {
 	// Second pass: verify values; reloads must occur and computation
 	// must not restart from scratch.
 	for i := 0; i < n; i++ {
-		next := 0
-		s.StreamRow(i, func(lo int, vals []float32) {
+		next := i + 1
+		s.StreamSuffix(i, func(lo int, vals []float32) {
+			if lo != next {
+				t.Fatalf("StreamSuffix(%d) span at %d, want %d", i, lo, next)
+			}
 			for o, d32 := range vals {
 				j := lo + o
 				if w := oracle(views, canberra.DefaultPenalty, i, j); math.Float32bits(d32) != math.Float32bits(w) {
@@ -241,7 +244,7 @@ func TestSpillRoundTrip(t *testing.T) {
 			next = lo + len(vals)
 		})
 		if next != n {
-			t.Fatalf("StreamRow(%d) covered %d columns, want %d", i, next, n)
+			t.Fatalf("StreamSuffix(%d) covered up to %d, want %d", i, next, n)
 		}
 	}
 	second := s.Stats()
@@ -271,16 +274,17 @@ func tileRef(views []canberra.View, ts int) func(i, j int) float32 {
 	}
 }
 
-// checkAgainstTiles walks every row of s through StreamRow and every
-// pair through Dist, and demands ref's bits for each.
+// checkAgainstTiles walks every row suffix of s through StreamSuffix
+// and every pair of the full square through Dist, and demands ref's
+// bits for each.
 func checkAgainstTiles(t *testing.T, s *Store, ref func(i, j int) float32) {
 	t.Helper()
 	n := s.Len()
 	for i := 0; i < n; i++ {
-		s.StreamRow(i, func(lo int, vals []float32) {
+		s.StreamSuffix(i, func(lo int, vals []float32) {
 			for o, d := range vals {
 				if w := ref(i, lo+o); math.Float32bits(d) != math.Float32bits(w) {
-					t.Fatalf("StreamRow(%d)[%d] = %v, ComputeTile has %v", i, lo+o, d, w)
+					t.Fatalf("StreamSuffix(%d)[%d] = %v, ComputeTile has %v", i, lo+o, d, w)
 				}
 			}
 		})

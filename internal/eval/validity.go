@@ -16,10 +16,14 @@ import (
 // s = (b − a) / max(a, b), where a is the mean intra-cluster distance
 // and b the smallest mean distance to any other cluster.
 //
-// The per-sample accumulation streams each row's spans instead of
-// calling Dist n times. Accumulation is strictly sequential in ascending sample order, so the
-// result is deterministic for a given (matrix, labels) pair.
-func Silhouette(m dbscan.RowStreamer, labels []int) float64 {
+// One ascending walk over the row suffixes reads each pair once and
+// fills a distance sum per (scored point, cluster): rows j < i reach
+// point i as column i before i's own suffix follows, so every sum adds
+// the same values in the same order as a j = 0…n−1 Dist loop over row
+// i (less the diagonal's +0, which changes no sum). The result is
+// deterministic for a given (matrix, labels) pair. Extra memory is one
+// float64 per scored point and cluster.
+func Silhouette(m dbscan.Matrix, labels []int) float64 {
 	n := m.Len()
 	if len(labels) != n {
 		return 0
@@ -55,49 +59,74 @@ func Silhouette(m dbscan.RowStreamer, labels []int) float64 {
 			sizes = append(sizes, 0)
 		}
 	}
-	for _, l := range labels {
+	// cl[i] is point i's compact cluster, or −1 for noise.
+	cl := make([]int, n)
+	for i, l := range labels {
+		cl[i] = -1
 		if l >= 0 {
-			sizes[compact[l]]++
+			cl[i] = compact[l]
+			sizes[cl[i]]++
 		}
 	}
-	if len(sizes) < 2 {
+	k := len(sizes)
+	if k < 2 {
 		return 0
 	}
 
-	sums := make([]float64, len(sizes))
-	var total float64
-	var scored int
-	for i := 0; i < n; i++ {
-		li := labels[i]
-		if li < 0 {
+	// at[i] is the offset of point i's k sums, or −1 when nothing is
+	// summed for it: noise, or a singleton cluster (s = 0 by convention).
+	at := make([]int, n)
+	summed := 0
+	for i, c := range cl {
+		at[i] = -1
+		if c >= 0 && sizes[c] >= 2 {
+			at[i] = summed * k
+			summed++
+		}
+	}
+	sums := make([]float64, summed*k)
+	for i, ci := range cl {
+		if ci < 0 {
 			continue
 		}
-		ci := compact[li]
-		scored++
-		if sizes[ci] < 2 {
-			// Singleton cluster: s = 0 by convention; still counted.
-			continue
-		}
-		for c := range sums {
-			sums[c] = 0
-		}
-		m.StreamRow(i, func(lo int, vals []float32) {
-			for o, d := range vals {
-				if l := labels[lo+o]; l >= 0 {
-					sums[compact[l]] += float64(d)
+		own := at[i]
+		m.StreamSuffix(i, func(lo int, vals []float32) {
+			cls, ats := cl[lo:lo+len(vals)], at[lo:lo+len(vals)]
+			for o, d32 := range vals {
+				cj := cls[o]
+				if cj < 0 {
+					continue
+				}
+				d := float64(d32)
+				if own >= 0 {
+					sums[own+cj] += d
+				}
+				if a := ats[o]; a >= 0 {
+					sums[a+ci] += d
 				}
 			}
 		})
-		// The i-th sample contributed Dist(i,i) = 0 to its own cluster's
-		// sum, so the intra mean divides by size−1 without correction.
-		a := sums[ci] / float64(sizes[ci]-1)
+	}
+
+	var total float64
+	scored := 0
+	for i, ci := range cl {
+		if ci < 0 {
+			continue
+		}
+		scored++
+		if at[i] < 0 {
+			continue // singleton cluster: scores 0, still counted
+		}
+		row := sums[at[i] : at[i]+k]
+		a := row[ci] / float64(sizes[ci]-1)
 		b := 0.0
 		first := true
-		for c := range sums {
+		for c, sum := range row {
 			if c == ci {
 				continue
 			}
-			mean := sums[c] / float64(sizes[c])
+			mean := sum / float64(sizes[c])
 			if first || mean < b {
 				b = mean
 				first = false
@@ -106,9 +135,6 @@ func Silhouette(m dbscan.RowStreamer, labels []int) float64 {
 		if d := max(a, b); d > 0 {
 			total += (b - a) / d
 		}
-	}
-	if scored == 0 {
-		return 0
 	}
 	return total / float64(scored)
 }

@@ -1,16 +1,20 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"protoclust/internal/canberra"
 	"protoclust/internal/dbscan"
+	"protoclust/internal/dissim/tilestore"
 )
 
 // silhouetteDistLoop is the reference silhouette: the same definition
 // and accumulation order as Silhouette, with each row read through a
-// j = 0…n−1 Dist loop instead of StreamRow.
+// j = 0…n−1 Dist loop per row instead of one walk over the row
+// suffixes.
 func silhouetteDistLoop(m dbscan.Matrix, labels []int) float64 {
 	n := m.Len()
 	sizes := map[int]int{}
@@ -91,7 +95,7 @@ func TestSilhouetteSeparatedPairs(t *testing.T) {
 	}
 }
 
-func TestSilhouetteStreamerMatchesDistLoop(t *testing.T) {
+func TestSilhouetteMatchesDistLoop(t *testing.T) {
 	m := twoBlobs(t)
 	labels := []int{0, 0, 1, 1}
 	if s, d := Silhouette(m, labels), silhouetteDistLoop(m, labels); s != d {
@@ -110,14 +114,50 @@ func TestSilhouetteStreamerMatchesDistLoop(t *testing.T) {
 			r.Set(i, j, rng.Float64())
 		}
 	}
-	labels = make([]int, n)
+	labels = randomLabels(rng, n)
+	if s, d := Silhouette(r, labels), silhouetteDistLoop(r, labels); s != d {
+		t.Errorf("random: streamed = %v, dist loop = %v; want identical", s, d)
+	}
+
+	// A tiled matrix over three 64-wide tile columns at a budget of
+	// three tiles: row suffixes arrive in several spans and tiles are
+	// evicted and recomputed during the walk.
+	const nt, ts = 150, 64
+	views := make([]canberra.View, nt)
+	for i := range views {
+		b := make([]byte, 2+rng.Intn(11))
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+		}
+		views[i] = canberra.NewView(b)
+	}
+	st, err := tilestore.New(context.Background(), views, tilestore.Config{
+		TileSize:    ts,
+		BudgetBytes: 3 * ts * ts * 4,
+		Penalty:     canberra.DefaultPenalty,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	labels = randomLabels(rng, nt)
+	if s, d := Silhouette(st, labels), silhouetteDistLoop(st, labels); math.Float64bits(s) != math.Float64bits(d) {
+		t.Errorf("tiled: streamed = %v, dist loop = %v; want identical", s, d)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomLabels draws n labels from noise and the sparse ids 0, 3 and 5,
+// and gives the last point a singleton cluster of its own.
+func randomLabels(rng *rand.Rand, n int) []int {
+	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = []int{-1, 0, 3, 5}[rng.Intn(4)]
 	}
 	labels[n-1] = 9
-	if s, d := Silhouette(r, labels), silhouetteDistLoop(r, labels); s != d {
-		t.Errorf("random: streamed = %v, dist loop = %v; want identical", s, d)
-	}
+	return labels
 }
 
 func TestSilhouetteNoiseExcluded(t *testing.T) {

@@ -67,9 +67,10 @@ func NewLoader(dir string) (*Loader, error) {
 func (l *Loader) ModulePath() string { return l.modPath }
 
 // LoadModule discovers and typechecks every package under the module
-// root, skipping testdata, vendor, hidden, and underscore-prefixed
-// directories. Test files are not analyzed. The returned slice is
-// sorted by import path.
+// root, skipping testdata, vendor, hidden and underscore-prefixed
+// directories, and nested modules (directories below the root with
+// their own go.mod). Test files are not analyzed. The returned slice
+// is sorted by import path.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -79,9 +80,18 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		if !d.IsDir() {
 			return nil
 		}
+		if path == l.root {
+			dirs = append(dirs, path)
+			return nil
+		}
 		name := d.Name()
-		if path != l.root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
+		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor" {
+			return filepath.SkipDir
+		}
+		// A directory with its own go.mod is a nested module, not part
+		// of this one.
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, path)

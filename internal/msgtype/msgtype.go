@@ -31,10 +31,6 @@ type Params struct {
 	// Penalty is the Canberra length-mismatch penalty for segment
 	// comparison; 0 means canberra.DefaultPenalty.
 	Penalty float64
-	// Epsilon overrides the automatic ε selection when positive.
-	Epsilon float64
-	// MinSamples overrides DBSCAN's min_samples when positive.
-	MinSamples int
 }
 
 // Result is a message-type clustering outcome.
@@ -46,6 +42,9 @@ type Result struct {
 	// Epsilon is the DBSCAN radius used.
 	Epsilon float64
 }
+
+// minPts is DBSCAN's min_samples for message types.
+const minPts = 3
 
 // ErrTooFewMessages is returned for traces below the minimum population.
 var ErrTooFewMessages = errors.New("msgtype: need at least three messages")
@@ -86,14 +85,7 @@ func Cluster(ctx context.Context, tr *netmsg.Trace, seg segment.Segmenter, p Par
 		}
 	}
 
-	eps := p.Epsilon
-	if eps <= 0 {
-		eps = autoEpsilon(matrix)
-	}
-	minPts := p.MinSamples
-	if minPts <= 0 {
-		minPts = 3
-	}
+	eps := autoEpsilon(matrix)
 	res, err := dbscan.Cluster(matrix, eps, minPts)
 	if err != nil {
 		return nil, fmt.Errorf("msgtype: dbscan: %w", err)

@@ -86,21 +86,6 @@ func TestClusterAccountsForAllMessages(t *testing.T) {
 	}
 }
 
-func TestClusterFixedEpsilon(t *testing.T) {
-	tr := twoTypeTrace(20)
-	res, err := Cluster(context.Background(), tr, segment.GroundTruth{}, Params{Epsilon: 0.9, MinSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epsilon != 0.9 {
-		t.Errorf("epsilon = %v, want fixed 0.9", res.Epsilon)
-	}
-	// At near-max epsilon everything merges into one type.
-	if len(res.Types) != 1 {
-		t.Errorf("types = %d, want 1 at huge epsilon", len(res.Types))
-	}
-}
-
 func TestClusterOnRealProtocol(t *testing.T) {
 	tr, err := protocols.Generate("dns", 80, 1)
 	if err != nil {
