@@ -66,10 +66,16 @@ func CheckClusterer(name string) error {
 
 // runClusterer applies the configured density clusterer: DBSCAN by
 // default, OPTICS with DBSCAN-equivalent extraction, or HDBSCAN (which
-// ignores ε and derives its hierarchy from minPts alone).
-func runClusterer(m dbscan.Matrix, eps float64, minPts int, p Params) (*dbscan.Result, error) {
+// ignores ε and derives its hierarchy from minPts alone). DBSCAN reads
+// its core points from the k-NN table of the ε auto-configuration when
+// there is one (nil on the fixed-ε path), which holds kMax(n) ≥
+// minSamples(n) − 1 neighbours of every point.
+func runClusterer(m dbscan.Matrix, table [][]float64, eps float64, minPts int, p Params) (*dbscan.Result, error) {
 	switch p.Clusterer {
 	case "", "dbscan":
+		if table != nil {
+			return dbscan.ClusterTable(m, table, eps, minPts)
+		}
 		return dbscan.Cluster(m, eps, minPts)
 	case "optics":
 		order, err := dbscan.OPTICS(m, 1, minPts)
@@ -156,7 +162,7 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	}
 	var (
 		cfg   *AutoConfig
-		table [][]float64 // k-NN table shared by both auto-configuration passes
+		table [][]float64 // k-NN table shared by both auto-configuration passes and DBSCAN
 		err   error
 	)
 	if p.FixedEpsilon > 0 {
@@ -173,7 +179,7 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: clusterer: %w", err)
 	}
-	res, err := runClusterer(m, cfg.Epsilon, cfg.MinSamples, p)
+	res, err := runClusterer(m, table, cfg.Epsilon, cfg.MinSamples, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: clusterer: %w", err)
 	}
@@ -193,7 +199,7 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 		if share, _ := res.LargestClusterShare(); share > p.LargeClusterShare {
 			cfg2, res2, note, err := largeClusterGuard(cfg.Epsilon,
 				func(cut float64) (*AutoConfig, error) { return configure(ctx, m, table, p, cut) },
-				func(c *AutoConfig) (*dbscan.Result, error) { return runClusterer(m, c.Epsilon, c.MinSamples, p) })
+				func(c *AutoConfig) (*dbscan.Result, error) { return runClusterer(m, table, c.Epsilon, c.MinSamples, p) })
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,8 @@ import (
 // BenchmarkClusterDominant times DBSCAN in the pinned-ε shape: about
 // 5.5k unique segments in the condensed backend, over 80 % of them in
 // one dense cluster, so most pairs are ε-pairs and most points core.
+// "walked" is Cluster; "table" is ClusterTable on the k-NN table of
+// round(ln n) = 9 rows the ε auto-configuration would hand it.
 func BenchmarkClusterDominant(b *testing.B) {
 	const n = 5500
 	rng := rand.New(rand.NewSource(1))
@@ -32,15 +34,25 @@ func BenchmarkClusterDominant(b *testing.B) {
 			m.Set(i, j, math.Abs(pos[i]-pos[j]))
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Cluster(m, 0.13, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if share, _ := res.LargestClusterShare(); share < 0.8 {
-			b.Fatalf("largest cluster share %.2f, want > 0.8", share)
-		}
+	table := KNNTable(m, 9)
+	for _, c := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"walked", func() (*Result, error) { return Cluster(m, 0.13, 5) }},
+		{"table", func() (*Result, error) { return ClusterTable(m, table, 0.13, 5) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := c.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if share, _ := res.LargestClusterShare(); share < 0.8 {
+					b.Fatalf("largest cluster share %.2f, want > 0.8", share)
+				}
+			}
+		})
 	}
 }

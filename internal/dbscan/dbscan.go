@@ -12,7 +12,8 @@
 // row suffixes in storage order (Matrix.StreamSuffix) and O(n) memory
 // per worker:
 //
-//  1. ε-degrees, self included, mark the core points.
+//  1. ε-degrees, self included, mark the core points. ClusterTable
+//     reads them from a k-NN table instead, with no walk.
 //  2. Union-find over the core–core ε-pairs joins them into components,
 //     numbered by their smallest core index.
 //  3. Each non-core point takes the smallest id among the components of
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -79,11 +81,12 @@ type Result struct {
 	NumClusters int
 }
 
-// Errors returned by Cluster.
+// Errors returned by Cluster and ClusterTable.
 var (
 	ErrEmpty     = errors.New("dbscan: empty matrix")
 	ErrBadEps    = errors.New("dbscan: eps must be positive")
 	ErrBadMinPts = errors.New("dbscan: minPts must be at least 1")
+	ErrBadTable  = errors.New("dbscan: k-NN table does not fit the matrix")
 )
 
 // Cluster runs DBSCAN with radius eps and density threshold minPts
@@ -92,6 +95,47 @@ var (
 // to the expansion seeded in index order (see the package doc), however
 // many workers the walk runs on.
 func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
+	w, err := newClusterWalk(m, eps, minPts)
+	if err != nil {
+		return nil, err
+	}
+	return cluster(w, eps, minPts), nil
+}
+
+// ClusterTable is Cluster with pass 1 read from a k-NN table of m
+// instead of walked: table[k][i] is point i's distance to its (k+1)-th
+// nearest other point, as float64 of the stored float32 value, which is
+// what the ε auto-configuration's k-NN table holds. Point i has at
+// least minPts−1 ε-neighbours besides itself, and is core, iff
+// table[minPts−2][i] ≤ eps, and it is a border candidate iff it is not
+// core and table[0][i] ≤ eps: the comparison pass 1 makes on the same
+// values, so the labels equal Cluster's. The table needs at least
+// minPts−1 rows (one for minPts = 1), each of length m.Len(); any other
+// table is rejected with ErrBadTable.
+func ClusterTable(m Matrix, table [][]float64, eps float64, minPts int) (*Result, error) {
+	w, err := newClusterWalk(m, eps, minPts)
+	if err != nil {
+		return nil, err
+	}
+	if len(table) < max(1, minPts-1) {
+		return nil, fmt.Errorf("%w: %d rows for minPts %d", ErrBadTable, len(table), minPts)
+	}
+	for k, row := range table {
+		if len(row) != w.n {
+			return nil, fmt.Errorf("%w: row %d has %d points, the matrix %d", ErrBadTable, k, len(row), w.n)
+		}
+	}
+	core, cand := make([]bool, w.n), make([]bool, w.n)
+	for i := range core {
+		core[i] = minPts == 1 || table[minPts-2][i] <= eps
+		cand[i] = !core[i] && table[0][i] <= eps
+	}
+	return clusterFlags(w, eps, core, cand), nil
+}
+
+// newClusterWalk checks the arguments of Cluster and ClusterTable and
+// returns the banded walk their passes run on.
+func newClusterWalk(m Matrix, eps float64, minPts int) (*walk, error) {
 	n := m.Len()
 	if n == 0 {
 		return nil, ErrEmpty
@@ -108,17 +152,15 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	if vecmath.CheckedTriNum(n) < inlinePairs {
 		workers = 1
 	}
-	return cluster(newWalk(m, workers, bandPairs), eps, minPts), nil
+	return newWalk(m, workers, bandPairs), nil
 }
 
 // cluster runs the three passes of the package doc on one banded walk.
 func cluster(w *walk, eps float64, minPts int) *Result {
-	n := w.n
 	// Pass 1: ε-degrees. Every point is its own neighbor (Dist(i, i) =
 	// 0 ≤ eps), so minPts = 1 makes every point core without a pass.
-	core := make([]bool, n)
-	cand := make([]bool, n) // non-core with an ε-neighbor: a border candidate
-	borders := false
+	core := make([]bool, w.n)
+	cand := make([]bool, w.n) // non-core with an ε-neighbor: a border candidate
 	if minPts == 1 {
 		for i := range core {
 			core[i] = true
@@ -127,15 +169,20 @@ func cluster(w *walk, eps float64, minPts int) *Result {
 		for i, d := range w.degrees(eps) {
 			core[i] = d+1 >= minPts
 			cand[i] = !core[i] && d > 0
-			borders = borders || cand[i]
 		}
 	}
+	return clusterFlags(w, eps, core, cand)
+}
 
+// clusterFlags runs passes 2 and 3 of the package doc from pass 1's
+// flags: the core points, and the border candidates, non-core points
+// with an ε-neighbour.
+func clusterFlags(w *walk, eps float64, core, cand []bool) *Result {
 	// Pass 2: union-find over core–core ε-pairs. Every root is the
 	// smallest index of its component, so numbering roots in index
 	// order numbers clusters by their smallest core point.
 	parent := w.components(eps, core)
-	labels := make([]int, n)
+	labels := make([]int, w.n)
 	clusters := 0
 	for p := range labels {
 		switch {
@@ -151,7 +198,7 @@ func cluster(w *walk, eps float64, minPts int) *Result {
 
 	// Pass 3: each border candidate joins the smallest cluster among its
 	// ε-adjacent core points.
-	if borders && clusters > 0 {
+	if clusters > 0 && slices.Contains(cand, true) {
 		w.borders(eps, core, cand, labels)
 	}
 	return &Result{Labels: labels, NumClusters: clusters}

@@ -37,6 +37,42 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
+// TestClusterTableErrors checks that ClusterTable rejects what Cluster
+// rejects, and a k-NN table that does not fit: fewer than minPts−1
+// rows (or none for minPts = 1), or a row whose length is not the
+// matrix's, ragged or not.
+func TestClusterTableErrors(t *testing.T) {
+	m := points(1, 2, 3)
+	full := [][]float64{{1, 1, 1}, {2, 1, 2}}
+	if _, err := ClusterTable(points(), [][]float64{{}}, 1, 1); !errors.Is(err, ErrEmpty) {
+		t.Errorf("empty: err = %v", err)
+	}
+	if _, err := ClusterTable(m, full, math.NaN(), 2); !errors.Is(err, ErrBadEps) {
+		t.Errorf("eps=NaN: err = %v", err)
+	}
+	if _, err := ClusterTable(m, full, 1, 0); !errors.Is(err, ErrBadMinPts) {
+		t.Errorf("minPts=0: err = %v", err)
+	}
+	for name, c := range map[string]struct {
+		table  [][]float64
+		minPts int
+	}{
+		"no rows, minPts 1":  {nil, 1},
+		"one row, minPts 3":  {full[:1], 3},
+		"two rows, minPts 4": {full, 4},
+		"short rows":         {[][]float64{{1, 1}, {2, 1}}, 2},
+		"long row":           {[][]float64{{1, 1, 1, 1}}, 2},
+		"ragged":             {[][]float64{{1, 1, 1}, {2, 1}}, 2},
+	} {
+		if _, err := ClusterTable(m, c.table, 1, c.minPts); !errors.Is(err, ErrBadTable) {
+			t.Errorf("%s: err = %v, want ErrBadTable", name, err)
+		}
+	}
+	if _, err := ClusterTable(m, full, 1, 3); err != nil {
+		t.Errorf("minPts − 1 = len(table): err = %v", err)
+	}
+}
+
 // TestClusterRejectsNaNEps pins that a NaN radius is an error: every
 // comparison with NaN is false, so accepting it would label every point
 // Noise without complaint.

@@ -42,7 +42,9 @@ func randomMatrix(rng *rand.Rand, n int) *dbscan.CondensedMatrix {
 	return m
 }
 
-// checkAgainstOracles runs production DBSCAN on m and demands the
+// checkAgainstOracles runs production DBSCAN on m, walked and with its
+// core points read from k-NN tables (the shortest one it accepts, of
+// max(1, minPts−1) rows, and one of every neighbour), and demands the
 // labels of both references: the seed-queue expansion and the
 // structural union-find formulation, plus the implied cluster count.
 func checkAgainstOracles(t *testing.T, what string, m dbscan.Matrix, eps float64, minPts int) {
@@ -51,6 +53,30 @@ func checkAgainstOracles(t *testing.T, what string, m dbscan.Matrix, eps float64
 	if err != nil {
 		t.Fatalf("%s: Cluster: %v", what, err)
 	}
+	checkLabels(t, what+"/walked", m, got, eps, minPts)
+	for _, rows := range []int{max(1, minPts-1), m.Len() - 1} {
+		if rows < max(1, minPts-1) {
+			continue
+		}
+		checkTable(t, fmt.Sprintf("%s/table of %d", what, rows), m, dbscan.KNNTable(m, rows), eps, minPts)
+	}
+}
+
+// checkTable runs ClusterTable on m and table and demands the labels of
+// both oracles.
+func checkTable(t *testing.T, what string, m dbscan.Matrix, table [][]float64, eps float64, minPts int) {
+	t.Helper()
+	got, err := dbscan.ClusterTable(m, table, eps, minPts)
+	if err != nil {
+		t.Fatalf("%s: ClusterTable: %v", what, err)
+	}
+	checkLabels(t, what, m, got, eps, minPts)
+}
+
+// checkLabels demands got's labels from both oracles and a cluster
+// count that matches them.
+func checkLabels(t *testing.T, what string, m dbscan.Matrix, got *dbscan.Result, eps float64, minPts int) {
+	t.Helper()
 	n := m.Len()
 	for name, want := range map[string][]int{
 		"expansion":  oracle.DBSCANExpand(n, m.Dist, eps, minPts),
@@ -157,7 +183,9 @@ func permuted(perm []int, dist func(i, j int) float64) func(i, j int) float64 {
 
 // TestClusterShapesOnEveryBackend runs the shapes the component
 // formulation must get right on every backend, each at three index
-// orders, against both oracles.
+// orders, against both oracles, walked and from k-NN tables. One table
+// per matrix also serves a second, smaller ε, as the 60 % guard's
+// re-run reuses the auto-configuration's table.
 func TestClusterShapesOnEveryBackend(t *testing.T) {
 	// A point exactly at the quantized radius is a neighbor; the next
 	// float32 above it is not.
@@ -223,6 +251,9 @@ func TestClusterShapesOnEveryBackend(t *testing.T) {
 			for name, m := range backends(t, s.n, permuted(perm, s.dist)) {
 				checkAgainstOracles(t, s.name+"/"+name, m, s.eps, s.minPts)
 				checkBands(t, s.name+"/"+name, m, s.eps, s.minPts)
+				table := dbscan.KNNTable(m, max(1, s.minPts-1))
+				smaller := float64(dbscan.Quantize(s.eps / 2))
+				checkTable(t, s.name+"/"+name+"/smaller eps", m, table, smaller, s.minPts)
 			}
 		}
 	}
@@ -322,12 +353,12 @@ func TestClusterBandedMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzClusterMatchesOracle checks production DBSCAN against both
-// oracles on fuzzed point sets. Points are bytes on a line, at
-// distance |a−b|/255, and ε is one of those distances quantized, so
-// pairs at exactly ε are common. The condensed backend is checked; the
-// tiled one shares the suffix contract and is covered by
-// TestClusterShapesOnEveryBackend.
+// FuzzClusterMatchesOracle checks production DBSCAN, walked and from
+// k-NN tables, against both oracles on fuzzed point sets. Points are
+// bytes on a line, at distance |a−b|/255, and ε is one of those
+// distances quantized, so pairs at exactly ε are common. The condensed
+// backend is checked; the tiled one shares the suffix contract and is
+// covered by TestClusterShapesOnEveryBackend.
 func FuzzClusterMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 13, 26, 128, 141, 154, 255}, uint8(13), uint8(2))
 	f.Add([]byte{0, 5, 10, 15, 20, 60, 100, 105, 110, 115, 120}, uint8(40), uint8(4))

@@ -114,7 +114,7 @@ func TestComputeMatrixValues(t *testing.T) {
 	})
 }
 
-func TestKNNDistances(t *testing.T) {
+func TestKNNTable(t *testing.T) {
 	// Three similar segments and one outlier.
 	segs := segsFromValues(
 		[]byte{100, 100},
@@ -151,7 +151,7 @@ func TestKNNDistances(t *testing.T) {
 	}
 }
 
-func TestKNNDistancesOrderedInK(t *testing.T) {
+func TestKNNTableOrderedInK(t *testing.T) {
 	segs := segsFromValues(
 		[]byte{1, 1}, []byte{2, 2}, []byte{3, 3}, []byte{4, 4}, []byte{5, 5},
 	)
@@ -173,7 +173,7 @@ func TestKNNDistancesOrderedInK(t *testing.T) {
 	}
 }
 
-func TestKNNDistancesRange(t *testing.T) {
+func TestKNNTableRange(t *testing.T) {
 	segs := segsFromValues([]byte{1, 2}, []byte{3, 4})
 	p := NewPool(segs)
 	m, err := ComputeMatrixContext(context.Background(), p, Config{Penalty: canberra.DefaultPenalty})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"protoclust/internal/canberra"
+	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/netmsg"
 )
 
@@ -153,27 +154,40 @@ func cutsInPaddedGroup(views []canberra.View, lo, hi int) int {
 }
 
 // TestKNNTableMatchesSort checks the bounded-heap selection against the
-// original full-sort construction, including tie handling.
+// original full-sort construction, including tie handling, on the
+// condensed backend and on the tiled one under a budget of three of its
+// fifteen tiles, with and without a spill directory: the walk's row
+// order decides which tiles it evicts and recomputes or reloads.
 func TestKNNTableMatchesSort(t *testing.T) {
-	pool := randomPool(t, 150, []int{2, 4, 4, 8}, 11)
-	m, err := ComputeMatrixContext(context.Background(), pool, Config{Penalty: canberra.DefaultPenalty})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeAtCleanup(t, m)
-	kmax := 7
-	got, err := m.KNNTable(kmax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.KNNTableSort(kmax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < kmax; k++ {
-		for i := 0; i < m.Len(); i++ {
-			if got[k][i] != want[k][i] {
-				t.Fatalf("table[%d][%d] = %v, sort-based = %v", k, i, got[k][i], want[k][i])
+	pool := randomPool(t, 300, []int{2, 4, 4, 8}, 11)
+	const kmax = 7
+	tile := int64(tilestore.DefaultTileSize * tilestore.DefaultTileSize * 4)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"condensed", Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed}},
+		{"tiled", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile}},
+		{"tiled spill", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile, SpillDir: t.TempDir()}},
+	} {
+		m, err := ComputeMatrixContext(context.Background(), pool, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAtCleanup(t, m)
+		got, err := m.KNNTable(kmax)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := m.KNNTableSort(kmax)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for k := 0; k < kmax; k++ {
+			for i := 0; i < m.Len(); i++ {
+				if got[k][i] != want[k][i] {
+					t.Fatalf("%s: table[%d][%d] = %v, sort-based = %v", c.name, k, i, got[k][i], want[k][i])
+				}
 			}
 		}
 	}

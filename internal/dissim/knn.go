@@ -13,9 +13,17 @@ import (
 // storage-order walk over the row suffixes (StreamSuffix) feeds every
 // pair (i, j) into the heaps of both i and j. A row's k smallest
 // off-diagonal values are the same multiset in any visiting order, so
-// the table is bit-identical to a per-row scan, and the walk reads the
-// condensed triangle front to back instead of gathering each row's
-// prefix with one cache miss per element.
+// the table is bit-identical to a per-row scan, and the walk reads each
+// row suffix in storage order instead of gathering each row's prefix
+// with one cache miss per element.
+//
+// The walk visits the rows from the last to the first. The pool is
+// sorted by value, so neighbours in pool order tend to be near in
+// distance. Walked downward, row j's heap is offered its own suffix
+// from column j+1 on, then the rows j−1, j−2, … above it: nearest
+// first, so it fills with small values early and most later offers
+// fail the root check. Walked upward, column j would be offered rows
+// 0, 1, … in roughly falling order, and most offers would push.
 
 // maxHeap is a bounded max-heap laid out in a reusable slice; h[0] is
 // the largest of the k smallest values seen so far.
@@ -115,11 +123,11 @@ func newRowHeaps(n, k int) *rowHeaps {
 }
 
 // nearest returns, for every row, a heap of its k smallest off-diagonal
-// values, filled by one sequential walk over the row suffixes.
+// values, filled by one walk over the row suffixes, last row first.
 func (m *Matrix) nearest(k int) *rowHeaps {
 	n := m.Len()
 	h := newRowHeaps(n, k)
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		m.store.StreamSuffix(i, func(lo int, vals []float32) {
 			for o, d32 := range vals {
 				d := float64(d32)

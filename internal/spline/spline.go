@@ -7,11 +7,14 @@
 // scattered (x, y) samples by linear least squares. A cubic B-spline has
 // at most four basis functions that are non-zero at any x: the ones
 // whose support covers the knot span holding x. Fitting and evaluation
-// locate that span by binary search over the knots and run the
-// Cox–de Boor recursion for those four functions only, so a fit over m
-// points costs O(m) basis evaluations whatever the control-point count.
-// Skipping the other functions only skips exact ±0 terms, which leaves
-// every result bit-identical to summing over all of them.
+// locate that span by binary search over the knots and compute those
+// four functions only, as one de Boor triangle: the seven degree-0
+// functions under the span, then six, five and four of each higher
+// degree, each built from its two neighbours below with the Cox–de Boor
+// recurrence. A fit over m points thus costs O(m) work whatever the
+// control-point count. Skipping the other functions only skips exact ±0
+// terms, which leaves every result bit-identical to summing over all of
+// them.
 package spline
 
 import (
@@ -75,13 +78,15 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 
 	// Assemble the normal equations AᵀA c = Aᵀy where A[i][j] is the
 	// j-th basis function evaluated at xs[i]. Row i of A is zero outside
-	// the window span returns, so only that window is accumulated.
+	// the window basis returns, so only that window is accumulated. The
+	// rows of AᵀA share one backing array.
+	cells := make([]float64, vecmath.CheckedMulAdd(nCtrl, nCtrl, 0))
 	ata := make([][]float64, nCtrl)
 	for i := range ata {
-		ata[i] = make([]float64, nCtrl)
+		ata[i] = cells[i*nCtrl : (i+1)*nCtrl : (i+1)*nCtrl]
 	}
 	aty := make([]float64, nCtrl)
-	basis := make([]float64, nCtrl)
+	var tri [2*degree + 1]float64
 	for i, x := range xs {
 		w := 1.0
 		if ws != nil {
@@ -90,17 +95,15 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 				continue
 			}
 		}
-		first, last := sp.span(x)
-		for j := first; j <= last; j++ {
-			basis[j] = bsplineBasis(j, degree, sp.knots, x, lo, hi)
-		}
-		for r := first; r <= last; r++ {
-			if vecmath.IsZero(basis[r]) {
+		first, basis := sp.basis(x, &tri)
+		for r, br := range basis {
+			if vecmath.IsZero(br) {
 				continue
 			}
-			aty[r] += w * basis[r] * ys[i]
-			for c := first; c <= last; c++ {
-				ata[r][c] += w * basis[r] * basis[c]
+			aty[first+r] += w * br * ys[i]
+			row := ata[first+r][first : first+len(basis)]
+			for c, bc := range basis {
+				row[c] += w * br * bc
 			}
 		}
 	}
@@ -151,14 +154,59 @@ func (s *Spline) Eval(x float64) float64 {
 	if x > s.hi {
 		x = s.hi
 	}
+	var tri [2*degree + 1]float64
+	first, basis := s.basis(x, &tri)
 	var y float64
-	first, last := s.span(x)
-	for j := first; j <= last; j++ {
-		if b := bsplineBasis(j, degree, s.knots, x, s.lo, s.hi); !vecmath.IsZero(b) {
-			y += s.ctrl[j] * b
+	for j, b := range basis {
+		if !vecmath.IsZero(b) {
+			// b leads: where both factors are NaN, amd64 keeps the first
+			// one's payload, and the spline oracle compares bits.
+			y += b * s.ctrl[first+j]
 		}
 	}
 	return y
+}
+
+// basis returns the first index and the values of the basis functions
+// span gives for x, computed as one de Boor triangle: the degree-0
+// functions N_first … N_{last+degree}, then, degree by degree and in
+// place, N_{j,p} from N_{j,p−1} and N_{j+1,p−1}, until the first
+// last−first+1 entries hold N_{first,3} … N_{last,3}. Each value takes
+// the operations of the Cox–de Boor recursion in the same order — the
+// (x−k_j)/d·N and (k_{j+p+1}−x)/d·N terms, the d > 0 guards and the
+// right end closed at hi — so it is that recursion's value bit for bit.
+// The four functions of a span are computed in tri; the all-function
+// window of a NaN x, in a fresh slice.
+func (s *Spline) basis(x float64, tri *[2*degree + 1]float64) (int, []float64) {
+	first, last := s.span(x)
+	t := tri[:]
+	if n := last - first + 1 + degree; n > len(t) {
+		t = make([]float64, n)
+	}
+	k := s.knots
+	for i := range t {
+		j := first + i
+		t[i] = 0
+		if k[j] <= x && x < k[j+1] ||
+			// Close the right end of the domain.
+			vecmath.EqualExact(x, s.hi) && k[j] < k[j+1] && vecmath.EqualExact(k[j+1], s.hi) {
+			t[i] = 1
+		}
+	}
+	for p := 1; p <= degree; p++ {
+		for i := range len(t) - p {
+			j := first + i
+			var left, right float64
+			if d := k[j+p] - k[j]; d > 0 {
+				left = (x - k[j]) / d * t[i]
+			}
+			if d := k[j+p+1] - k[j+1]; d > 0 {
+				right = (k[j+p+1] - x) / d * t[i+1]
+			}
+			t[i] = left + right
+		}
+	}
+	return first, t[:last-first+1]
 }
 
 // SmoothWeighted fits a spline to (xs, ys) with per-sample weights
@@ -215,30 +263,6 @@ func clampedKnots(lo, hi float64, nCtrl int) []float64 {
 		}
 	}
 	return knots
-}
-
-// bsplineBasis computes the Cox–de Boor basis function N_{j,p}(x).
-// The right boundary is handled so that the last basis function is 1 at
-// x == hi (closed on the right).
-func bsplineBasis(j, p int, knots []float64, x, lo, hi float64) float64 {
-	if p == 0 {
-		if knots[j] <= x && x < knots[j+1] {
-			return 1
-		}
-		// Close the right end of the domain.
-		if vecmath.EqualExact(x, hi) && knots[j] < knots[j+1] && vecmath.EqualExact(knots[j+1], hi) {
-			return 1
-		}
-		return 0
-	}
-	var left, right float64
-	if d := knots[j+p] - knots[j]; d > 0 {
-		left = (x - knots[j]) / d * bsplineBasis(j, p-1, knots, x, lo, hi)
-	}
-	if d := knots[j+p+1] - knots[j+1]; d > 0 {
-		right = (knots[j+p+1] - x) / d * bsplineBasis(j+1, p-1, knots, x, lo, hi)
-	}
-	return left + right
 }
 
 // solve performs Gaussian elimination with partial pivoting on a (dense,

@@ -122,20 +122,6 @@ func TestSmoothBadSmoothnessDefaults(t *testing.T) {
 	}
 }
 
-func TestBasisPartitionOfUnity(t *testing.T) {
-	// B-spline basis functions must sum to 1 everywhere in the domain.
-	knots := clampedKnots(0, 1, 10)
-	for _, x := range vecmath.Linspace(0, 1, 101) {
-		var sum float64
-		for j := 0; j < 10; j++ {
-			sum += bsplineBasis(j, degree, knots, x, 0, 1)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("basis sum at x=%v is %v, want 1", x, sum)
-		}
-	}
-}
-
 func TestSolve(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
