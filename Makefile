@@ -53,14 +53,15 @@ test-service:
 
 # Differential tests of the production pipeline against the
 # obviously-correct reference implementations in internal/oracle, under
-# the race detector. See docs/testing.md. The DBSCAN walk and the matrix
-# fill split their work by GOMAXPROCS, so their packages run again at
-# one core and at an odd count unlike the runner's (-count=1: the test
-# cache does not key on GOMAXPROCS).
+# the race detector. See docs/testing.md. The banded walk (DBSCAN and
+# the k-NN table), the matrix fill and the ε auto-configuration's
+# per-k curves split their work by GOMAXPROCS, so their packages run
+# again at one core and at an odd count unlike the runner's (-count=1:
+# the test cache does not key on GOMAXPROCS).
 test-oracle:
 	$(GO) test -race ./internal/oracle/ ./internal/dbscan/ ./internal/kneedle/ ./internal/vecmath/ ./internal/spline/ ./internal/core/ ./internal/segment/netzob/ ./internal/eval/
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
-	GOMAXPROCS=5 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/...
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/... ./internal/core/
+	GOMAXPROCS=5 $(GO) test -race -count=1 ./internal/dbscan/ ./internal/dissim/... ./internal/core/
 
 # Golden-trace regression check: re-run the pipeline on the seeded
 # trace set and compare ε, k, cluster counts, and quality metrics
@@ -93,13 +94,16 @@ bench:
 bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# GOMAXPROCS cores-vs-throughput sweep of the three parallel stages at
-# n = 500: the eager matrix build (BenchmarkComputeMatrix, with its
+# GOMAXPROCS cores-vs-throughput sweep of the parallel stages: at
+# n = 500 the eager matrix build (BenchmarkComputeMatrix, with its
 # pre-kernel reference), the k-NN table on the resident matrix, and the
-# lazy tiled pass (build, k-NN table, Close). Non-blocking CI smoke;
-# meaningful numbers need a multicore host.
+# lazy tiled pass (build, k-NN table, Close); then Algorithm 1 alone on
+# a NEMESYS dns-1000 pool (BenchmarkConfigure: the k-NN table and the
+# per-k curves). Non-blocking CI smoke; meaningful numbers need a
+# multicore host.
 bench-scaling:
 	$(GO) test -run '^$$' -bench '^Benchmark(ComputeMatrix|KNNTable)$$/^n=500$$/^(mixed|heap|tiled)$$' -cpu 1,2,4 ./internal/dissim
+	$(GO) test -run '^$$' -bench '^BenchmarkConfigure$$' -cpu 1,2,4 ./internal/core
 
 # End-to-end smoke of the tiled out-of-core backend: cluster an n=5000
 # clustered pool under a 4 MiB tile budget (with spill) and cross-check

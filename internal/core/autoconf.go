@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
@@ -116,75 +119,22 @@ func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Param
 		kLo, kHi = p.FixedK, p.FixedK
 	}
 
-	// For each k build the ECDF of k-NN distances (below cut), smooth
-	// it, and detect its knees. The per-k sharpness δB̂_k is the
-	// prominence of its sharpest knee; faint tail wiggles are discarded
-	// by the prominence filter before the rightmost knee is selected.
-	type kCurve struct {
-		k        int
-		raw      []float64      // sorted k-NN dissimilarities, duplicates kept
-		xs       []float64      // distinct sorted distances (ECDF abscissae)
-		ys       []float64      // ECDF values at xs (final step per distinct x)
-		smoothed []float64      // B-spline smoothed ECDF
-		knees    []kneedle.Knee // prominent knees, ascending x
-		sharp    float64        // sharpness: max knee prominence
-		gap      float64        // fallback sharpness: largest step gap
-	}
-	var curves []kCurve
-	for k := kLo; k <= kHi; k++ {
+	// Each candidate k's curve is independent of the others, so they
+	// are computed concurrently into k-indexed slots; k' is then chosen
+	// from the slots in ascending k, as a sequential loop would.
+	slots := make([]*kCurve, kHi-kLo+1)
+	err := forEachSlot(len(slots), n*len(slots), func(s int) error {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: auto-configuration: %w", err)
+			return fmt.Errorf("core: auto-configuration: %w", err)
 		}
-		knn := table[k-1]
-		xs := make([]float64, 0, len(knn))
-		for _, d := range knn {
-			if d < cut {
-				xs = append(xs, d)
-			}
-		}
-		if len(xs) < 3 {
-			continue
-		}
-		slices.Sort(xs)
-		c := kCurve{k: k, raw: xs, gap: maxStepGap(xs)}
-		// Repeated k-NN distances are vertical runs of the step function:
-		// handed to the spline and knee detector as-is they make the
-		// "curve" multi-valued in x. Collapse each run to one point per
-		// distinct distance. The reported curve carries the true
-		// right-continuous ECDF Ê(x) = (last index of x + 1)/n; the
-		// smoothing fit targets each run's mean step height with the run
-		// multiplicity as its weight, which reproduces the least-squares
-		// objective over all n samples of the step graph exactly (every
-		// duplicate shares one basis row, so summing its residuals equals
-		// weighting the run mean).
-		var fitYs, weights []float64
-		c.xs, c.ys, fitYs, weights = collapseSteps(xs)
-		c.smoothed = spline.SmoothWeighted(c.xs, fitYs, weights, p.SplineSmoothness)
-		// Knee detection runs on the full sample grid: each distinct
-		// distance is repeated with its multiplicity (all copies sharing
-		// the single-valued smoothed ordinate), so ties keep their
-		// probability mass in the difference curve and Kneedle's
-		// confirmation-threshold spacing stays 1/(n−1) over the raw
-		// population. Knee abscissae are actual distances either way; the
-		// index is mapped back to the collapsed curve below.
-		rawSmoothed := make([]float64, 0, len(xs))
-		for j, w := range weights {
-			for r := 0; r < int(w); r++ {
-				rawSmoothed = append(rawSmoothed, c.smoothed[j])
-			}
-		}
-		knees, err := kneedle.Find(xs, rawSmoothed, kneedle.ConcaveIncreasing, p.KneedleSensitivity)
-		if err != nil && !errors.Is(err, kneedle.ErrDomain) && !errors.Is(err, kneedle.ErrTooShort) {
-			return nil, fmt.Errorf("core: kneedle: %w", err)
-		}
-		c.knees = kneedle.FilterProminent(knees, kneeProminenceShare)
-		for _, kn := range c.knees {
-			if kn.Prominence > c.sharp {
-				c.sharp = kn.Prominence
-			}
-		}
-		curves = append(curves, c)
+		c, err := curve(table[kLo+s-1], kLo+s, cut, p)
+		slots[s] = c
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	curves := slices.DeleteFunc(slots, func(c *kCurve) bool { return c == nil })
 	if len(curves) == 0 {
 		return nil, fmt.Errorf("%w after trimming", ErrTooFewSegments)
 	}
@@ -221,7 +171,7 @@ func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Param
 	}
 
 	// The rightmost prominent knee's distance becomes ε. Knees that tie
-	// exactly on prominence both survive the prominence filter above, so
+	// exactly on prominence both survive curve's prominence filter, so
 	// the tie-break is positional and documented: the knee with the
 	// larger distance (rightmost) wins. The knee index refers to the
 	// sample grid the detector ran on; locate the same distance on the
@@ -238,6 +188,126 @@ func configure(ctx context.Context, m *dissim.Matrix, table [][]float64, p Param
 	// Fallback: no knee detected (e.g. nearly uniform distances). Use a
 	// fixed quantile of the k-NN distances so clustering can proceed.
 	return ac, quantileEpsilon(ac, best.raw, m, fallbackQuantile)
+}
+
+// kCurve is one candidate k's ECDF of k-NN distances (below the cut),
+// its smoothing and its knees. The per-k sharpness δB̂_k is the
+// prominence of its sharpest knee; faint tail wiggles are discarded by
+// the prominence filter before the rightmost knee is selected.
+type kCurve struct {
+	k        int
+	raw      []float64      // sorted k-NN dissimilarities, duplicates kept
+	xs       []float64      // distinct sorted distances (ECDF abscissae)
+	ys       []float64      // ECDF values at xs (final step per distinct x)
+	smoothed []float64      // B-spline smoothed ECDF
+	knees    []kneedle.Knee // prominent knees, ascending x
+	sharp    float64        // sharpness: max knee prominence
+	gap      float64        // fallback sharpness: largest step gap
+}
+
+// curve builds the ECDF of the k-NN distances knn below cut, smooths it,
+// and detects its knees. It returns nil when fewer than three distances
+// lie below cut.
+func curve(knn []float64, k int, cut float64, p Params) (*kCurve, error) {
+	xs := make([]float64, 0, len(knn))
+	for _, d := range knn {
+		if d < cut {
+			xs = append(xs, d)
+		}
+	}
+	if len(xs) < 3 {
+		return nil, nil
+	}
+	slices.Sort(xs)
+	c := &kCurve{k: k, raw: xs, gap: maxStepGap(xs)}
+	// Repeated k-NN distances are vertical runs of the step function:
+	// handed to the spline and knee detector as-is they make the
+	// "curve" multi-valued in x. Collapse each run to one point per
+	// distinct distance. The reported curve carries the true
+	// right-continuous ECDF Ê(x) = (last index of x + 1)/n; the
+	// smoothing fit targets each run's mean step height with the run
+	// multiplicity as its weight, which reproduces the least-squares
+	// objective over all n samples of the step graph exactly (every
+	// duplicate shares one basis row, so summing its residuals equals
+	// weighting the run mean).
+	var fitYs, weights []float64
+	c.xs, c.ys, fitYs, weights = collapseSteps(xs)
+	c.smoothed = spline.SmoothWeighted(c.xs, fitYs, weights, p.SplineSmoothness)
+	// Knee detection runs on the full sample grid: each distinct
+	// distance is repeated with its multiplicity (all copies sharing
+	// the single-valued smoothed ordinate), so ties keep their
+	// probability mass in the difference curve and Kneedle's
+	// confirmation-threshold spacing stays 1/(n−1) over the raw
+	// population. Knee abscissae are actual distances either way; the
+	// index is mapped back to the collapsed curve by configure.
+	rawSmoothed := make([]float64, 0, len(xs))
+	for j, w := range weights {
+		for r := 0; r < int(w); r++ {
+			rawSmoothed = append(rawSmoothed, c.smoothed[j])
+		}
+	}
+	knees, err := kneedle.Find(xs, rawSmoothed, kneedle.ConcaveIncreasing, p.KneedleSensitivity)
+	if err != nil && !errors.Is(err, kneedle.ErrDomain) && !errors.Is(err, kneedle.ErrTooShort) {
+		return nil, fmt.Errorf("core: kneedle: %w", err)
+	}
+	c.knees = kneedle.FilterProminent(knees, kneeProminenceShare)
+	for _, kn := range c.knees {
+		if kn.Prominence > c.sharp {
+			c.sharp = kn.Prominence
+		}
+	}
+	return c, nil
+}
+
+// inlineCurveSamples is the number of k-NN distances, summed over the
+// candidate ks, below which configure computes its curves on the
+// calling goroutine alone: starting workers costs more than they save.
+const inlineCurveSamples = 1 << 10
+
+// forEachSlot calls fn(s) for every slot s in [0, count) on up to
+// GOMAXPROCS goroutines, the caller among them, or on the caller alone
+// below inlineCurveSamples samples. Slots are claimed in ascending
+// order, every claimed slot runs, and none is claimed after fn fails,
+// so every slot below a failed one has run: the first error in slot
+// order, which forEachSlot returns, is the one a sequential loop would
+// stop at.
+func forEachSlot(count, samples int, fn func(s int) error) error {
+	errs := make([]error, count)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
+	claim := func() {
+		for !failed.Load() {
+			s := int(next.Add(1) - 1)
+			if s >= count {
+				return
+			}
+			if errs[s] = fn(s); errs[s] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), count)
+	if samples < inlineCurveSamples {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // quantileEpsilon sets ac.Epsilon to the q-quantile of the raw k-NN

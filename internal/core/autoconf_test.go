@@ -3,13 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"protoclust/internal/canberra"
 	"protoclust/internal/dissim"
 	"protoclust/internal/netmsg"
+	"protoclust/internal/protocols"
+	"protoclust/internal/segment"
 )
 
 // closeAtCleanup closes m when the test ends: whoever builds a matrix
@@ -379,5 +385,116 @@ func TestQuantileEpsilonCanceledTiledWalk(t *testing.T) {
 	err = quantileEpsilon(&AutoConfig{}, []float64{0, 0, 0}, m, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestConfigureIndependentOfWorkers requires the k-NN table and both
+// configure passes, the first over the whole population and the 60 %
+// guard's re-run below the first ε, to come out bit-identical at one
+// worker and at four, on the golden trace set (internal/golden's
+// DefaultTraces, ground-truth segmented).
+func TestConfigureIndependentOfWorkers(t *testing.T) {
+	ctx := context.Background()
+	p := DefaultParams()
+	for _, s := range []struct {
+		proto    string
+		messages int
+	}{
+		{"dhcp", 100}, {"dns", 100}, {"nbns", 100}, {"ntp", 100},
+		{"smb", 100}, {"awdl", 100}, {"modbus", 100}, {"au", 123},
+		{"dns", 1000}, {"ntp", 1000},
+	} {
+		name := fmt.Sprintf("%s-%d", s.proto, s.messages)
+		tr, err := protocols.Generate(s.proto, s.messages, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := segment.GroundTruth{}.Segment(ctx, tr.Deduplicate())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, err := BuildMatrix(ctx, segs, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAtCleanup(t, m)
+		// run returns the table and both passes' configurations with the
+		// walk and the curves on up to procs workers.
+		run := func(procs int) ([][]float64, [2]*AutoConfig) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			table, err := knnTable(m, p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var cfgs [2]*AutoConfig
+			if cfgs[0], err = configure(ctx, m, table, p, math.Inf(1)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cfgs[1], err = configure(ctx, m, table, p, cfgs[0].Epsilon); err != nil {
+				t.Fatalf("%s: guard cut %v: %v", name, cfgs[0].Epsilon, err)
+			}
+			return table, cfgs
+		}
+		table1, cfgs1 := run(1)
+		table4, cfgs4 := run(4)
+		for k := range table1 {
+			if !slices.EqualFunc(table1[k], table4[k], sameBits) {
+				t.Fatalf("%s: k-NN table row %d differs between 1 and 4 workers", name, k)
+			}
+		}
+		for pass := range cfgs1 {
+			if msg := autoConfigDiff(cfgs1[pass], cfgs4[pass]); msg != "" {
+				t.Fatalf("%s pass %d: 1 vs 4 workers: %s", name, pass+1, msg)
+			}
+		}
+	}
+}
+
+// autoConfigDiff describes the first difference between a and b, bit
+// for bit, or returns "".
+func autoConfigDiff(a, b *AutoConfig) string {
+	switch {
+	case !sameBits(a.Epsilon, b.Epsilon):
+		return fmt.Sprintf("ε %v vs %v", a.Epsilon, b.Epsilon)
+	case a.K != b.K || a.MinSamples != b.MinSamples || a.FromKnee != b.FromKnee:
+		return fmt.Sprintf("k %d/%d, min samples %d/%d, from knee %v/%v",
+			a.K, b.K, a.MinSamples, b.MinSamples, a.FromKnee, b.FromKnee)
+	case a.Curve.KneeIndex != b.Curve.KneeIndex:
+		return fmt.Sprintf("knee index %d vs %d", a.Curve.KneeIndex, b.Curve.KneeIndex)
+	case !slices.EqualFunc(a.Curve.X, b.Curve.X, sameBits):
+		return "curve X"
+	case !slices.EqualFunc(a.Curve.Y, b.Curve.Y, sameBits):
+		return "curve Y"
+	case !slices.EqualFunc(a.Curve.Smoothed, b.Curve.Smoothed, sameBits):
+		return "smoothed curve"
+	}
+	return ""
+}
+
+// sameBits reports whether a and b have the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestForEachSlotFirstErrorInSlotOrder requires the error a sequential
+// loop would stop at, whichever worker fails first, and every slot
+// below it run.
+func TestForEachSlotFirstErrorInSlotOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for trial := 0; trial < 200; trial++ {
+		var ran [8]atomic.Bool
+		err := forEachSlot(len(ran), inlineCurveSamples, func(s int) error {
+			ran[s].Store(true)
+			if s == 3 || s == 5 {
+				return fmt.Errorf("slot %d", s)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "slot 3" {
+			t.Fatalf("trial %d: err = %v, want slot 3", trial, err)
+		}
+		for s := 0; s <= 3; s++ {
+			if !ran[s].Load() {
+				t.Fatalf("trial %d: slot %d below the first failure did not run", trial, s)
+			}
+		}
 	}
 }

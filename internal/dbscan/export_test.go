@@ -9,7 +9,7 @@ import (
 // over bands of about band pairs each, whatever the matrix size, so
 // tests can cut small matrices into many bands.
 func ClusterBands(m Matrix, eps float64, minPts, workers, band int) *Result {
-	return cluster(newWalk(m, workers, band), eps, minPts)
+	return cluster(&walk{Walk: newWalk(m.Len(), workers, band), stream: m.StreamSuffix}, eps, minPts)
 }
 
 // KNNTable builds m's k-NN table of the given number of rows, the

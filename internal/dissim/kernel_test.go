@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"protoclust/internal/canberra"
+	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/netmsg"
 )
@@ -18,6 +19,13 @@ import (
 // lengths drawn from lens.
 func randomPool(t testing.TB, n int, lens []int, seed int64) *Pool {
 	t.Helper()
+	return alphabetPool(t, n, lens, 256, seed)
+}
+
+// alphabetPool is randomPool with byte values drawn from [0, alphabet):
+// a small alphabet makes many pairs equally dissimilar.
+func alphabetPool(t testing.TB, n int, lens []int, alphabet int, seed int64) *Pool {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[string]bool)
 	var segs []netmsg.Segment
@@ -25,7 +33,7 @@ func randomPool(t testing.TB, n int, lens []int, seed int64) *Pool {
 		l := lens[rng.Intn(len(lens))]
 		b := make([]byte, l)
 		for i := range b {
-			b[i] = byte(rng.Intn(256))
+			b[i] = byte(rng.Intn(alphabet))
 		}
 		if seen[string(b)] {
 			continue
@@ -155,39 +163,60 @@ func cutsInPaddedGroup(views []canberra.View, lo, hi int) int {
 
 // TestKNNTableMatchesSort checks the bounded-heap selection against the
 // original full-sort construction, including tie handling, on the
-// condensed backend and on the tiled one under a budget of three of its
-// fifteen tiles, with and without a spill directory: the walk's row
-// order decides which tiles it evicts and recomputes or reloads.
+// condensed backend and on the tiled one under a budget of three tiles,
+// with and without a spill directory: the walk's row order decides
+// which tiles it evicts and recomputes or reloads. The 300-point pool
+// (15 tiles) is below the walk's inline threshold, so one worker fills
+// every heap. The 600-point pool (55 tiles) is above it, so at
+// GOMAXPROCS > 1 the heaps of several workers are merged; its
+// four-value alphabet puts ties at the k-th neighbour, which the merge
+// must keep.
 func TestKNNTableMatchesSort(t *testing.T) {
-	pool := randomPool(t, 300, []int{2, 4, 4, 8}, 11)
 	const kmax = 7
 	tile := int64(tilestore.DefaultTileSize * tilestore.DefaultTileSize * 4)
-	for _, c := range []struct {
+	for _, pc := range []struct {
 		name string
-		cfg  Config
+		pool *Pool
+		ties bool
 	}{
-		{"condensed", Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed}},
-		{"tiled", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile}},
-		{"tiled spill", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile, SpillDir: t.TempDir()}},
+		{"n=300", randomPool(t, 300, []int{2, 4, 4, 8}, 11), false},
+		{"n=600", alphabetPool(t, 600, []int{2, 4, 4, 8}, 4, 11), true},
 	} {
-		m, err := ComputeMatrixContext(context.Background(), pool, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		closeAtCleanup(t, m)
-		got, err := m.KNNTable(kmax)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		want, err := m.KNNTableSort(kmax)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for k := 0; k < kmax; k++ {
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"condensed", Config{Penalty: canberra.DefaultPenalty, Backend: BackendCondensed}},
+			{"tiled", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile}},
+			{"tiled spill", Config{Penalty: canberra.DefaultPenalty, Backend: BackendTiled, MemoryBudget: 3 * tile, SpillDir: t.TempDir()}},
+		} {
+			name := pc.name + " " + c.name
+			m, err := ComputeMatrixContext(context.Background(), pc.pool, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeAtCleanup(t, m)
+			got, err := m.KNNTable(kmax)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := m.KNNTableSort(kmax + 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ties := 0
 			for i := 0; i < m.Len(); i++ {
-				if got[k][i] != want[k][i] {
-					t.Fatalf("%s: table[%d][%d] = %v, sort-based = %v", c.name, k, i, got[k][i], want[k][i])
+				for k := 0; k < kmax; k++ {
+					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+						t.Fatalf("%s: table[%d][%d] = %v, sort-based = %v", name, k, i, got[k][i], want[k][i])
+					}
 				}
+				if want[kmax-1][i] == want[kmax][i] {
+					ties++
+				}
+			}
+			if pc.ties && ties == 0 {
+				t.Fatalf("%s: no row ties its k-th and (k+1)-th neighbour; the pool no longer tests tie handling", name)
 			}
 		}
 	}
@@ -254,5 +283,47 @@ func TestPoolViews(t *testing.T) {
 				t.Fatalf("view %d[%d] = %v, want %d", i, j, v[j], b[j])
 			}
 		}
+	}
+}
+
+// TestKNNTableInfiniteDistances checks the table on a matrix whose rows
+// hold +Inf distances, which a short heap turns away and the table
+// fills back in: point 0 is infinitely far from every other point, and
+// every third pair of the rest is too. At 400 points the walk runs
+// banded, so at GOMAXPROCS > 1 the worker heaps are merged.
+func TestKNNTableInfiniteDistances(t *testing.T) {
+	const n, kmax = 400, 6
+	c, err := dbscan.NewCondensedMatrix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := float64(rng.Intn(16)) / 16
+			if i == 0 || (i+j)%3 == 0 {
+				d = math.Inf(1)
+			}
+			c.Set(i, j, d)
+		}
+	}
+	m := &Matrix{store: c, backend: BackendCondensed}
+	got, err := m.KNNTable(kmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.KNNTableSort(kmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		for i := range want[k] {
+			if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+				t.Fatalf("table[%d][%d] = %v, sort-based = %v", k, i, got[k][i], want[k][i])
+			}
+		}
+	}
+	if !math.IsInf(got[kmax-1][0], 1) {
+		t.Fatalf("point 0's %d-th neighbour = %v, want +Inf", kmax, got[kmax-1][0])
 	}
 }

@@ -2,32 +2,54 @@ package dissim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"protoclust/internal/dbscan"
 	"protoclust/internal/vecmath"
 )
 
 // k-NN selection. Algorithm 1 only ever needs the kmax ≈ ln n smallest
 // distances of each row, so a full O(n log n) sort per row
 // (KNNTableSort, kept as the baseline) wastes almost all of its work.
-// Each row instead keeps a bounded max-heap of size kmax, and one
-// storage-order walk over the row suffixes (StreamSuffix) feeds every
-// pair (i, j) into the heaps of both i and j. A row's k smallest
-// off-diagonal values are the same multiset in any visiting order, so
-// the table is bit-identical to a per-row scan, and the walk reads each
-// row suffix in storage order instead of gathering each row's prefix
-// with one cache miss per element.
+// Each row instead keeps a bounded max-heap of size kmax, and one walk
+// over the row suffixes (StreamSuffix) feeds every pair (i, j) into the
+// heaps of both i and j, reading each row suffix in storage order
+// instead of gathering each row's prefix with one cache miss per
+// element.
 //
-// The walk visits the rows from the last to the first. The pool is
+// The walk is DBSCAN's banded dbscan.Walk: the rows are cut into bands
+// of about equal pair counts, which GOMAXPROCS workers claim from the
+// last band to the first. Every worker fills its own set of heaps, one
+// per row, and a merge then offers each row's heaps of workers 1, 2, …
+// to the first worker's. A row's k smallest off-diagonal values are the
+// same multiset in any visiting order and under any split, so the table
+// is bit-identical to a per-row scan on every backend and at every
+// worker count. The extra memory is one set of heaps per worker that
+// claimed a band: n × kmax float32 values and 12 bytes per row.
+//
+// Each band's rows are walked from the last to the first. The pool is
 // sorted by value, so neighbours in pool order tend to be near in
 // distance. Walked downward, row j's heap is offered its own suffix
 // from column j+1 on, then the rows j−1, j−2, … above it: nearest
 // first, so it fills with small values early and most later offers
 // fail the root check. Walked upward, column j would be offered rows
-// 0, 1, … in roughly falling order, and most offers would push.
+// 0, 1, … in roughly falling order, and most offers would push. The
+// bands are claimed from the last to the first for the same reason.
+//
+// The root check reads a float32 mirror of each heap's root that holds
+// +Inf while the heap is short of kmax values, so a rejected offer is
+// one compare against a contiguous array, and row i's own mirror sits
+// in a local while its suffix streams. A short heap therefore turns
+// away a +Inf distance, which can only tie or lose to every other
+// value: the table fills the slots a row's heap left empty with +Inf.
+// The kernels clamp dissimilarities to [0, 1], so neither +Inf nor NaN
+// comes from them; the padding keeps the table exact for any value but
+// NaN.
 
 // maxHeap is a bounded max-heap laid out in a reusable slice; h[0] is
 // the largest of the k smallest values seen so far.
-type maxHeap []float64
+type maxHeap []float32
 
 func (h maxHeap) siftUp(i int) {
 	for i > 0 {
@@ -60,7 +82,7 @@ func (h maxHeap) siftDown(i int) {
 }
 
 // popMax removes and returns the heap's largest element.
-func (h *maxHeap) popMax() float64 {
+func (h *maxHeap) popMax() float32 {
 	old := *h
 	top := old[0]
 	last := len(old) - 1
@@ -71,39 +93,36 @@ func (h *maxHeap) popMax() float64 {
 }
 
 // rowHeaps holds one bounded max-heap of capacity k per row, flat:
-// row r's heap is vals[r·k : r·k+lens[r]]. top[r] mirrors the heap's
-// root, so the common case — a value that cannot enter a full heap —
-// is rejected from two sequential arrays without touching vals.
+// row r's heap is vals[r·k : r·k+lens[r]]. top[r] is the root while the
+// heap is full and +Inf while it is short, so a value d belongs in the
+// heap iff d < top[r]: always while it is short, otherwise only when
+// strictly smaller than the root — the rule a per-row scan applies.
 type rowHeaps struct {
 	k    int
-	vals []float64
+	vals []float32
 	lens []int
-	top  []float64
+	top  []float32
 }
 
-// offer adds d to row r's heap when it belongs there: always while the
-// heap is short of k values, otherwise only when strictly smaller than
-// the root — the same rule a per-row scan applied. It inlines into the
-// walk, so a rejected value costs two array reads.
-func (h *rowHeaps) offer(r int, d float64) {
-	if h.lens[r] < h.k || d < h.top[r] {
-		h.push(r, d)
-	}
-}
-
-// push inserts d into row r's heap, evicting the root when it is full.
-func (h *rowHeaps) push(r int, d float64) {
+// push inserts d into row r's heap, evicting the root when it is full,
+// and returns the row's new top. The caller has checked d < top[r].
+func (h *rowHeaps) push(r int, d float32) float32 {
 	l := h.lens[r]
 	base := r * h.k // hoisted: r < n and len(vals) = n·k
 	if l < h.k {
 		h.vals[base+l] = d
-		h.lens[r] = l + 1
-		maxHeap(h.vals[base : base+l+1]).siftUp(l)
+		l++
+		h.lens[r] = l
+		maxHeap(h.vals[base : base+l]).siftUp(l - 1)
+		if l < h.k {
+			return h.top[r]
+		}
 	} else {
 		h.vals[base] = d
 		maxHeap(h.vals[base : base+l]).siftDown(0)
 	}
 	h.top[r] = h.vals[base]
+	return h.top[r]
 }
 
 // heap returns row r's heap, aliasing the flat storage.
@@ -114,27 +133,62 @@ func (h *rowHeaps) heap(r int) maxHeap {
 
 // newRowHeaps allocates n empty heaps of capacity k.
 func newRowHeaps(n, k int) *rowHeaps {
-	return &rowHeaps{
+	h := &rowHeaps{
 		k:    k,
-		vals: make([]float64, vecmath.CheckedMulAdd(n, k, 0)),
+		vals: make([]float32, vecmath.CheckedMulAdd(n, k, 0)),
 		lens: make([]int, n),
-		top:  make([]float64, n),
+		top:  make([]float32, n),
 	}
+	for r := range h.top {
+		h.top[r] = float32(math.Inf(1))
+	}
+	return h
 }
 
-// nearest returns, for every row, a heap of its k smallest off-diagonal
-// values, filled by one walk over the row suffixes, last row first.
+// nearest returns, for every row, a heap of at most k of its smallest
+// off-diagonal values, short only of +Inf ones (see the k-NN selection
+// comment above), filled by one banded walk over the row suffixes.
 func (m *Matrix) nearest(k int) *rowHeaps {
 	n := m.Len()
-	h := newRowHeaps(n, k)
-	for i := n - 1; i >= 0; i-- {
-		m.store.StreamSuffix(i, func(lo int, vals []float32) {
-			for o, d32 := range vals {
-				d := float64(d32)
-				h.offer(i, d)
-				h.offer(lo+o, d)
+	w := dbscan.NewWalk(n)
+	hs := make([]*rowHeaps, w.Workers())
+	w.RunDown(func(worker, lo, hi int) {
+		if hs[worker] == nil {
+			hs[worker] = newRowHeaps(n, k)
+		}
+		h := hs[worker]
+		var (
+			i  int
+			ti float32 // h.top[i], kept local while row i streams
+		)
+		offer := func(lo int, vals []float32) {
+			tops := h.top[lo : lo+len(vals)]
+			for o, d := range vals {
+				if d < ti {
+					ti = h.push(i, d)
+				}
+				if d < tops[o] {
+					h.push(lo+o, d)
+				}
 			}
-		})
+		}
+		for i = hi - 1; i >= lo; i-- {
+			ti = h.top[i]
+			m.store.StreamSuffix(i, offer)
+		}
+	})
+	// Every band may have gone to workers other than the caller, so the
+	// merge target is the first worker that filled heaps.
+	hs = slices.DeleteFunc(hs, func(h *rowHeaps) bool { return h == nil })
+	h := hs[0]
+	for _, o := range hs[1:] {
+		for r := range n {
+			for _, d := range o.heap(r) {
+				if d < h.top[r] {
+					h.push(r, d)
+				}
+			}
+		}
 	}
 	return h
 }
@@ -168,8 +222,11 @@ func (m *Matrix) KNNTable(kmax int) ([][]float64, error) {
 	}
 	for i := 0; i < n; i++ {
 		hi := h.heap(i)
+		for k := len(hi); k < kmax; k++ {
+			table[k][i] = math.Inf(1)
+		}
 		for k := len(hi) - 1; k >= 0; k-- {
-			table[k][i] = hi.popMax()
+			table[k][i] = float64(hi.popMax())
 		}
 	}
 	return table, nil

@@ -15,7 +15,8 @@ import (
 // both FitWeighted and the full-loop oracle and requires the same
 // success, then bit-identical evaluations at every sample, at every
 // knot and its two neighbours, outside the domain on both sides, at the
-// infinities and at NaN.
+// infinities and at NaN; where the oracle returns a NaN, any NaN
+// matches.
 func requireFitMatchesOracle(t *testing.T, name string, xs, ys, ws []float64, nCtrl int) {
 	t.Helper()
 	got, gotErr := FitWeighted(xs, ys, ws, nCtrl)
@@ -31,8 +32,15 @@ func requireFitMatchesOracle(t *testing.T, name string, xs, ys, ws []float64, nC
 		probes = append(probes, k, math.Nextafter(k, math.Inf(-1)), math.Nextafter(k, math.Inf(1)))
 	}
 	probes = append(probes, got.lo-1, got.hi+1, math.Inf(-1), math.Inf(1), math.NaN())
+	// A NaN compares as NaN-ness only: which operand's payload a NaN
+	// product keeps depends on the register the compiler picks, not on
+	// the arithmetic.
 	for _, x := range probes {
-		if g, w := got.Eval(x), want.Eval(x); math.Float64bits(g) != math.Float64bits(w) {
+		g, w := got.Eval(x), want.Eval(x)
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: Eval(%v) = %v (%#x), oracle %v (%#x)", name, x, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}

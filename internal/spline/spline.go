@@ -159,8 +159,6 @@ func (s *Spline) Eval(x float64) float64 {
 	var y float64
 	for j, b := range basis {
 		if !vecmath.IsZero(b) {
-			// b leads: where both factors are NaN, amd64 keeps the first
-			// one's payload, and the spline oracle compares bits.
 			y += b * s.ctrl[first+j]
 		}
 	}
