@@ -167,6 +167,14 @@ func TestFitMatchesOracleEdgeCases(t *testing.T) {
 		{"huge weight", []float64{0, 1, 2, 3, 4}, []float64{1, math.MaxFloat64, 1, 1, 1}, 4},
 		{"infinite weight", []float64{0, 1, 2, 3, 4}, []float64{1, 1, math.Inf(1), 1, 1}, 4},
 		{"nan weight", []float64{0, 1, 2, 3, 4}, []float64{1, 1, math.NaN(), 1, 1}, 4},
+		// The same past the band (twelve controls), where a banded
+		// solve and the dense one differ unless non-finite values send
+		// the fit to the dense solve.
+		{"domain overflows, twelve controls", spread(-1e308, 1e308, 14), nil, 12},
+		{"nan abscissa, twelve controls", withAt(spread(0, 13, 14), 6, math.NaN()), nil, 12},
+		{"huge weight, twelve controls", spread(0, 13, 14), withAt(ones(14), 3, math.MaxFloat64), 12},
+		{"infinite weight, twelve controls", spread(0, 13, 14), withAt(ones(14), 9, math.Inf(1)), 12},
+		{"nan weight, twelve controls", spread(0, 13, 14), withAt(ones(14), 9, math.NaN()), 12},
 		{"two points", []float64{0, 1}, nil, 4},
 		{"degenerate domain", []float64{2, 2, 2, 2}, nil, 4},
 	}
@@ -178,6 +186,31 @@ func TestFitMatchesOracleEdgeCases(t *testing.T) {
 		requireFitMatchesOracle(t, c.name, c.xs, ys, c.ws, c.nCtrl)
 		requireSmoothMatchesOracle(t, c.name, c.xs, ys, c.ws, 0.5)
 	}
+}
+
+// spread returns n evenly spaced abscissae from lo to hi.
+func spread(lo, hi float64, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = lo + (hi-lo)/float64(n-1)*float64(i)
+	}
+	xs[n-1] = hi
+	return xs
+}
+
+// ones returns n unit weights.
+func ones(n int) []float64 {
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = 1
+	}
+	return ws
+}
+
+// withAt returns xs with xs[i] set to v.
+func withAt(xs []float64, i int, v float64) []float64 {
+	xs[i] = v
+	return xs
 }
 
 // ulpSteps returns n sorted abscissae spread over the steps ulps above 1.

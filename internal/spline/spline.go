@@ -14,7 +14,10 @@
 // recurrence. A fit over m points thus costs O(m) work whatever the
 // control-point count. Skipping the other functions only skips exact ±0
 // terms, which leaves every result bit-identical to summing over all of
-// them.
+// them. For the same reason the normal equations are banded, and they
+// are assembled and solved in band storage: O(nCtrl) memory and work
+// where a dense system takes O(nCtrl²), with the same bits (see
+// solveBanded).
 package spline
 
 import (
@@ -75,17 +78,36 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 	}
 
 	sp := &Spline{knots: clampedKnots(lo, hi, nCtrl), lo: lo, hi: hi}
-
-	// Assemble the normal equations AᵀA c = Aᵀy where A[i][j] is the
-	// j-th basis function evaluated at xs[i]. Row i of A is zero outside
-	// the window basis returns, so only that window is accumulated. The
-	// rows of AᵀA share one backing array.
-	cells := make([]float64, vecmath.CheckedMulAdd(nCtrl, nCtrl, 0))
-	ata := make([][]float64, nCtrl)
-	for i := range ata {
-		ata[i] = cells[i*nCtrl : (i+1)*nCtrl : (i+1)*nCtrl]
+	ctrl, err := sp.fitBanded(xs, ys, ws)
+	if errors.Is(err, errNotBanded) {
+		ctrl, err = sp.fitDense(xs, ys, ws)
 	}
-	aty := make([]float64, nCtrl)
+	if err != nil {
+		return nil, err
+	}
+	sp.ctrl = ctrl
+	return sp, nil
+}
+
+// errNotBanded reports a fit whose banded solve would not reproduce the
+// dense one bit for bit (see fitBanded).
+var errNotBanded = errors.New("spline: system needs the dense solve")
+
+// bandWidth is the number of columns fitBanded keeps per row of AᵀA:
+// degree below the diagonal, the diagonal, and 2·degree above it, the
+// width row interchanges can fill to.
+const bandWidth = 3*degree + 1
+
+// band returns the index of column c of row r in a banded matrix that
+// keeps columns [r−degree, r+2·degree] of every row.
+func band(r, c int) int { return r*bandWidth + c - r + degree }
+
+// accumulate assembles the normal equations AᵀA c = Aᵀy, where A[i][j]
+// is the j-th basis function evaluated at xs[i], weighted by ws[i], plus
+// a tiny Tikhonov term on the diagonal. rowAt(r, c) returns row r of
+// AᵀA from column c on. Row i of A is zero outside the window basis
+// returns, so only that window is accumulated.
+func (s *Spline) accumulate(xs, ys, ws []float64, rowAt func(r, c int) []float64, aty []float64) {
 	var tri [2*degree + 1]float64
 	for i, x := range xs {
 		w := 1.0
@@ -95,13 +117,13 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 				continue
 			}
 		}
-		first, basis := sp.basis(x, &tri)
+		first, basis := s.basis(x, &tri)
 		for r, br := range basis {
 			if vecmath.IsZero(br) {
 				continue
 			}
 			aty[first+r] += w * br * ys[i]
-			row := ata[first+r][first : first+len(basis)]
+			row := rowAt(first+r, first)[:len(basis)]
 			for c, bc := range basis {
 				row[c] += w * br * bc
 			}
@@ -109,15 +131,97 @@ func FitWeighted(xs, ys, ws []float64, nCtrl int) (*Spline, error) {
 	}
 	// Tiny Tikhonov regularisation keeps the system well-posed when
 	// data points leave some basis functions unsupported.
-	for r := 0; r < nCtrl; r++ {
-		ata[r][r] += 1e-9
+	for r := range aty {
+		rowAt(r, r)[0] += 1e-9
 	}
-	ctrl, err := solve(ata, aty)
-	if err != nil {
-		return nil, err
+}
+
+// fitBanded solves the normal equations in band storage: a finite
+// abscissa has degree+1 live basis functions, so AᵀA has degree
+// non-zero diagonals on either side of its own, and Gaussian
+// elimination with partial pivoting fills at most degree more above
+// it. A NaN abscissa, whose window spans every function, returns
+// errNotBanded for the dense solve to run.
+func (s *Spline) fitBanded(xs, ys, ws []float64) ([]float64, error) {
+	if slices.ContainsFunc(xs, math.IsNaN) {
+		return nil, errNotBanded
 	}
-	sp.ctrl = ctrl
-	return sp, nil
+	n := len(s.knots) - degree - 1
+	a := make([]float64, vecmath.CheckedMulAdd(n, bandWidth, 0))
+	b := make([]float64, n)
+	s.accumulate(xs, ys, ws, func(r, c int) []float64 { return a[band(r, c):] }, b)
+	return solveBanded(a, b)
+}
+
+// solveBanded is solve on a system in band storage (see band),
+// mutating its arguments. No row may have a non-zero entry more than
+// degree columns left of the diagonal, nor more than degree right of it
+// where elimination still has to reach the row. Its eliminations, interchanges and
+// substitutions are solve's restricted to the band, in the same order.
+// Outside the band solve only subtracts products with an exact +0
+// factor from exact +0 entries and from sums that are never −0, which
+// changes no bit unless the other factor is infinite or NaN. Such a
+// value always reaches the solution: a non-finite multiplier or pivot
+// leaves a row non-finite on its diagonal and next to it, and a
+// non-finite solution value is where the substitution would use one.
+// So a non-finite solution value returns errNotBanded, and every other
+// result is solve's bit for bit.
+func solveBanded(a, b []float64) ([]float64, error) {
+	n := len(b)
+	for col := 0; col < n; col++ {
+		last := min(col+degree, n-1)    // last row with column col in the band
+		right := min(col+2*degree, n-1) // last non-zero column of the pivot row
+		pivot := col
+		for r := col + 1; r <= last; r++ {
+			if math.Abs(a[band(r, col)]) > math.Abs(a[band(pivot, col)]) {
+				pivot = r
+			}
+		}
+		if math.Abs(a[band(pivot, col)]) < 1e-300 {
+			return nil, ErrSingular
+		}
+		// Columns left of col are dead; right of right both rows hold +0.
+		for c := col; c <= right && pivot != col; c++ {
+			a[band(col, c)], a[band(pivot, c)] = a[band(pivot, c)], a[band(col, c)]
+		}
+		b[col], b[pivot] = b[pivot], b[col]
+		inv := 1 / a[band(col, col)]
+		for r := col + 1; r <= last; r++ {
+			f := a[band(r, col)] * inv
+			if vecmath.IsZero(f) {
+				continue
+			}
+			for c := col; c <= right; c++ {
+				a[band(r, c)] -= f * a[band(col, c)]
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	x := make([]float64, n)
+	for r := n - 1; r >= 0; r-- {
+		sum := b[r]
+		for c := r + 1; c <= min(r+2*degree, n-1); c++ {
+			sum -= a[band(r, c)] * x[c]
+		}
+		if x[r] = sum / a[band(r, r)]; math.IsInf(x[r], 0) || math.IsNaN(x[r]) {
+			return nil, errNotBanded
+		}
+	}
+	return x, nil
+}
+
+// fitDense solves the normal equations as a dense nCtrl × nCtrl system,
+// whose rows share one backing array.
+func (s *Spline) fitDense(xs, ys, ws []float64) ([]float64, error) {
+	n := len(s.knots) - degree - 1
+	cells := make([]float64, vecmath.CheckedMulAdd(n, n, 0))
+	ata := make([][]float64, n)
+	for i := range ata {
+		ata[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
+	aty := make([]float64, n)
+	s.accumulate(xs, ys, ws, func(r, c int) []float64 { return ata[r][c:] }, aty)
+	return solve(ata, aty)
 }
 
 // span returns the indexes first..last of the basis functions that can

@@ -143,6 +143,143 @@ func TestSolveSingular(t *testing.T) {
 	}
 }
 
+// TestBandedSolveMatchesDense requires the banded solve to run on
+// finite fits wider than its band and to give the dense solve's
+// control points bit for bit, and to hand NaN abscissae and
+// infinite weights to the dense solve.
+func TestBandedSolveMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		n := 12 + rng.Intn(300)
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		ws := make([]float64, n)
+		levels := 1 + rng.Intn(2*n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(levels)) / float64(levels)
+			ys[i] = rng.NormFloat64()
+			ws[i] = float64(rng.Intn(6) - 1)
+		}
+		slices.Sort(xs)
+		xs[0], xs[n-1] = 0, 1
+		nCtrl := bandWidth + 1 + rng.Intn(n-bandWidth)
+		sp := &Spline{knots: clampedKnots(0, 1, nCtrl), lo: 0, hi: 1}
+		got, err := sp.fitBanded(xs, ys, ws)
+		if err != nil {
+			t.Fatalf("trial %d (n %d, nCtrl %d): banded: %v", trial, n, nCtrl, err)
+		}
+		want, err := sp.fitDense(xs, ys, ws)
+		if err != nil {
+			t.Fatalf("trial %d: dense: %v", trial, err)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d (n %d, nCtrl %d): control %d = %v, dense %v", trial, n, nCtrl, j, got[j], want[j])
+			}
+		}
+	}
+	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+	ys := make([]float64, len(xs))
+	inf := make([]float64, len(xs))
+	for i := range ys {
+		ys[i], inf[i] = math.Sin(float64(i)), 1
+	}
+	inf[9] = math.Inf(1)
+	nan := slices.Clone(xs)
+	nan[5] = math.NaN()
+	sp := &Spline{knots: clampedKnots(0, 13, 12), lo: 0, hi: 13}
+	for name, c := range map[string]struct{ xs, ws []float64 }{
+		"nan abscissa":    {nan, nil},
+		"infinite weight": {xs, inf},
+	} {
+		if _, err := sp.fitBanded(c.xs, ys, c.ws); !errors.Is(err, errNotBanded) {
+			t.Errorf("%s: banded err = %v, want errNotBanded", name, err)
+		}
+	}
+}
+
+// TestSolveBandedMatchesSolve requires solveBanded, with solve where it
+// returns errNotBanded, to give solve's solution bit for bit on random
+// band systems that pivot (normal draws, so row interchanges fill the
+// band to 2·degree above the diagonal), with exact zeros, half of them
+// with two entries of the matrix or right-hand side infinite, NaN,
+// huge or subnormal, and every other system to stay on the band.
+func TestSolveBandedMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 1e-310}
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(40)
+		banded := make([]float64, n*bandWidth)
+		dense := make([][]float64, n)
+		b := make([]float64, n)
+		for r := range dense {
+			dense[r] = make([]float64, n)
+			b[r] = rng.NormFloat64()
+			for c := max(0, r-degree); c <= min(n-1, r+degree); c++ {
+				if rng.Intn(5) > 0 {
+					dense[r][c] = rng.NormFloat64()
+					banded[band(r, c)] = dense[r][c]
+				}
+			}
+		}
+		special := trial%2 == 1
+		for range 2 * (trial % 2) {
+			r := rng.Intn(n)
+			c := min(n-1, max(0, r+rng.Intn(2*degree+1)-degree))
+			v := specials[rng.Intn(len(specials))]
+			if rng.Intn(3) == 0 {
+				b[r] = v
+				continue
+			}
+			dense[r][c], banded[band(r, c)] = v, v
+		}
+		want, wantErr := solve(dense, slices.Clone(b))
+		got, err := solveBanded(banded, b)
+		if errors.Is(err, errNotBanded) {
+			if !special {
+				t.Fatalf("trial %d: finite %d×%d system left the band", trial, n, n)
+			}
+			continue
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: err = %v, solve err = %v", trial, err, wantErr)
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d (n %d): x[%d] = %v, solve %v", trial, n, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestSolveBandedInfinitySolution requires a solution value that is
+// infinite on the band but NaN in the dense solve to send the system
+// to the dense solve. The system is the upper triangle elimination
+// leaves, 2·degree diagonals above a unit one, all −1, with b[n−1] =
+// +Inf: every x[r] = b[r] + Σ x[c] is +Inf on the band, while solve
+// multiplies that +Inf by the +0 entries right of the band.
+func TestSolveBandedInfinitySolution(t *testing.T) {
+	const n = 10
+	a := make([]float64, n*bandWidth)
+	dense := make([][]float64, n)
+	b := make([]float64, n)
+	for r := range n {
+		dense[r] = make([]float64, n)
+		dense[r][r], a[band(r, r)] = 1, 1
+		for c := r + 1; c <= min(r+2*degree, n-1); c++ {
+			dense[r][c], a[band(r, c)] = -1, -1
+		}
+	}
+	b[n-1] = math.Inf(1)
+	want, err := solve(dense, slices.Clone(b))
+	if err != nil || !math.IsNaN(want[0]) {
+		t.Fatalf("solve = %v, %v; want NaN in row 0", want, err)
+	}
+	if _, err := solveBanded(a, b); !errors.Is(err, errNotBanded) {
+		t.Fatalf("err = %v, want errNotBanded", err)
+	}
+}
+
 // Property: spline of monotone data stays within the data's y range
 // (loosely — least-squares cubics can overshoot slightly).
 func TestSmoothStaysNearRangeProperty(t *testing.T) {
